@@ -344,7 +344,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="antiprism optimizations")
     p.add_argument("problem", choices=["lemma1", "lemma2"])
-    p.add_argument("--grid", type=int)
+    p.add_argument("--grid", type=int,
+                   help="points per axis of lemma1's (phi, psi) seeding grid; "
+                        "lemma2 does not use it")
     p.add_argument("--pair-filter", dest="pair_filter", type=float)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_optimize)

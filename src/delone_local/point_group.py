@@ -3,18 +3,21 @@
 The stabilizer S_x(rho) of a cluster is the finite group of orthogonal
 maps about the center that map the member set onto itself.  Elements are
 found with the same frame-matching candidate machinery used for cluster
-equivalence, then completed by closure (a no-op when enumeration is
-complete, kept as a safety net) and classified into a Schoenflies label.
+equivalence, each verified against the full member set, checked to form
+a group through their product table, and classified into a Schoenflies
+label.
+
+Group elements are compared in one way only: stacked as 9-vectors in a
+KD-tree and matched within ``ELEMENT_TOL`` (max-norm).
 
 Order-theoretic helpers: ``omega`` (prime factors with multiplicity) and
-``tower_height`` (longest chain of strictly nested subgroups), computed
-exactly by enumerating the subgroup lattice through an integer
-multiplication table.
+``tower_height`` (longest chain of strictly nested subgroups), which for
+every finite subgroup of O(3) equals ``omega(|G|) + 1``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -54,8 +57,8 @@ __all__ = [
 #: elements in groups of order <= 120).
 ELEMENT_TOL = 1e-6
 
-#: Largest group order supported by exact subgroup-lattice computations
-#: (the largest finite subgroup of O(3), Ih, has order 120).
+#: Largest group order the group check accepts (Ih, the largest polyhedral
+#: group, has order 120).
 MAX_GROUP_ORDER = 120
 
 
@@ -115,46 +118,38 @@ class PointGroup:
         return len(self.elements)
 
 
-def _element_key(q: np.ndarray) -> tuple:
-    r = np.round(np.asarray(q, dtype=float), 6) + 0.0
-    return tuple(r.ravel())
+def _match(elements, queries) -> np.ndarray:
+    """Index of the element within ELEMENT_TOL (max-norm) of each query
+    matrix, or -1 where there is none."""
+    tree = cKDTree(np.asarray(elements, dtype=float).reshape(-1, 9))
+    d, idx = tree.query(np.asarray(queries, dtype=float).reshape(-1, 9),
+                        p=np.inf, distance_upper_bound=ELEMENT_TOL)
+    return np.where(np.isfinite(d), idx, -1)
 
 
-def _dedupe(mats: Sequence[np.ndarray]) -> List[np.ndarray]:
-    seen = {}
-    for m in mats:
-        k = _element_key(m)
-        if k not in seen:
-            seen[k] = m
-    return list(seen.values())
+def _closure_matrices(mats: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Close a set of orthogonal maps under products (finite-group closure).
 
-
-def _closure_matrices(mats: Sequence[np.ndarray],
-                      limit: int = 2 * MAX_GROUP_ORDER) -> List[np.ndarray]:
-    """Close a set of orthogonal maps under products (finite-group closure)."""
-    elems: Dict[tuple, np.ndarray] = {_element_key(np.eye(3)): np.eye(3)}
-    frontier = []
-    for m in _dedupe(mats):
-        k = _element_key(m)
-        if k not in elems:
-            elems[k] = m
-            frontier.append(m)
-    while frontier:
-        new = []
-        current = list(elems.values())
-        for f in frontier:
-            for g in current:
-                for prod in (f @ g, g @ f):
-                    prod = nearest_orthogonal(prod)
-                    k = _element_key(prod)
-                    if k not in elems:
-                        elems[k] = prod
-                        new.append(prod)
-                        if len(elems) > limit:
-                            raise GroupTooLarge(
-                                f"closure exceeded {limit} elements")
-        frontier = new
-    return list(elems.values())
+    Each round multiplies the new elements on the right by every element
+    known so far, in one batch.  The generators are known from the first
+    round on, so the result is closed under right multiplication by them
+    and, being finite, is the whole group they generate.
+    """
+    elems = np.eye(3)[None]
+    batch = np.asarray(mats, dtype=float).reshape(-1, 3, 3)
+    while len(batch):
+        new = batch[_match(elems, batch) < 0]
+        if len(new):
+            twins = cKDTree(new.reshape(-1, 9)).query_pairs(
+                ELEMENT_TOL, p=np.inf, output_type="ndarray")
+            new = np.delete(new, twins[:, 1], axis=0)
+        elems = np.concatenate([elems, new])
+        if len(elems) > 2 * MAX_GROUP_ORDER:
+            raise GroupTooLarge(
+                f"closure exceeded {2 * MAX_GROUP_ORDER} elements")
+        batch = nearest_orthogonal(
+            np.einsum("iab,jbc->ijac", new, elems).reshape(-1, 3, 3))
+    return list(elems)
 
 
 def group_from_generators(generators: Sequence[np.ndarray],
@@ -168,18 +163,27 @@ def group_from_generators(generators: Sequence[np.ndarray],
 
 
 def _check_group(mats: Sequence[np.ndarray]) -> None:
-    keys = {_element_key(m) for m in mats}
-    if len(keys) != len(mats):
-        raise NotAGroup("duplicate elements")
-    if _element_key(np.eye(3)) not in keys:
+    """Raise unless ``mats`` is a group, read off its product table.
+
+    A finite set of maps that holds the identity, is closed under
+    products and whose table rows and columns are permutations (the
+    cancellation laws) is a group; inverses need no separate check.  A
+    row or column that is not a permutation also catches an element
+    listed twice.
+    """
+    m = np.asarray(mats, dtype=float).reshape(-1, 3, 3)
+    n = len(m)
+    if n > MAX_GROUP_ORDER:
+        raise GroupTooLarge(f"order {n} exceeds the ceiling {MAX_GROUP_ORDER}")
+    if _match(m, np.eye(3))[0] < 0:
         raise NotAGroup("identity missing")
-    for m in mats:
-        if _element_key(nearest_orthogonal(m.T)) not in keys:
-            raise NotAGroup("not closed under inverses")
-    for a in mats:
-        for b in mats:
-            if _element_key(nearest_orthogonal(a @ b)) not in keys:
-                raise NotAGroup("not closed under products")
+    table = _match(m, np.einsum("iab,jbc->ijac", m, m)).reshape(n, n)
+    if (table < 0).any():
+        raise NotAGroup("not closed under products")
+    perm = np.arange(n)
+    if not ((np.sort(table, axis=1) == perm).all()
+            and (np.sort(table, axis=0) == perm[:, None]).all()):
+        raise NotAGroup("duplicate elements: product table is not a Latin square")
 
 
 def stabilizer(c: Cluster, ctx: ToleranceContext = DEFAULT_CTX) -> PointGroup:
@@ -187,7 +191,8 @@ def stabilizer(c: Cluster, ctx: ToleranceContext = DEFAULT_CTX) -> PointGroup:
     mapping the member set to itself.
 
     Raises :class:`LowerDimensionalCluster` for clusters whose affine
-    hull has dimension < 3 (their stabilizer is infinite).
+    hull has dimension < 3 (their stabilizer is infinite), and
+    :class:`NotAGroup` if the verified maps fail the group check.
     """
     if c.affine_dimension() < 3:
         raise LowerDimensionalCluster(
@@ -198,17 +203,11 @@ def stabilizer(c: Cluster, ctx: ToleranceContext = DEFAULT_CTX) -> PointGroup:
     tree = cKDTree(offsets)
     frame = _frame_offsets(offsets, dists, want=3)
     nz = offsets[dists > 1e-12]
-    found = [np.eye(3)]
-    for q in _candidate_maps(frame, nz, c.radius):
-        if _sets_match(offsets @ q.T, offsets, tree, mtol):
-            found.append(q)
-    elements = _dedupe(found)
-    # Frame enumeration is complete, so closure is a no-op; run it anyway
-    # and re-verify any (unexpected) new elements.
-    closed = _closure_matrices(elements)
-    if len(closed) != len(elements):
-        elements = [q for q in closed
-                    if _sets_match(offsets @ q.T, offsets, tree, mtol)]
+    # The frame is non-degenerate, so distinct frame images give distinct
+    # maps, and the frame's own image gives the identity.
+    elements = [q for q in _candidate_maps(frame, nz, c.radius)
+                if _sets_match(offsets @ q.T, offsets, tree, mtol)]
+    _check_group(elements)
     label = schoenflies_from_matrices(elements, ctx)
     return PointGroup(center=c.center.copy(), elements=tuple(elements),
                       label=label)
@@ -357,79 +356,25 @@ def omega(n: int) -> int:
     return count
 
 
-def _mult_table(mats: Sequence[np.ndarray]) -> List[List[int]]:
-    keys = {_element_key(m): i for i, m in enumerate(mats)}
-    n = len(mats)
-    M = np.stack([np.asarray(m, dtype=float) for m in mats])
-    prods = np.einsum("iab,jbc->ijac", M, M)
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            k = _element_key(prods[i, j])
-            if k not in keys:
-                raise NotAGroup("element set not closed under products")
-            table[i][j] = keys[k]
-    return table
-
-
-def _close_indices(gens: FrozenSet[int], table: List[List[int]]) -> FrozenSet[int]:
-    s = set(gens)
-    s.add(0)  # identity index by construction below
-    frontier = list(s)
-    while frontier:
-        new = []
-        members = list(s)
-        for f in frontier:
-            row_f = table[f]
-            for g in members:
-                for k in (row_f[g], table[g][f]):
-                    if k not in s:
-                        s.add(k)
-                        new.append(k)
-        frontier = new
-    return frozenset(s)
-
-
-def _subgroup_lattice(table: List[List[int]]) -> List[FrozenSet[int]]:
-    n = len(table)
-    whole = frozenset(range(n))
-    cyclics = {_close_indices(frozenset({i}), table) for i in range(n)}
-    subs = {frozenset({0})} | cyclics | {whole}
-    changed = True
-    while changed:
-        changed = False
-        for h in list(subs):
-            for c in cyclics:
-                if c <= h:
-                    continue
-                j = _close_indices(h | c, table)
-                if j not in subs:
-                    subs.add(j)
-                    changed = True
-    return sorted(subs, key=lambda s: (len(s), sorted(s)))
-
-
 def tower_height_from_matrices(elements: Sequence[np.ndarray]) -> int:
     """Maximal length of a chain of strictly nested subgroups from the
-    group down to the trivial group, both ends included."""
-    elements = list(elements)
-    if len(elements) > MAX_GROUP_ORDER:
-        raise GroupTooLarge(
-            f"order {len(elements)} exceeds the ceiling {MAX_GROUP_ORDER}")
-    # put the identity at index 0 for _close_indices
-    elements = sorted(elements, key=lambda m: float(np.abs(m - np.eye(3)).max()))
-    table = _mult_table(elements)
-    subs = _subgroup_lattice(table)
-    height: Dict[FrozenSet[int], int] = {}
-    for s in subs:  # sorted by size, so proper subgroups come first
-        best = 0
-        for t in subs:
-            if len(t) >= len(s):
-                break
-            if t < s:
-                best = max(best, height[t])
-        height[s] = best + 1
-    return height[subs[-1]]
+    group down to the trivial group, both ends included.
+
+    The element set is checked to be a group of order at most
+    MAX_GROUP_ORDER; the height is then omega(|G|) + 1:
+
+    - Upper bound: each strict step H > K of a chain has index
+      [H : K] >= 2, and the indices of the steps multiply to |G|, so a
+      chain has at most omega(|G|) steps.
+    - Every solvable group attains it through a composition series,
+      whose factors have prime order.  That covers every finite subgroup
+      of O(3) except I and Ih.
+    - I = A5 attains it through A5 > A4 > V4 > C2 > 1 (omega(60) = 4).
+    - Ih = I x C2 attains it through Ih > I followed by the chain of I
+      (omega(120) = 5).
+    """
+    _check_group(elements)
+    return omega(len(elements)) + 1
 
 
 def tower_height(g: PointGroup) -> int:

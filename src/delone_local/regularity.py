@@ -24,7 +24,7 @@ from .delone_core import PointPatch, cluster
 from .equivalence import cluster_classes
 from .errors import UnknownLabel
 from .geometry import DEFAULT_CTX, ToleranceContext
-from .point_group import PointGroup, _element_key, omega, stabilizer
+from .point_group import PointGroup, _match, omega, stabilizer
 
 __all__ = [
     "CriterionVerdict",
@@ -234,9 +234,10 @@ class CriterionVerdict:
 
 
 def _groups_equal(g1: PointGroup, g2: PointGroup) -> bool:
-    k1 = {_element_key(q) for q in g1.elements}
-    k2 = {_element_key(q) for q in g2.elements}
-    return k1 == k2
+    # Both are checked groups (no element listed twice), so equal orders
+    # and every element of g1 matching one of g2 make the sets equal.
+    return (g1.order == g2.order
+            and bool((_match(g2.elements, g1.elements) >= 0).all()))
 
 
 def local_criterion(patch: PointPatch, rho0: float, R: float,

@@ -49,15 +49,19 @@ def signed_permutations():
     return mats
 
 
+def element_key(m):
+    """Rounded key of a group element, for comparing element sets that
+    are far from the rounding boundaries (signed permutations, closures of
+    the named generators, their conjugates)."""
+    return tuple((np.round(np.asarray(m, dtype=float), 6) + 0.0).ravel())
+
+
 def closure_oracle(generators, limit=200):
     """Independent closure of matrices under products (rounded keys)."""
-    def key(m):
-        return tuple((np.round(m, 6) + 0.0).ravel())
-
-    elems = {key(np.eye(3)): np.eye(3)}
+    elems = {element_key(np.eye(3)): np.eye(3)}
     frontier = [np.eye(3)] + [np.asarray(g, float) for g in generators]
     for g in frontier[1:]:
-        elems.setdefault(key(g), g)
+        elems.setdefault(element_key(g), g)
     changed = True
     while changed:
         changed = False
@@ -65,12 +69,58 @@ def closure_oracle(generators, limit=200):
         for a in current:
             for b in current:
                 p = a @ b
-                k = key(p)
+                k = element_key(p)
                 if k not in elems:
                     elems[k] = p
                     changed = True
                     assert len(elems) <= limit
     return list(elems.values())
+
+
+def tower_height_oracle(elements):
+    """Tower height by enumerating the subgroup lattice: the longest chain
+    of strictly nested subgroups, both ends included.
+
+    Subgroups are the closures of joins of cyclic subgroups, found through
+    an integer multiplication table with rounded keys; each subgroup's
+    height is one more than the largest height among its proper subgroups.
+    """
+    elements = sorted(elements, key=lambda m: float(np.abs(m - np.eye(3)).max()))
+    index = {element_key(m): i for i, m in enumerate(elements)}
+    assert element_key(elements[0]) == element_key(np.eye(3))
+    table = [[index[element_key(a @ b)] for b in elements] for a in elements]
+
+    def close(gens):
+        s = set(gens) | {0}
+        frontier = list(s)
+        while frontier:
+            new = []
+            members = list(s)
+            for f in frontier:
+                for g in members:
+                    for k in (table[f][g], table[g][f]):
+                        if k not in s:
+                            s.add(k)
+                            new.append(k)
+            frontier = new
+        return frozenset(s)
+
+    cyclics = {close({i}) for i in range(len(elements))}
+    subs = {frozenset({0})} | cyclics | {frozenset(range(len(elements)))}
+    changed = True
+    while changed:
+        changed = False
+        for h in list(subs):
+            for c in cyclics:
+                if not c <= h:
+                    j = close(h | c)
+                    if j not in subs:
+                        subs.add(j)
+                        changed = True
+    height = {}
+    for s in sorted(subs, key=len):  # proper subgroups come first
+        height[s] = 1 + max((height[t] for t in height if t < s), default=0)
+    return height[max(subs, key=len)]
 
 
 # Standard generator matrices (z principal axis) for building named groups.

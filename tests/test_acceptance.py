@@ -21,7 +21,6 @@ import delone_local as dl
 from delone_local.antiprism_opt import optimize_lemma1, optimize_lemma2
 from delone_local.equivalence import cluster_classes
 from delone_local.point_group import (
-    _element_key,
     group_from_generators,
     stabilizer,
     tower_height,
@@ -35,7 +34,7 @@ from delone_local.regularity import (
     table_to_csv,
 )
 
-from conftest import signed_permutations
+from conftest import element_key, signed_permutations
 
 SQRT3 = np.sqrt(3.0)
 
@@ -101,8 +100,8 @@ def test_criterion_4_cubic_lattice_end_to_end(capsys):
         g = stabilizer(dl.cluster(patch, [0, 0, 0], 1.0))
         assert g.order == 48
         assert str(g.label) == "Oh"
-        oracle = {_element_key(m) for m in signed_permutations()}
-        assert {_element_key(m) for m in g.elements} == oracle
+        oracle = {element_key(m) for m in signed_permutations()}
+        assert {element_key(m) for m in g.elements} == oracle
         assert local_criterion(patch, 1.0, SQRT3 / 2).regular
         assert time.monotonic() - t0 < 5.0
 

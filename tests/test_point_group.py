@@ -4,6 +4,7 @@ import pytest
 
 import delone_local as dl
 from delone_local.errors import (
+    GroupTooLarge,
     LowerDimensionalCluster,
     NotAGroup,
     UnrecognizedGroup,
@@ -12,7 +13,6 @@ from delone_local.geometry import classify_element, rotation_matrix
 from delone_local.point_group import (
     PointGroup,
     SchoenfliesLabel,
-    _element_key,
     group_from_generators,
     max_rotation_order,
     omega,
@@ -23,7 +23,13 @@ from delone_local.point_group import (
     tower_height_from_matrices,
 )
 
-from conftest import closure_oracle, named_group_generators, signed_permutations
+from conftest import (
+    closure_oracle,
+    element_key,
+    named_group_generators,
+    signed_permutations,
+    tower_height_oracle,
+)
 
 SQRT3 = np.sqrt(3.0)
 
@@ -47,8 +53,8 @@ class TestStabilizer:
         assert str(g.label) == "Oh"
         assert g.order == 48
         # oracle: the 48 signed permutation matrices, exactly
-        keys = {_element_key(m) for m in g.elements}
-        oracle = {_element_key(m) for m in signed_permutations()}
+        keys = {element_key(m) for m in g.elements}
+        oracle = {element_key(m) for m in signed_permutations()}
         assert keys == oracle
 
     def test_hex_d6h(self, hex_patch):
@@ -57,8 +63,8 @@ class TestStabilizer:
         assert str(g.label) == "D6h"
         assert g.order == 24
         oracle = closure_oracle(named_group_generators()["D6h"])
-        assert {_element_key(m) for m in g.elements} == \
-            {_element_key(m) for m in oracle}
+        assert {element_key(m) for m in g.elements} == \
+            {element_key(m) for m in oracle}
 
     def test_c4v_example(self, c4v_patch):
         c = dl.cluster(c4v_patch, [0, 0, 1], np.sqrt(1.5))
@@ -87,8 +93,8 @@ class TestStabilizer:
         # stabilizer can only shrink (as a set) when rho grows
         small = stabilizer(dl.cluster(z3_patch, [0, 0, 0], SQRT3))
         large = stabilizer(dl.cluster(z3_patch, [0, 0, 0], 2 * SQRT3))
-        k_small = {_element_key(m) for m in small.elements}
-        k_large = {_element_key(m) for m in large.elements}
+        k_small = {element_key(m) for m in small.elements}
+        k_large = {element_key(m) for m in large.elements}
         assert k_large <= k_small
 
     def test_conjugacy_under_isometry(self, z3_patch):
@@ -100,8 +106,8 @@ class TestStabilizer:
         g0 = stabilizer(c)
         g1 = stabilizer(moved)
         assert g1.order == g0.order
-        k1 = {_element_key(m) for m in g1.elements}
-        k0c = {_element_key(q @ m @ q.T) for m in g0.elements}
+        k1 = {element_key(m) for m in g1.elements}
+        k0c = {element_key(q @ m @ q.T) for m in g0.elements}
         assert k1 == k0c
 
 
@@ -129,6 +135,16 @@ class TestSchoenflies:
         assert str(schoenflies_from_matrices([np.eye(3), -np.eye(3)])) == "S2"
         g = group_from_generators([rotation_matrix([0, 0, 1], 2 * np.pi / 3), sigma])
         assert str(g.label) == "S3"
+
+    def test_closure_across_rounding_boundary(self):
+        # a half-turn whose (0, 0) entry sits on the 6-decimal rounding
+        # boundary: its snapped copy must be matched to it, not added as
+        # a third element
+        theta = 0.5 * np.arccos(0.1234565)
+        g = group_from_generators([rotation_matrix(
+            [np.cos(theta), np.sin(theta), 0.0], np.pi)])
+        assert g.order == 2
+        assert str(g.label) == "C2"
 
     def test_trivial_group(self):
         assert str(schoenflies_from_matrices([np.eye(3)])) == "C1"
@@ -185,7 +201,37 @@ class TestOmegaAndTowers:
     def test_tower_bounded_by_omega(self):
         for label in ("C6", "D3h", "Td", "S12", "C4h"):
             g = group_from_generators(named_group_generators()[label])
-            assert tower_height(g) <= omega(g.order) + 1
+            assert tower_height(g) == tower_height_oracle(g.elements) \
+                == omega(g.order) + 1
+
+    # The lattice oracle needs about half a minute on Ih, so Ih is left
+    # out here; the oracle gives 6 = omega(120) + 1 there as well.
+    @pytest.mark.parametrize(
+        "label", sorted(set(named_group_generators()) - {"Ih"}))
+    def test_tower_matches_lattice_oracle(self, label):
+        g = group_from_generators(named_group_generators()[label])
+        assert tower_height(g) == tower_height_oracle(g.elements)
+
+    def test_tower_rejects_non_closed_set(self):
+        c5 = rotation_matrix([0, 0, 1], 2 * np.pi / 5)
+        with pytest.raises(NotAGroup, match="closed"):
+            tower_height_from_matrices([np.eye(3), c5])
+
+    def test_tower_rejects_missing_identity(self):
+        c2 = rotation_matrix([0, 0, 1], np.pi)
+        with pytest.raises(NotAGroup, match="identity"):
+            tower_height_from_matrices([c2])
+
+    def test_tower_rejects_duplicate_element(self):
+        c2 = rotation_matrix([0, 0, 1], np.pi)
+        twin = rotation_matrix([0, 0, 1], np.pi + 1e-9)
+        with pytest.raises(NotAGroup, match="duplicate"):
+            tower_height_from_matrices([np.eye(3), c2, twin])
+
+    def test_tower_rejects_more_than_120_elements(self):
+        c121 = [rotation_matrix([0, 0, 1], 2 * np.pi * k / 121) for k in range(121)]
+        with pytest.raises(GroupTooLarge):
+            tower_height_from_matrices(c121)
 
 
 class TestMaxRotationOrder:

@@ -21,10 +21,16 @@ from delone_local.equivalence import cluster_classes, cluster_isometry
 from delone_local.geometry import Isometry
 from delone_local.point_group import (
     _closure_matrices,
-    _element_key,
     omega,
     stabilizer,
     tower_height_from_matrices,
+)
+
+from conftest import (
+    closure_oracle,
+    element_key,
+    signed_permutations,
+    tower_height_oracle,
 )
 
 N_CASES = 1000
@@ -48,7 +54,7 @@ def stabilizer_keys(patch, rho, cache={}):
     c = dl.cluster(patch, [0, 0, 0], rho)
     key = tuple(np.round(np.sort(c.center_distances), 9))
     if key not in cache:
-        cache[key] = frozenset(_element_key(m) for m in stabilizer(c).elements)
+        cache[key] = frozenset(element_key(m) for m in stabilizer(c).elements)
     return cache[key]
 
 
@@ -103,12 +109,12 @@ class TestStabilizerConjugacy:
     def test_thousand_conjugations(self, z3_patch):
         rng = np.random.default_rng(53)
         base = dl.cluster(z3_patch, [0, 0, 0], 1.0)
-        base_keys = {_element_key(m) for m in stabilizer(base).elements}
+        base_keys = {element_key(m) for m in stabilizer(base).elements}
         for _ in range(N_CASES):
             q = random_orthogonal(rng)
             iso = Isometry(q, rng.normal(size=3) * 2.0)
             g = stabilizer(transported(base, iso))
-            keys = {_element_key(q.T @ m @ q) for m in g.elements}
+            keys = {element_key(q.T @ m @ q) for m in g.elements}
             assert keys == base_keys
 
 
@@ -129,8 +135,8 @@ class TestObjectiveAgreement:
 
 class TestTowerBound:
     def test_thousand_random_subgroup_closures(self):
-        # tower height never exceeds Omega(|G|) + 1
-        from conftest import signed_permutations
+        # the closure equals the oracle closure, and its tower height is
+        # Omega(|G|) + 1, as the subgroup-lattice oracle finds
         oh = signed_permutations()
         rng = np.random.default_rng(13)
         cache = {}
@@ -138,9 +144,10 @@ class TestTowerBound:
             k = int(rng.integers(1, 4))
             gens = [oh[i] for i in rng.integers(0, len(oh), size=k)]
             elements = _closure_matrices(gens)
-            key = frozenset(_element_key(m) for m in elements)
+            key = frozenset(element_key(m) for m in elements)
+            assert len(key) == len(elements)
             if key not in cache:
-                cache[key] = tower_height_from_matrices(elements)
-            h = cache[key]
-            assert h <= omega(len(elements)) + 1
-            assert h >= 1
+                assert key == {element_key(m) for m in closure_oracle(gens)}
+                cache[key] = tower_height_oracle(elements)
+            assert tower_height_from_matrices(elements) == cache[key] \
+                == omega(len(elements)) + 1

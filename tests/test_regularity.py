@@ -4,8 +4,10 @@ import pytest
 
 import delone_local as dl
 from delone_local.errors import MarginViolation, UnknownLabel
+from delone_local.point_group import PointGroup, SchoenfliesLabel
 from delone_local.regularity import (
     TABLE,
+    _groups_equal,
     bound_lookup,
     classify_scenario,
     local_criterion,
@@ -180,6 +182,20 @@ class TestLocalCriterion:
         p = dl.PointPatch(moved[keep], [-5, -5, -5], [5, 5, 5])
         v = local_criterion(p, SQRT3, SQRT3 / 2)
         assert v.regular
+
+    def test_groups_equal_across_rounding_boundary(self):
+        # two C2 groups whose half-turn axes differ by 1e-9 rad; the axis
+        # angle puts the (0, 0) entry, cos(2 theta), on the 6-decimal
+        # rounding boundary 0.1234565, where rounded keys disagree
+        def c2(theta):
+            u = np.array([np.cos(theta), np.sin(theta), 0.0])
+            half_turn = 2.0 * np.outer(u, u) - np.eye(3)
+            return PointGroup(np.zeros(3), (np.eye(3), half_turn),
+                              SchoenfliesLabel("C", 2))
+
+        theta = 0.5 * np.arccos(0.1234565)
+        assert _groups_equal(c2(theta), c2(theta + 1e-9))
+        assert not _groups_equal(c2(theta), c2(theta + 1e-3))
 
 
 class TestClassifyScenario:
