@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -149,6 +150,50 @@ class Cluster:
         diffs = self.members - self.members[0]
         s = np.linalg.svd(diffs, compute_uv=False)
         return int(np.sum(s > tol * max(1.0, float(s[0]))))
+
+    @cached_property
+    def frame(self) -> Optional[np.ndarray]:
+        """affine_dimension() independent offsets (rows), or None for a
+        one-point cluster.
+
+        Picked greedily (largest norm, then cross product, then triple
+        product) among the 12 nonzero offsets nearest the center, ranked
+        by distance and then lexicographically; the window doubles while
+        it spans too few dimensions (None if it never does).  Cached, so a
+        cluster compared many times picks its frame once.
+        """
+        want = self.affine_dimension()
+        if want == 0:
+            return None
+        offs = self.offsets
+        ds = np.linalg.norm(offs, axis=1)
+        offs, ds = offs[ds > 1e-12], ds[ds > 1e-12]
+        offs = offs[np.lexsort((offs[:, 2], offs[:, 1], offs[:, 0], np.round(ds, 9)))]
+        k = 12
+        while True:
+            picked = _greedy_frame(offs[:k], want)
+            if picked is not None or k >= len(offs):
+                return picked
+            k *= 2
+
+
+def _greedy_frame(cand: np.ndarray, want: int,
+                  tol: float = 1e-9) -> Optional[np.ndarray]:
+    """The first ``want`` vectors of the greedy frame of ``cand`` (ties
+    break to the first index), or None if they would be dependent."""
+    picked = [cand[int(np.argmax(np.round(np.einsum("ij,ij->i", cand, cand), 9)))]]
+    while len(picked) < want:
+        if len(picked) == 1:
+            cross = np.cross(picked[0], cand)
+            score = np.einsum("ij,ij->i", cross, cross)
+        else:
+            score = np.abs(cand @ np.cross(picked[0], picked[1]))
+        score = np.round(score, 9)
+        i = int(np.argmax(score))
+        if score[i] <= tol:
+            return None
+        picked.append(cand[i])
+    return np.array(picked)
 
 
 def packing_diameter(patch: PointPatch) -> float:

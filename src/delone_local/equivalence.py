@@ -1,15 +1,18 @@
 """Cluster equivalence and the cluster-counting function N(rho).
 
 Two clusters are equivalent when some isometry maps center to center and
-member set onto member set.  The search strategy is frame-based: fix a
-deterministic non-degenerate frame of up to three members in the first
-cluster, enumerate candidate images in the second cluster among members
-with matching center distance and pairwise dot products, build the
-candidate isometry from the matched frame, then verify the full set
-bijection with a KD-tree.
+member set onto member set.  The search is frame-based, with one
+candidate generator for clusters of affine dimension k = 1, 2 or 3: the
+first cluster's frame (:attr:`Cluster.frame`, k independent offsets) is
+matched against k-tuples of the second cluster's offsets with the same
+norms and pairwise dot products, in lexicographic order; each tuple gives
+one orthogonal map (both tuples completed to a basis, q = G F^-1, gated
+on orthogonality and snapped), and the maps are yielded lazily so the
+search stops at the first one whose full member-set bijection a KD-tree
+verifies.
 
-The same candidate machinery is reused by :mod:`delone_local.point_group`
-to enumerate stabilizer elements (frames matched within one cluster).
+The same generator is reused by :mod:`delone_local.point_group` to
+enumerate stabilizer elements (frames matched within one cluster).
 """
 from __future__ import annotations
 
@@ -25,8 +28,8 @@ from .geometry import (
     DEFAULT_CTX,
     Isometry,
     ToleranceContext,
-    nearest_orthogonal,
-    rotation_matrix,
+    _complete_basis,
+    _frame_map,
 )
 
 __all__ = [
@@ -60,133 +63,40 @@ def _sets_match(moved: np.ndarray, target: np.ndarray,
     return len(np.unique(idx)) == len(target)
 
 
-def _greedy_frame(cand: np.ndarray, tol: float = 1e-9) -> Optional[Tuple[int, int, int]]:
-    """Greedy frame of 3 vectors maximizing the Gram determinant.
-
-    ``cand`` must be in a deterministic order; ties break to the first
-    index.  Returns None if the candidates do not span R^3.
-    """
-    m = len(cand)
-    if m < 3:
-        return None
-    i1 = int(np.argmax(np.round(np.einsum("ij,ij->i", cand, cand), 9)))
-    f1 = cand[i1]
-    cross1 = np.cross(f1[None, :], cand)
-    score2 = np.round(np.einsum("ij,ij->i", cross1, cross1), 9)
-    i2 = int(np.argmax(score2))
-    if score2[i2] <= tol:
-        return None
-    f2 = cand[i2]
-    normal = np.cross(f1, f2)
-    score3 = np.round(np.abs(cand @ normal), 9)
-    i3 = int(np.argmax(score3))
-    if score3[i3] <= tol:
-        return None
-    return i1, i2, i3
-
-
-def _frame_offsets(offsets: np.ndarray, dists: np.ndarray,
-                   want: int = 3) -> Optional[np.ndarray]:
-    """Deterministic frame selection among the nearest members.
-
-    Offsets are ranked by center distance (then lexicographically) and the
-    greedy Gram-determinant frame is taken among the nearest 12; the
-    window doubles if those happen to be rank-deficient (e.g. when the
-    innermost shells are coplanar).
-    """
-    nz = dists > 1e-12
-    offs = offsets[nz]
-    ds = dists[nz]
-    if len(offs) == 0:
-        return None
-    order = np.lexsort((offs[:, 2], offs[:, 1], offs[:, 0], np.round(ds, 9)))
-    offs = offs[order]
-    k = 12
-    while True:
-        window = offs[:min(k, len(offs))]
-        if want == 3:
-            picked = _greedy_frame(window)
-            if picked is not None:
-                return window[list(picked)]
-        else:  # want == 2: planar frame
-            picked = _greedy_frame_2d(window)
-            if picked is not None:
-                return window[list(picked)]
-        if k >= len(offs):
-            return None
-        k *= 2
-
-
-def _greedy_frame_2d(cand: np.ndarray, tol: float = 1e-9) -> Optional[Tuple[int, int]]:
-    i1 = int(np.argmax(np.round(np.einsum("ij,ij->i", cand, cand), 9)))
-    f1 = cand[i1]
-    cross1 = np.cross(f1[None, :], cand)
-    score2 = np.round(np.einsum("ij,ij->i", cross1, cross1), 9)
-    i2 = int(np.argmax(score2))
-    if score2[i2] <= tol:
-        return None
-    return i1, i2
-
-
 def _candidate_maps(frame: np.ndarray, targets: np.ndarray,
                     rho: float) -> Iterator[np.ndarray]:
-    """Yield orthogonal candidate maps sending ``frame`` onto congruent
-    triples of ``targets`` (both given as offsets from their centers).
+    """Lazily yield orthogonal maps sending the k = 1, 2 or 3 ``frame``
+    vectors onto congruent k-tuples of ``targets`` (both given as offsets
+    from their centers), in lexicographic order of the tuples.
 
-    Candidates are filtered by center distance and pairwise dot products
-    before the linear solve; every yielded matrix is orthogonal (snapped),
-    but full-set verification is the caller's job.
+    A tuple must match the frame's norms and pairwise dot products before
+    the solve; the center's own zero offset, if passed, is skipped.  Every
+    yielded matrix is orthogonal (snapped), but full-set verification is
+    the caller's job.
     """
     mtol = match_tolerance(rho)
     norm_tol = 4.0 * mtol
     dot_tol = 40.0 * max(1.0, rho) * mtol
     tnorms = np.linalg.norm(targets, axis=1)
-    fnorms = np.linalg.norm(frame, axis=1)
     gram = frame @ frame.T
-    F_inv = np.linalg.inv(frame.T)
-    cands = [targets[np.abs(tnorms - fn) <= norm_tol] for fn in fnorms]
-    for g1 in cands[0]:
-        ok2 = cands[1][np.abs(cands[1] @ g1 - gram[0, 1]) <= dot_tol]
-        for g2 in ok2:
-            mask3 = (np.abs(cands[2] @ g1 - gram[0, 2]) <= dot_tol) \
-                & (np.abs(cands[2] @ g2 - gram[1, 2]) <= dot_tol)
-            for g3 in cands[2][mask3]:
-                G = np.column_stack([g1, g2, g3])
-                q = G @ F_inv
-                if float(np.abs(q.T @ q - np.eye(3)).max()) > 1e-5:
-                    continue
-                yield nearest_orthogonal(q)
+    frame_inv = np.linalg.inv(_complete_basis(frame))
+    cands = [targets[(np.abs(tnorms - fn) <= norm_tol) & (tnorms > 1e-12)]
+             for fn in np.linalg.norm(frame, axis=1)]
 
+    def extend(images: List[np.ndarray]) -> Iterator[np.ndarray]:
+        i = len(images)
+        if i == len(frame):
+            q = _frame_map(images, frame_inv, 1e-5)
+            if q is not None:
+                yield q
+            return
+        ok = cands[i]
+        for j, g in enumerate(images):
+            ok = ok[np.abs(ok @ g - gram[j, i]) <= dot_tol]
+        for g in ok:
+            yield from extend(images + [g])
 
-def _align_direction(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Some rotation mapping unit vector u to unit vector v."""
-    c = float(np.dot(u, v))
-    if c > 1.0 - 1e-12:
-        return np.eye(3)
-    if c < -1.0 + 1e-12:
-        # half-turn about any axis orthogonal to u
-        helper = np.array([1.0, 0.0, 0.0])
-        if abs(np.dot(helper, u)) > 0.9:
-            helper = np.array([0.0, 1.0, 0.0])
-        axis = np.cross(u, helper)
-        return rotation_matrix(axis, np.pi)
-    axis = np.cross(u, v)
-    angle = float(np.arccos(max(-1.0, min(1.0, c))))
-    return rotation_matrix(axis, angle)
-
-
-def _principal_direction(offsets: np.ndarray) -> np.ndarray:
-    _, _, vt = np.linalg.svd(offsets)
-    return vt[0]
-
-
-def _verify(a: Cluster, b: Cluster, q: np.ndarray, tol: float,
-            b_tree: cKDTree) -> Optional[Isometry]:
-    t = b.center - q @ a.center
-    iso = Isometry(q, t)
-    if _sets_match(iso.apply(a.members), b.members, b_tree, tol):
-        return iso
-    return None
+    return extend([])
 
 
 def cluster_isometry(a: Cluster, b: Cluster,
@@ -205,73 +115,17 @@ def cluster_isometry(a: Cluster, b: Cluster,
     mtol = match_tolerance(a.radius)
     if len(da) and float(np.abs(da - db).max()) > 4.0 * mtol:
         return None
-
-    b_tree = cKDTree(b.members)
     if len(a) == 1:
         return Isometry.translation(b.center - a.center)
-
-    offs_a = a.offsets
-    offs_b = b.offsets
-    dists_a = np.linalg.norm(offs_a, axis=1)
-    dim = a.affine_dimension()
-
-    if dim == 1:
-        u = _principal_direction(offs_a)
-        v = _principal_direction(offs_b)
-        for q0 in (_align_direction(u, v), _align_direction(u, -v)):
-            iso = _verify(a, b, q0, mtol, b_tree)
-            if iso is not None:
-                return iso
+    if a.frame is None:
         return None
 
-    if dim == 2:
-        frame2 = _frame_offsets(offs_a, dists_a, want=2)
-        if frame2 is None:
-            return None
-        f1, f2 = frame2
-        frame = np.array([f1, f2, np.cross(f1, f2)])
-        nz = np.linalg.norm(offs_b, axis=1) > 1e-12
-        tb = offs_b[nz]
-        # in-plane images for f1, f2; the cross product fixes the third
-        for q in _candidate_planar_maps(frame, tb, a.radius):
-            iso = _verify(a, b, q, mtol, b_tree)
-            if iso is not None:
-                return iso
-        return None
-
-    frame = _frame_offsets(offs_a, dists_a, want=3)
-    if frame is None:
-        return None
-    nz = np.linalg.norm(offs_b, axis=1) > 1e-12
-    for q in _candidate_maps(frame, offs_b[nz], a.radius):
-        iso = _verify(a, b, q, mtol, b_tree)
-        if iso is not None:
+    b_tree = cKDTree(b.members)
+    for q in _candidate_maps(a.frame, b.offsets, a.radius):
+        iso = Isometry(q, b.center - q @ a.center)
+        if _sets_match(iso.apply(a.members), b.members, b_tree, mtol):
             return iso
     return None
-
-
-def _candidate_planar_maps(frame: np.ndarray, targets: np.ndarray,
-                           rho: float) -> Iterator[np.ndarray]:
-    """Candidate maps for planar clusters: match the two in-plane frame
-    vectors, then try both signs for the normal direction."""
-    mtol = match_tolerance(rho)
-    norm_tol = 4.0 * mtol
-    dot_tol = 40.0 * max(1.0, rho) * mtol
-    f1, f2 = frame[0], frame[1]
-    tnorms = np.linalg.norm(targets, axis=1)
-    F_inv = np.linalg.inv(frame.T)
-    cands1 = targets[np.abs(tnorms - np.linalg.norm(f1)) <= norm_tol]
-    cands2_all = targets[np.abs(tnorms - np.linalg.norm(f2)) <= norm_tol]
-    dot12 = float(f1 @ f2)
-    for g1 in cands1:
-        for g2 in cands2_all[np.abs(cands2_all @ g1 - dot12) <= dot_tol]:
-            g3 = np.cross(g1, g2)
-            for sign in (1.0, -1.0):
-                G = np.column_stack([g1, g2, sign * g3])
-                q = G @ F_inv
-                if float(np.abs(q.T @ q - np.eye(3)).max()) > 1e-5:
-                    continue
-                yield nearest_orthogonal(q)
 
 
 @dataclass(frozen=True)

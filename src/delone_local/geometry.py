@@ -305,6 +305,31 @@ def _fixed_axis(q: np.ndarray, eigenvalue: float) -> np.ndarray:
     return canonical_axis(axis)
 
 
+def _complete_basis(vectors) -> np.ndarray:
+    """Columns: the k = 1, 2 or 3 independent ``vectors`` completed to a
+    basis (k = 1: add a perpendicular of the same length; k <= 2: add the
+    cross product of the first two), so congruent k-tuples complete to
+    congruent bases."""
+    cols = list(vectors)
+    if len(cols) == 1:
+        v = cols[0]
+        p = np.cross(v, np.eye(3)[int(np.argmin(np.abs(v)))])
+        cols.append(p * (np.linalg.norm(v) / np.linalg.norm(p)))
+    if len(cols) == 2:
+        cols.append(np.cross(cols[0], cols[1]))
+    return np.column_stack(cols)
+
+
+def _frame_map(images, frame_inv: np.ndarray, gate: float) -> Optional[np.ndarray]:
+    """q = G F^-1 for the completed ``images`` G and the inverse of a
+    completed frame F, snapped onto O(3); None unless q is orthogonal
+    within ``gate`` (i.e. the tuples are congruent)."""
+    q = _complete_basis(images) @ frame_inv
+    if float(np.abs(q.T @ q - np.eye(3)).max()) > gate:
+        return None
+    return nearest_orthogonal(q)
+
+
 def frame_isometry(src, dst, tol: float = 1e-9) -> Optional[Isometry]:
     """Unique isometry mapping one point quadruple onto another.
 
@@ -318,15 +343,12 @@ def frame_isometry(src, dst, tol: float = 1e-9) -> Optional[Isometry]:
     d = as_points(dst)
     if s.shape != (4, 3) or d.shape != (4, 3):
         raise ValueError("frames must consist of exactly 4 points")
-    A = (s[1:] - s[0]).T  # columns: difference vectors of src
-    B = (d[1:] - d[0]).T
+    A = _complete_basis(s[1:] - s[0])  # columns: difference vectors of src
     if abs(np.linalg.det(A)) <= tol:
         raise DegenerateFrame("source frame difference vectors do not span R^3")
-    q = B @ np.linalg.inv(A)
-    # congruence test: q must be orthogonal (a rigid map of the frame)
-    if float(np.abs(q.T @ q - np.eye(3)).max()) > max(tol * 1e3, 1e-7):
+    q = _frame_map(d[1:] - d[0], np.linalg.inv(A), max(tol * 1e3, 1e-7))
+    if q is None:
         return None
-    q = nearest_orthogonal(q)
     t = d[0] - q @ s[0]
     iso = Isometry(q, t)
     if float(np.abs(iso.apply(s) - d).max()) > max(tol * 10.0, 1e-8):

@@ -17,13 +17,13 @@ every finite subgroup of O(3) equals ``omega(|G|) + 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .delone_core import Cluster
-from .equivalence import _candidate_maps, _frame_offsets, _sets_match, match_tolerance
+from .equivalence import _candidate_maps, _sets_match, match_tolerance
 from .errors import (
     GroupTooLarge,
     LowerDimensionalCluster,
@@ -34,7 +34,6 @@ from .geometry import (
     DEFAULT_CTX,
     ElementKind,
     ToleranceContext,
-    canonical_axis,
     classify_element,
     nearest_orthogonal,
 )
@@ -198,14 +197,11 @@ def stabilizer(c: Cluster, ctx: ToleranceContext = DEFAULT_CTX) -> PointGroup:
         raise LowerDimensionalCluster(
             "cluster is not full-dimensional; its stabilizer is infinite")
     offsets = c.offsets
-    dists = np.linalg.norm(offsets, axis=1)
     mtol = match_tolerance(c.radius)
     tree = cKDTree(offsets)
-    frame = _frame_offsets(offsets, dists, want=3)
-    nz = offsets[dists > 1e-12]
     # The frame is non-degenerate, so distinct frame images give distinct
     # maps, and the frame's own image gives the identity.
-    elements = [q for q in _candidate_maps(frame, nz, c.radius)
+    elements = [q for q in _candidate_maps(c.frame, offsets, c.radius)
                 if _sets_match(offsets @ q.T, offsets, tree, mtol)]
     _check_group(elements)
     label = schoenflies_from_matrices(elements, ctx)
@@ -215,8 +211,16 @@ def stabilizer(c: Cluster, ctx: ToleranceContext = DEFAULT_CTX) -> PointGroup:
 
 # --- Schoenflies classification --------------------------------------------
 
-def _axis_key(axis: np.ndarray) -> tuple:
-    return tuple(np.round(canonical_axis(axis), 6) + 0.0)
+#: Two unit axes are parallel iff |cos| of their angle is within this of 1.
+_ANG_TOL = 1e-6
+
+
+def _parallel(u: np.ndarray, v: np.ndarray) -> bool:
+    return abs(abs(float(np.dot(u, v))) - 1.0) <= _ANG_TOL
+
+
+def _perpendicular(u: np.ndarray, v: np.ndarray) -> bool:
+    return abs(float(np.dot(u, v))) <= _ANG_TOL
 
 
 def schoenflies(g: PointGroup, ctx: ToleranceContext = DEFAULT_CTX) -> SchoenfliesLabel:
@@ -245,16 +249,20 @@ def schoenflies_from_matrices(elements: Sequence[np.ndarray],
     rotations = [k for k in kinds if k.kind == "rotation"]
     rotoreflections = [k for k in kinds if k.kind == "rotoreflection"]
 
-    # distinct rotation axes with their maximal order
-    axis_orders: Dict[tuple, int] = {}
-    axis_vecs: Dict[tuple, np.ndarray] = {}
+    # distinct rotation axes, in order of first appearance (each rotation
+    # joins the first known axis it is parallel to), with their maximal order
+    axes: List[np.ndarray] = []
+    axis_orders: List[int] = []
     for k in rotations:
-        ak = _axis_key(k.axis)
-        axis_orders[ak] = max(axis_orders.get(ak, 0), k.order)
-        axis_vecs[ak] = canonical_axis(k.axis)
+        i = next((i for i, v in enumerate(axes) if _parallel(v, k.axis)), None)
+        if i is None:
+            axes.append(k.axis)
+            axis_orders.append(k.order)
+        else:
+            axis_orders[i] = max(axis_orders[i], k.order)
 
-    n_max = max(axis_orders.values(), default=1)
-    high_axes = [ak for ak, n in axis_orders.items() if n >= 3]
+    n_max = max(axis_orders, default=1)
+    high_axes = [n for n in axis_orders if n >= 3]
 
     if len(high_axes) >= 2:
         return _polyhedral_label(order, has_inversion, bool(reflections))
@@ -268,12 +276,11 @@ def schoenflies_from_matrices(elements: Sequence[np.ndarray],
             return SchoenfliesLabel("S", 1)  # Cs = C1h
         raise UnrecognizedGroup(f"no rotation axis, order {order}")
 
-    principal_candidates = sorted(
-        (ak for ak, n in axis_orders.items() if n == n_max),
-        key=lambda ak: ak)
-    for ak in principal_candidates:
-        label = _axial_label(ak, axis_vecs[ak], n_max, axis_orders, axis_vecs,
-                             reflections, rotoreflections, ctx)
+    for axis, n in zip(axes, axis_orders):
+        if n != n_max:
+            continue
+        label = _axial_label(axis, n_max, axes, axis_orders,
+                             reflections, rotoreflections)
         if label is not None and label.order == order:
             return label
     raise UnrecognizedGroup(
@@ -299,24 +306,15 @@ def _polyhedral_label(order: int, has_inversion: bool,
     raise UnrecognizedGroup(f"polyhedral branch with order {order}")
 
 
-def _axial_label(axis_key: tuple, axis: np.ndarray, n: int,
-                 axis_orders: Dict[tuple, int], axis_vecs: Dict[tuple, np.ndarray],
+def _axial_label(axis: np.ndarray, n: int, axes: List[np.ndarray],
+                 axis_orders: List[int],
                  reflections: List[ElementKind],
-                 rotoreflections: List[ElementKind],
-                 ctx: ToleranceContext) -> Optional[SchoenfliesLabel]:
-    ang_tol = 1e-6
-
-    def parallel(v):
-        return abs(abs(float(np.dot(v, axis))) - 1.0) <= ang_tol
-
-    def perpendicular(v):
-        return abs(float(np.dot(v, axis))) <= ang_tol
-
-    perp_c2 = sum(1 for ak, o in axis_orders.items()
-                  if o == 2 and ak != axis_key and perpendicular(axis_vecs[ak]))
-    sigma_h = any(parallel(r.axis) for r in reflections)
-    sigma_v = sum(1 for r in reflections if perpendicular(r.axis))
-    s2n = any(parallel(s.axis) and s.order == 2 * n for s in rotoreflections)
+                 rotoreflections: List[ElementKind]) -> Optional[SchoenfliesLabel]:
+    perp_c2 = sum(1 for v, o in zip(axes, axis_orders)
+                  if o == 2 and _perpendicular(v, axis))
+    sigma_h = any(_parallel(r.axis, axis) for r in reflections)
+    sigma_v = sum(1 for r in reflections if _perpendicular(r.axis, axis))
+    s2n = any(_parallel(s.axis, axis) and s.order == 2 * n for s in rotoreflections)
 
     if perp_c2 >= n and n >= 2:
         if sigma_h:

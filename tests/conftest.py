@@ -37,6 +37,15 @@ def c4v_patch():
     return dl.c4v_example([-4, -4, -4], [4, 4, 4])
 
 
+@pytest.fixture(scope="session")
+def layered_square_patch():
+    """Unit square layers 2.5 apart: the 12 nearest neighbours of a point
+    lie in its own layer."""
+    pts = [[x, y, 2.5 * k] for x in range(-4, 5) for y in range(-4, 5)
+           for k in range(-3, 4)]
+    return dl.PointPatch(pts, [-4, -4, -7.5], [4, 4, 7.5])
+
+
 def signed_permutations():
     """All 48 signed permutation matrices (oracle for the Z^3 stabilizer)."""
     mats = []

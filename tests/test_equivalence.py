@@ -1,6 +1,7 @@
 """Cluster equivalence and the cluster-counting function."""
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import delone_local as dl
 from delone_local.delone_core import Cluster
@@ -62,7 +63,6 @@ class TestClusterIsometry:
         g = cluster_isometry(a, b)
         assert g is not None
         moved = g.apply(a.members)
-        from scipy.spatial import cKDTree
         d, _ = cKDTree(b.members).query(moved)
         assert float(d.max()) <= 10 * 1e-9 * 100  # well within matching tol
 
@@ -99,6 +99,64 @@ class TestClusterIsometry:
         b = dl.cluster(p, [1, 1, 0], 1.0)
         g = cluster_isometry(a, b)
         assert g is not None
+
+    @pytest.mark.parametrize("basis", [
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        [[1.0, 0.0, 0.0], [0.5, SQRT3 / 2, 0.0]],
+    ], ids=["square", "hex"])
+    def test_planar_rotated_reflected_copy(self, basis):
+        e1, e2 = np.array(basis)
+        pts = [i * e1 + j * e2 for i in range(-6, 7) for j in range(-6, 7)]
+        p = dl.PointPatch(pts, [-4, -4, -2], [4, 4, 2])
+        a = dl.cluster(p, [0, 0, 0], 2.0)
+        assert a.affine_dimension() == 2
+        rot = rotation_matrix([1.0, -2.0, 0.5], 0.7)
+        b = transported(a, Isometry(rot @ np.diag([1.0, -1.0, 1.0]), [0.4, 1.1, -2.0]))
+        g = cluster_isometry(a, b)
+        assert g is not None
+        assert np.abs(g.apply(a.center) - b.center).max() < 1e-9
+        d, _ = cKDTree(b.members).query(g.apply(a.members))
+        assert float(d.max()) < 1e-7
+
+    def test_planar_same_distances_not_congruent(self):
+        c = np.cos(2 * np.pi / 3)
+        s = np.sin(2 * np.pi / 3)
+        a = Cluster(center=[0, 0, 0], radius=1.0,
+                    members=[[0, 0, 0], [1, 0, 0], [0, 1, 0]])      # 0 and 90 deg
+        b = Cluster(center=[0, 0, 0], radius=1.0,
+                    members=[[0, 0, 0], [1, 0, 0], [c, s, 0]])      # 0 and 120 deg
+        assert np.allclose(a.center_distances, b.center_distances)
+        assert cluster_isometry(a, b) is None
+        assert cluster_isometry(b, a) is None
+
+    def test_collinear_rotated_reversed_copy(self):
+        a = Cluster(center=[0, 0, 0], radius=1.0,
+                    members=[[-1, 0, 0], [0, 0, 0], [1, 0, 0]])
+        iso = Isometry(rotation_matrix([0, 1, 1], 2.0) @ np.diag([-1.0, 1.0, 1.0]),
+                       [0.3, -1.2, 2.0])
+        b = transported(a, iso)
+        g = cluster_isometry(a, b)
+        assert g is not None
+        d, _ = cKDTree(b.members).query(g.apply(a.members))
+        assert float(d.max()) < 1e-9
+
+    def test_collinear_same_distances_not_congruent(self):
+        a = Cluster(center=[0, 0, 0], radius=2.0,
+                    members=[[0, 0, 0], [1, 0, 0], [2, 0, 0]])
+        b = Cluster(center=[0, 0, 0], radius=2.0,
+                    members=[[0, 0, 0], [1, 0, 0], [-2, 0, 0]])
+        assert cluster_isometry(a, b) is None
+        assert cluster_isometry(b, a) is None
+
+    def test_frame_window_growth(self, layered_square_patch):
+        # the frame of a needs a window wider than its 12 coplanar nearest
+        # neighbours (see the stabilizer test on the same patch)
+        a = dl.cluster(layered_square_patch, [0, 0, 0], 3.0)
+        b = dl.cluster(layered_square_patch, [1, -1, 2.5], 3.0)
+        g = cluster_isometry(a, b)
+        assert g is not None
+        d, _ = cKDTree(b.members).query(g.apply(a.members))
+        assert float(d.max()) < 1e-9
 
 
 class TestClusterClasses:

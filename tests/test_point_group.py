@@ -9,7 +9,7 @@ from delone_local.errors import (
     NotAGroup,
     UnrecognizedGroup,
 )
-from delone_local.geometry import classify_element, rotation_matrix
+from delone_local.geometry import classify_element, reflection_matrix, rotation_matrix
 from delone_local.point_group import (
     PointGroup,
     SchoenfliesLabel,
@@ -83,6 +83,19 @@ class TestStabilizer:
         assert g.order == 16
         assert pts.shape == (8, 3)
 
+    def test_frame_window_growth(self, layered_square_patch):
+        # the 12 offsets nearest the center are coplanar, so the frame
+        # search must widen its window to find a third direction
+        c = dl.cluster(layered_square_patch, [0, 0, 0], 3.0)
+        offs = c.offsets[np.argsort(np.linalg.norm(c.offsets, axis=1))][1:13]
+        assert np.linalg.matrix_rank(offs) == 2
+        g = stabilizer(c)
+        assert str(g.label) == "D4h"
+        assert g.order == 16
+        # oracle: the signed permutations that keep the layer normal z
+        oracle = {element_key(m) for m in signed_permutations() if m[2, 2] != 0}
+        assert {element_key(m) for m in g.elements} == oracle
+
     def test_lower_dimensional_raises(self):
         pts = [[0, 0, z] for z in range(-3, 4)]
         p = dl.PointPatch(pts, [-4, -4, -4], [4, 4, 4])
@@ -145,6 +158,28 @@ class TestSchoenflies:
             [np.cos(theta), np.sin(theta), 0.0], np.pi)])
         assert g.order == 2
         assert str(g.label) == "C2"
+
+    @staticmethod
+    def _boundary_axes(n=240):
+        # unit axes whose x-component sits on a 6-decimal rounding
+        # boundary: the axes computed for R and R @ R round either way
+        rng = np.random.default_rng(20261018)
+        x = 0.1234565
+        s = np.sqrt(1.0 - x * x)
+        for phi in rng.uniform(0.0, 2.0 * np.pi, size=n):
+            yield np.array([x, s * np.cos(phi), s * np.sin(phi)])
+
+    def test_c3_axis_across_rounding_boundary(self):
+        for axis in self._boundary_axes():
+            r = rotation_matrix(axis, 2 * np.pi / 3)
+            assert str(schoenflies_from_matrices([np.eye(3), r, r @ r])) == "C3"
+
+    def test_c3v_axis_across_rounding_boundary(self):
+        for axis in self._boundary_axes():
+            r = rotation_matrix(axis, 2 * np.pi / 3)
+            m = reflection_matrix(np.cross(axis, [0.0, 0.0, 1.0]))
+            elements = [np.eye(3), r, r @ r, m, m @ r, m @ r @ r]
+            assert str(schoenflies_from_matrices(elements)) == "C3v"
 
     def test_trivial_group(self):
         assert str(schoenflies_from_matrices([np.eye(3)])) == "C1"
