@@ -79,8 +79,7 @@ def _load_checked(path: str) -> PointPatch:
 
 
 def _ctx(args) -> ToleranceContext:
-    return ToleranceContext(geom_tol=args.tol, angle_tol=args.angle_tol,
-                            max_rotation_order=args.max_order)
+    return ToleranceContext(geom_tol=args.tol)
 
 
 def _out(args, text: str) -> None:
@@ -208,7 +207,7 @@ def _cmd_group(args) -> int:
     patch = _load_checked(args.path)
     rho, _, _ = _resolve_radius(args.rho, patch)
     c = cluster(patch, args.center, rho)
-    g = point_group.stabilizer(c, _ctx(args))
+    g = point_group.stabilizer(c)
     lines = [
         f"center = ({_fmt(args.center[0])}, {_fmt(args.center[1])}, "
         f"{_fmt(args.center[2])})",
@@ -290,10 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Local theory of regular systems for 3D Delone sets")
     parser.add_argument("--tol", type=float, default=1e-9,
                         help="geometric tolerance (default 1e-9)")
-    parser.add_argument("--angle-tol", type=float, default=1e-9,
-                        help="angular tolerance in radians (default 1e-9)")
-    parser.add_argument("--max-order", type=int, default=24,
-                        help="largest exact rotation order (default 24)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a stock point set")

@@ -2,21 +2,22 @@
 
 Provides the building blocks used everywhere else in the package:
 orthogonal-matrix hygiene (orthogonality checks, nearest-orthogonal
-projection), classification of a single orthogonal map into its symmetry
-element kind (identity, inversion, rotation, reflection, rotoreflection),
-and recovery of the unique isometry mapping one non-degenerate point
-frame onto another.
+projection), the symmetry element kind of an orthogonal map (identity,
+inversion, rotation, reflection, rotoreflection) read off its order, the
+sign of its determinant and a closed-form axis, and recovery of the unique
+isometry mapping one non-degenerate point frame onto another.
 
 Conventions:
     * Points and vectors are numpy arrays of shape (3,), dtype float64.
     * Lengths are dimensionless; the unit is the minimal interpoint
       distance of the ambient point set (so the packing radius is 1/2).
     * Isometries act as p -> Q p + t with Q orthogonal.
+    * Two orthogonal maps are the same element iff their max-norm
+      difference is at most ``ELEMENT_TOL``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Optional
 
 import numpy as np
@@ -37,15 +38,18 @@ __all__ = [
     "rotoreflection_matrix",
     "reflection_matrix",
     "canonical_axis",
+    "element_kind",
     "classify_element",
     "frame_isometry",
 ]
 
 #: Default absolute tolerance for distance comparisons on unit-scale data.
 GEOM_TOL = 1e-9
-#: Default angular tolerance in radians.
-ANGLE_TOL = 1e-9
-#: Largest rotation order the element classifier will report exactly.
+#: Two orthogonal maps are the same group element iff their max-norm
+#: difference is below this (far below the minimal separation of distinct
+#: elements in groups of order <= 120).
+ELEMENT_TOL = 1e-6
+#: Largest rotation order the single-matrix classifier will report exactly.
 MAX_ROTATION_ORDER = 24
 
 
@@ -55,18 +59,17 @@ class ToleranceContext:
 
     Attributes:
         geom_tol: absolute tolerance for distance comparisons.
-        angle_tol: tolerance (radians) for angle comparisons.
-        max_rotation_order: largest exact rotation order to detect; larger
-            (or incommensurate) angles classify as generic rotations.
+        max_rotation_order: largest rotation order ``classify_element``
+            detects in a single matrix; maps of larger (or infinite) order
+            classify as generic rotations.
     """
 
     geom_tol: float = GEOM_TOL
-    angle_tol: float = ANGLE_TOL
     max_rotation_order: int = MAX_ROTATION_ORDER
 
     def __post_init__(self) -> None:
-        if not (self.geom_tol > 0 and self.angle_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not self.geom_tol > 0:
+            raise ValueError("geom_tol must be strictly positive")
         if self.max_rotation_order < 2:
             raise ValueError("max_rotation_order must be >= 2")
 
@@ -165,17 +168,17 @@ class ElementKind:
 
     ``kind`` is one of ``identity``, ``inversion``, ``rotation``,
     ``reflection``, ``rotoreflection``, ``generic_rotation``,
-    ``generic_rotoreflection``.  For rotations and rotoreflections
-    ``order`` is the element order (rotoreflections use the even
-    representation, so S_n here always has even n >= 4).  ``axis`` is the
-    rotation axis or mirror normal with a deterministic sign; ``angle`` is
-    the absolute rotation angle in [0, pi].
+    ``generic_rotoreflection``; it follows from the element's order and
+    the sign of its determinant (see :func:`element_kind`).  For rotations
+    and rotoreflections ``order`` is the element order (the smallest k
+    with q^k = I; an improper element has even order, so S_n here always
+    has even n >= 4).  ``axis`` is the rotation axis or mirror normal with
+    a deterministic sign.
     """
 
     kind: str
     order: Optional[int] = None
     axis: Optional[np.ndarray] = None
-    angle: Optional[float] = None
 
 
 def canonical_axis(v: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
@@ -217,92 +220,62 @@ def rotoreflection_matrix(axis, angle: float) -> np.ndarray:
     return reflection_matrix(axis) @ rotation_matrix(axis, angle)
 
 
-def _rotation_order(theta: float, max_order: int, angle_tol: float) -> Optional[int]:
-    """Smallest n <= max_order with theta = 2 pi k / n, gcd(k, n) = 1."""
-    two_pi = 2.0 * np.pi
-    for n in range(2, max_order + 1):
-        k = int(round(theta * n / two_pi))
-        if k < 1 or k > n // 2:
-            continue
-        if abs(theta - two_pi * k / n) <= angle_tol and gcd(k, n) == 1:
-            return n
-    return None
+def _axis(r: np.ndarray, half_turn: bool) -> np.ndarray:
+    """Unit axis of a proper rotation r other than I, in closed form.
 
-
-def _rotoreflection_order(theta: float, max_order: int, angle_tol: float) -> Optional[int]:
-    """Smallest even n <= max_order with theta = 2 pi k / n for some k.
-
-    An improper map with rotation angle theta (not 0 or pi) has element
-    order equal to the smallest even n with n * theta a multiple of 2 pi.
+    Rotation by theta about a: the antisymmetric part of r is
+    2 sin(theta) a; for a half-turn (sin = 0) r + I = 2 a a^T instead, so
+    its largest column is parallel to a.
     """
-    two_pi = 2.0 * np.pi
-    for n in range(4, max_order + 1, 2):
-        k = round(theta * n / two_pi)
-        if k >= 1 and abs(theta - two_pi * k / n) <= angle_tol:
-            return n
-    return None
+    if half_turn:
+        s = r + np.eye(3)
+        v = s[:, int(np.argmax((s * s).sum(axis=0)))]
+    else:
+        v = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    return canonical_axis(v)
+
+
+def element_kind(q: np.ndarray, order: Optional[int]) -> ElementKind:
+    """Symmetry element of an orthogonal map of known ``order`` (None: no
+    finite order found).
+
+    Proper or improper is the sign of the determinant.  A proper map of
+    order 1 is the identity, any other a rotation about the axis of q.  An
+    improper map of order 2 has trace -3 (the inversion) or +1 (a
+    reflection); any other is a rotoreflection.  An improper q is -1 times
+    a proper rotation about the same axis, so its axis is that of -q.
+    """
+    q = np.asarray(q, dtype=float)
+    if np.linalg.det(q) > 0.0:
+        if order == 1:
+            return ElementKind("identity")
+        kind = "rotation" if order else "generic_rotation"
+        return ElementKind(kind, order, _axis(q, order == 2))
+    if order == 2:
+        if np.trace(q) < -1.0:
+            return ElementKind("inversion")
+        return ElementKind("reflection", axis=_axis(-q, True))
+    kind = "rotoreflection" if order else "generic_rotoreflection"
+    return ElementKind(kind, order, _axis(-q, False))
 
 
 def classify_element(q: np.ndarray, ctx: ToleranceContext = DEFAULT_CTX) -> ElementKind:
-    """Classify an orthogonal map as a symmetry element.
+    """Classify a single orthogonal map as a symmetry element.
 
-    The matrix is re-orthonormalized before classification so that long
-    composition chains do not accumulate drift.  Raises
-    :class:`NonOrthogonal` if the input is not orthogonal within
-    ``ctx.geom_tol`` scaled up to a loose sanity threshold.
+    The order is the smallest k with q^k within ``ELEMENT_TOL`` of I,
+    searched up to ``ctx.max_rotation_order`` (twice that for improper
+    maps, whose orders are even).  Raises :class:`NonOrthogonal` if the
+    input is not orthogonal within ``ctx.geom_tol`` scaled up to a loose
+    sanity threshold.
     """
     q = check_orthogonal(q, max(ctx.geom_tol, 1e-7))
-    q = nearest_orthogonal(q)
-    det = float(np.linalg.det(q))
-    proper = det > 0.0
-
-    if proper:
-        theta = _rotation_angle(q)
-        if theta <= ctx.angle_tol:
-            return ElementKind("identity")
-        # axis = eigenvector of q for eigenvalue +1
-        axis = _fixed_axis(q, +1.0)
-        if abs(theta - np.pi) <= ctx.angle_tol:
-            return ElementKind("rotation", order=2, axis=axis, angle=np.pi)
-        n = _rotation_order(theta, ctx.max_rotation_order, ctx.angle_tol)
-        if n is None:
-            return ElementKind("generic_rotation", axis=axis, angle=theta)
-        return ElementKind("rotation", order=n, axis=axis, angle=theta)
-
-    # improper: q = (rotation by phi about axis) o (reflection in the plane
-    # orthogonal to the axis), with axis the -1 eigenvector.  -q is the
-    # proper rotation by pi - phi about the same axis, so phi is recovered
-    # from it without the arccos conditioning loss near phi = 0 or pi.
-    axis = _fixed_axis(q, -1.0)
-    phi = float(np.pi) - _rotation_angle(-q)
-    if phi <= ctx.angle_tol:
-        return ElementKind("reflection", axis=axis, angle=0.0)
-    if abs(phi - np.pi) <= ctx.angle_tol:
-        return ElementKind("inversion")
-    n = _rotoreflection_order(phi, 2 * ctx.max_rotation_order, ctx.angle_tol)
-    if n is None:
-        return ElementKind("generic_rotoreflection", axis=axis, angle=phi)
-    return ElementKind("rotoreflection", order=n, axis=axis, angle=phi)
-
-
-def _rotation_angle(r: np.ndarray) -> float:
-    """Rotation angle in [0, pi] of a proper orthogonal map.
-
-    Uses atan2 of (sin, cos) extracted from the antisymmetric part and the
-    trace; well-conditioned at both endpoints, unlike plain arccos of the
-    trace (which loses half the digits near 0 and pi).
-    """
-    c = (float(np.trace(r)) - 1.0) / 2.0
-    s = float(np.linalg.norm(r - r.T)) / (2.0 * np.sqrt(2.0))
-    return float(np.arctan2(s, c))
-
-
-def _fixed_axis(q: np.ndarray, eigenvalue: float) -> np.ndarray:
-    """Unit eigenvector of an orthogonal map for eigenvalue +1 or -1."""
-    w, v = np.linalg.eig(q)
-    idx = int(np.argmin(np.abs(w - eigenvalue)))
-    axis = np.real(v[:, idx])
-    return canonical_axis(axis)
+    cap = ctx.max_rotation_order * (1 if np.linalg.det(q) > 0.0 else 2)
+    p = q
+    for k in range(1, cap + 1):
+        if float(np.abs(p - np.eye(3)).max()) <= ELEMENT_TOL:
+            return element_kind(q, k)
+        p = p @ q
+    return element_kind(q, None)
 
 
 def _complete_basis(vectors) -> np.ndarray:

@@ -3,12 +3,15 @@
 The stabilizer S_x(rho) of a cluster is the finite group of orthogonal
 maps about the center that map the member set onto itself.  Elements are
 found with the same frame-matching candidate machinery used for cluster
-equivalence, each verified against the full member set, checked to form
-a group through their product table, and classified into a Schoenflies
-label.
+equivalence and each verified against the full member set.  The
+Schoenflies label is then read off the product table of the elements,
+which also checks that they form a group: each element's order is its
+cycle length in the table, proper or improper is the sign of its
+determinant, and its axis comes in closed form (see
+``geometry.element_kind``).  No angle is compared against a tolerance.
 
 Group elements are compared in one way only: stacked as 9-vectors in a
-KD-tree and matched within ``ELEMENT_TOL`` (max-norm).
+KD-tree and matched within ``geometry.ELEMENT_TOL`` (max-norm).
 
 Order-theoretic helpers: ``omega`` (prime factors with multiplicity) and
 ``tower_height`` (longest chain of strictly nested subgroups), which for
@@ -30,13 +33,7 @@ from .errors import (
     NotAGroup,
     UnrecognizedGroup,
 )
-from .geometry import (
-    DEFAULT_CTX,
-    ElementKind,
-    ToleranceContext,
-    classify_element,
-    nearest_orthogonal,
-)
+from .geometry import ELEMENT_TOL, ElementKind, element_kind, nearest_orthogonal
 
 __all__ = [
     "SchoenfliesLabel",
@@ -50,11 +47,6 @@ __all__ = [
     "tower_height_from_matrices",
     "max_rotation_order",
 ]
-
-#: Two orthogonal maps are the same group element iff their max-norm
-#: difference is below this (far below the minimal separation of distinct
-#: elements in groups of order <= 120).
-ELEMENT_TOL = 1e-6
 
 #: Largest group order the group check accepts (Ih, the largest polyhedral
 #: group, has order 120).
@@ -152,17 +144,17 @@ def _closure_matrices(mats: Sequence[np.ndarray]) -> List[np.ndarray]:
 
 
 def group_from_generators(generators: Sequence[np.ndarray],
-                          center=(0.0, 0.0, 0.0),
-                          ctx: ToleranceContext = DEFAULT_CTX) -> PointGroup:
+                          center=(0.0, 0.0, 0.0)) -> PointGroup:
     """Build a PointGroup as the closure of generator matrices."""
     elements = _closure_matrices(generators)
-    label = schoenflies_from_matrices(elements, ctx)
+    label = schoenflies_from_matrices(elements)
     return PointGroup(center=np.asarray(center, dtype=float),
                       elements=tuple(elements), label=label)
 
 
-def _check_group(mats: Sequence[np.ndarray]) -> None:
-    """Raise unless ``mats`` is a group, read off its product table.
+def _check_group(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Product table of ``mats`` (entry i, j: the index of m_i m_j);
+    raises unless ``mats`` is a group.
 
     A finite set of maps that holds the identity, is closed under
     products and whose table rows and columns are permutations (the
@@ -183,9 +175,29 @@ def _check_group(mats: Sequence[np.ndarray]) -> None:
     if not ((np.sort(table, axis=1) == perm).all()
             and (np.sort(table, axis=0) == perm[:, None]).all()):
         raise NotAGroup("duplicate elements: product table is not a Latin square")
+    return table
 
 
-def stabilizer(c: Cluster, ctx: ToleranceContext = DEFAULT_CTX) -> PointGroup:
+def _orders(table: np.ndarray) -> np.ndarray:
+    """Order of each element of a group: the length of its cycle
+    g, g^2, ... in the product table (g^(k+1) = g iff g^k = e)."""
+    g = np.arange(len(table))
+    order = np.zeros(len(table), dtype=int)
+    p, k = g, 1
+    while not order.all():
+        p, k = table[p, g], k + 1  # p = g^k
+        order[(p == g) & (order == 0)] = k - 1
+    return order
+
+
+def _element_kinds(elements: Sequence[np.ndarray]) -> List[ElementKind]:
+    """Kind of each element, with its order read off the product table;
+    raises unless the elements form a group."""
+    m = np.asarray(elements, dtype=float).reshape(-1, 3, 3)
+    return [element_kind(q, int(n)) for q, n in zip(m, _orders(_check_group(m)))]
+
+
+def stabilizer(c: Cluster) -> PointGroup:
     """The cluster group S_x(rho): all orthogonal maps about the center
     mapping the member set to itself.
 
@@ -203,8 +215,7 @@ def stabilizer(c: Cluster, ctx: ToleranceContext = DEFAULT_CTX) -> PointGroup:
     # maps, and the frame's own image gives the identity.
     elements = [q for q in _candidate_maps(c.frame, offsets, c.radius)
                 if _sets_match(offsets @ q.T, offsets, tree, mtol)]
-    _check_group(elements)
-    label = schoenflies_from_matrices(elements, ctx)
+    label = schoenflies_from_matrices(elements)
     return PointGroup(center=c.center.copy(), elements=tuple(elements),
                       label=label)
 
@@ -223,26 +234,26 @@ def _perpendicular(u: np.ndarray, v: np.ndarray) -> bool:
     return abs(float(np.dot(u, v))) <= _ANG_TOL
 
 
-def schoenflies(g: PointGroup, ctx: ToleranceContext = DEFAULT_CTX) -> SchoenfliesLabel:
-    """Classify a verified point group; see :func:`schoenflies_from_matrices`."""
-    _check_group(list(g.elements))
-    return schoenflies_from_matrices(g.elements, ctx)
+def schoenflies(g: PointGroup) -> SchoenfliesLabel:
+    """Classify a point group; see :func:`schoenflies_from_matrices`."""
+    return schoenflies_from_matrices(g.elements)
 
 
-def schoenflies_from_matrices(elements: Sequence[np.ndarray],
-                              ctx: ToleranceContext = DEFAULT_CTX) -> SchoenfliesLabel:
+def schoenflies_from_matrices(elements: Sequence[np.ndarray]) -> SchoenfliesLabel:
     """Schoenflies label of a finite subgroup of O(3) given its elements.
 
-    Decision tree: two or more rotation axes of order >= 3 send us to the
-    polyhedral branch (T/Td/Th/O/Oh/I/Ih by order, inversion, and
-    mirrors); otherwise each axis of maximal rotation order is tried as
-    the principal axis and the first axial label whose order formula
-    matches the group order wins (this resolves the principal-axis
-    ambiguity of D2-like groups).  Aliased labels are canonicalized:
+    The elements are checked to form a group (:class:`NotAGroup` or
+    :class:`GroupTooLarge` otherwise) and classified through their
+    product table.  Decision tree: two or more rotation axes of order
+    >= 3 send us to the polyhedral branch (T/Td/Th/O/Oh/I/Ih by order,
+    inversion, and mirrors); otherwise each axis of maximal rotation
+    order is tried as the principal axis and the first axial label whose
+    order formula matches the group order wins (this resolves the
+    principal-axis ambiguity of D2-like groups).  Aliased labels are canonicalized:
     Cs = C1h -> S1, Ci -> S2, Cnh with odd n -> Sn.
     """
-    kinds: List[ElementKind] = [classify_element(q, ctx) for q in elements]
-    order = len(elements)
+    kinds = _element_kinds(elements)
+    order = len(kinds)
 
     has_inversion = any(k.kind == "inversion" for k in kinds)
     reflections = [k for k in kinds if k.kind == "reflection"]
@@ -380,13 +391,8 @@ def tower_height(g: PointGroup) -> int:
     return tower_height_from_matrices(list(g.elements))
 
 
-def max_rotation_order(c: Cluster, ctx: ToleranceContext = DEFAULT_CTX) -> int:
+def max_rotation_order(c: Cluster) -> int:
     """Maximal order of a (proper) rotation in the cluster's stabilizer;
     1 if the stabilizer contains no nontrivial rotation."""
-    g = stabilizer(c, ctx)
-    best = 1
-    for q in g.elements:
-        k = classify_element(q, ctx)
-        if k.kind == "rotation":
-            best = max(best, k.order)
-    return best
+    kinds = _element_kinds(stabilizer(c).elements)
+    return max((k.order for k in kinds if k.kind == "rotation"), default=1)

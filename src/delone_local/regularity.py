@@ -257,8 +257,8 @@ def local_criterion(patch: PointPatch, rho0: float, R: float,
             groups_equal=False,
             witness=f"N({rho_big:g}) = {dec.N} > 1; clusters not all equivalent")
     x0 = dec.class_representatives[0].center
-    g_small = stabilizer(cluster(patch, x0, rho0), ctx)
-    g_big = stabilizer(cluster(patch, x0, rho_big), ctx)
+    g_small = stabilizer(cluster(patch, x0, rho0))
+    g_big = stabilizer(cluster(patch, x0, rho_big))
     equal = _groups_equal(g_small, g_big)
     witness = None
     if not equal:
@@ -296,7 +296,7 @@ def classify_scenario(patch: PointPatch, R: float,
     label = order = bound_row = None
     note = None
     if dec.N == 1:
-        g = stabilizer(dec.class_representatives[0], ctx)
+        g = stabilizer(dec.class_representatives[0])
         label = str(g.label)
         order = g.order
         try:

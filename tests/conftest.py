@@ -7,12 +7,20 @@ matrices so that stabilizer/classification results can be checked against
 something the implementation does not share code with.
 """
 import itertools
+from math import gcd
 
 import numpy as np
 import pytest
 
 import delone_local as dl
-from delone_local.geometry import reflection_matrix, rotation_matrix
+from delone_local.geometry import (
+    ElementKind,
+    canonical_axis,
+    check_orthogonal,
+    nearest_orthogonal,
+    reflection_matrix,
+    rotation_matrix,
+)
 
 SQRT3 = np.sqrt(3.0)
 
@@ -130,6 +138,89 @@ def tower_height_oracle(elements):
     for s in sorted(subs, key=len):  # proper subgroups come first
         height[s] = 1 + max((height[t] for t in height if t < s), default=0)
     return height[max(subs, key=len)]
+
+
+def _rotation_order(theta, max_order, angle_tol):
+    """Smallest n <= max_order with theta = 2 pi k / n, gcd(k, n) = 1."""
+    two_pi = 2.0 * np.pi
+    for n in range(2, max_order + 1):
+        k = int(round(theta * n / two_pi))
+        if k < 1 or k > n // 2:
+            continue
+        if abs(theta - two_pi * k / n) <= angle_tol and gcd(k, n) == 1:
+            return n
+    return None
+
+
+def _rotoreflection_order(theta, max_order, angle_tol):
+    """Smallest even n <= max_order with theta = 2 pi k / n for some k.
+
+    An improper map with rotation angle theta (not 0 or pi) has element
+    order equal to the smallest even n with n * theta a multiple of 2 pi.
+    """
+    two_pi = 2.0 * np.pi
+    for n in range(4, max_order + 1, 2):
+        k = round(theta * n / two_pi)
+        if k >= 1 and abs(theta - two_pi * k / n) <= angle_tol:
+            return n
+    return None
+
+
+def _rotation_angle(r):
+    """Rotation angle in [0, pi] of a proper orthogonal map (atan2 of the
+    sine from the antisymmetric part and the cosine from the trace)."""
+    c = (float(np.trace(r)) - 1.0) / 2.0
+    s = float(np.linalg.norm(r - r.T)) / (2.0 * np.sqrt(2.0))
+    return float(np.arctan2(s, c))
+
+
+def _fixed_axis(q, eigenvalue):
+    """Unit eigenvector of an orthogonal map for eigenvalue +1 or -1."""
+    w, v = np.linalg.eig(q)
+    idx = int(np.argmin(np.abs(w - eigenvalue)))
+    axis = np.real(v[:, idx])
+    return canonical_axis(axis)
+
+
+def classify_element_oracle(q, angle_tol=1e-9, max_rotation_order=24):
+    """Angle-based element classifier (oracle for the product-table one).
+
+    Snaps q onto O(3), reads the rotation angle and matches it against
+    2 pi k / n within ``angle_tol``; the axis is an eigenvector from
+    ``np.linalg.eig``.  Shares no order or axis code with the library.
+    """
+    q = check_orthogonal(q, 1e-7)
+    q = nearest_orthogonal(q)
+    det = float(np.linalg.det(q))
+    proper = det > 0.0
+
+    if proper:
+        theta = _rotation_angle(q)
+        if theta <= angle_tol:
+            return ElementKind("identity")
+        # axis = eigenvector of q for eigenvalue +1
+        axis = _fixed_axis(q, +1.0)
+        if abs(theta - np.pi) <= angle_tol:
+            return ElementKind("rotation", order=2, axis=axis)
+        n = _rotation_order(theta, max_rotation_order, angle_tol)
+        if n is None:
+            return ElementKind("generic_rotation", axis=axis)
+        return ElementKind("rotation", order=n, axis=axis)
+
+    # improper: q = (rotation by phi about axis) o (reflection in the plane
+    # orthogonal to the axis), with axis the -1 eigenvector.  -q is the
+    # proper rotation by pi - phi about the same axis, so phi is recovered
+    # from it without the arccos conditioning loss near phi = 0 or pi.
+    axis = _fixed_axis(q, -1.0)
+    phi = float(np.pi) - _rotation_angle(-q)
+    if phi <= angle_tol:
+        return ElementKind("reflection", axis=axis)
+    if abs(phi - np.pi) <= angle_tol:
+        return ElementKind("inversion")
+    n = _rotoreflection_order(phi, 2 * max_rotation_order, angle_tol)
+    if n is None:
+        return ElementKind("generic_rotoreflection", axis=axis)
+    return ElementKind("rotoreflection", order=n, axis=axis)
 
 
 # Standard generator matrices (z principal axis) for building named groups.

@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 import delone_local as dl
+from delone_local import point_group
 from delone_local.errors import (
+    DeloneError,
     GroupTooLarge,
     LowerDimensionalCluster,
     NotAGroup,
@@ -24,6 +26,7 @@ from delone_local.point_group import (
 )
 
 from conftest import (
+    classify_element_oracle,
     closure_oracle,
     element_key,
     named_group_generators,
@@ -123,6 +126,26 @@ class TestStabilizer:
         k0c = {element_key(q @ m @ q.T) for m in g0.elements}
         assert k1 == k0c
 
+    @pytest.mark.parametrize("sigma", [3e-9, 1e-8])
+    def test_noisy_z3_is_oh_or_raises(self, z3_patch, sigma):
+        # coordinate noise far below the element tolerance: the label is
+        # right or the verified maps fail the group check, never a wrong
+        # label and never an unrecognized group
+        outcomes = []
+        for seed in range(1, 6):
+            rng = np.random.default_rng(seed)
+            pts = z3_patch.points + rng.normal(scale=sigma, size=z3_patch.points.shape)
+            p = dl.PointPatch(pts, z3_patch.box_lo, z3_patch.box_hi)
+            x0 = pts[np.argmin(np.linalg.norm(pts, axis=1))]
+            for rho in (1.0 + 1e-6, 1.5):
+                try:
+                    outcomes.append(str(stabilizer(dl.cluster(p, x0, rho)).label))
+                except DeloneError as e:
+                    outcomes.append(type(e).__name__)
+        assert set(outcomes) <= {"Oh", "NotAGroup"}, outcomes
+        if sigma == 3e-9:
+            assert outcomes == ["Oh"] * 10
+
 
 class TestSchoenflies:
     @pytest.mark.parametrize("label", sorted(EXPECTED_ORDERS))
@@ -190,6 +213,32 @@ class TestSchoenflies:
                        label=SchoenfliesLabel("C", 1))
         with pytest.raises(NotAGroup):
             schoenflies(g)
+        with pytest.raises(NotAGroup):
+            schoenflies_from_matrices([np.eye(3), r])
+
+    @pytest.mark.parametrize("label", sorted(EXPECTED_ORDERS))
+    def test_element_kinds_match_angle_oracle(self, label, monkeypatch):
+        # kind, order and axis from the product table (and from the
+        # single-matrix power search) agree with the angle-based
+        # classifier, element by element, and so does the label the
+        # decision tree reads off them
+        rng = np.random.default_rng(sum(map(ord, label)))
+        for _ in range(3):
+            u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            g = group_from_generators(
+                [u @ m @ u.T for m in named_group_generators()[label]])
+            table_kinds = point_group._element_kinds(g.elements)
+            for q, got in zip(g.elements, table_kinds):
+                want = classify_element_oracle(q)
+                for k in (got, classify_element(q)):
+                    assert (k.kind, k.order) == (want.kind, want.order)
+                    if want.axis is not None:
+                        assert abs(abs(float(k.axis @ want.axis)) - 1.0) < 1e-9
+            assert str(g.label) == label
+            with monkeypatch.context() as m:
+                m.setattr(point_group, "_element_kinds",
+                          lambda els: [classify_element_oracle(q) for q in els])
+                assert schoenflies_from_matrices(g.elements) == g.label
 
     def test_label_orders(self):
         for name, order in EXPECTED_ORDERS.items():
