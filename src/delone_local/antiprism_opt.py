@@ -17,9 +17,16 @@ deterministic uniform grid over an explicit parameterization of the
 manifold and refine the best seeds with Nelder-Mead (parameters clamped
 onto the feasible region, strict inequalities shrunk by ``eps``).
 Everything is deterministic: identical reports across runs.
+
+Problem 1's P_x and P_y come from one builder, ``_vertex_pairs``, whose
+arithmetic reads the same on floats and on arrays: the grid folds its 64
+vertex pairs into a running minimum over whole angle arrays, and the
+Nelder-Mead objective and ``lemma1_objective`` run it on floats with the
+same (dx^2 + dz^2) + dy^2 sum, so all three agree bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -27,7 +34,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import BudgetExhausted, InfeasibleParams
-from .generators import antiprism_points
 
 __all__ = [
     "Lemma1Params",
@@ -44,7 +50,7 @@ __all__ = [
     "LEMMA2_B_MIN",
 ]
 
-_SQRT2 = np.sqrt(2.0)
+_SQRT2 = math.sqrt(2.0)
 #: Default feasibility tolerance for the equality/inequality constraints.
 FEAS_TOL = 1e-9
 
@@ -78,6 +84,7 @@ class Lemma1Params:
             abs(a * x + b * z - (a * a - b * b)),
             max(0.0, b * b - a * a),
             max(0.0, -(a * a * (1.0 - _SQRT2) + 3.0 * b * b)),
+            max(0.0, -a),                      # P_x needs a > 0
         ]
         return max(res)
 
@@ -86,21 +93,8 @@ class Lemma1Params:
 
     @staticmethod
     def from_angles(phi: float, psi: float) -> "Lemma1Params":
-        """Exact parameterization of the feasible manifold.
-
-        (a, b) = (cos phi, sin phi); (x, y, z) runs over the circle cut
-        out of the unit sphere by the plane a x + b z = a^2 - b^2, with
-        angle psi measured from the in-plane direction (-b, 0, a).
-        """
-        a = float(np.cos(phi))
-        b = float(np.sin(phi))
-        c = a * a - b * b
-        rad = max(0.0, 1.0 - c * c)
-        r = np.sqrt(rad)
-        x = c * a - r * np.cos(psi) * b
-        y = r * np.sin(psi)
-        z = c * b + r * np.cos(psi) * a
-        return Lemma1Params(a, b, float(x), float(y), float(z))
+        """Exact parameterization of the feasible manifold (_angle_params)."""
+        return Lemma1Params(*map(float, _angle_params(phi, psi)))
 
 
 @dataclass(frozen=True)
@@ -167,96 +161,145 @@ class OptimizationReport:
     constraint_residual: float
 
 
-def _py_vertices_arrays(a, b, x, y, z) -> np.ndarray:
-    """Vertices of P_y for broadcastable parameter arrays; returns an
-    array of shape broadcast(...) + (8, 3)."""
-    a, b, x, y, z = np.broadcast_arrays(*map(np.asarray, (a, b, x, y, z)))
-    shape = a.shape + (8, 3)
-    out = np.empty(shape, dtype=float)
-    zero = np.zeros_like(a)
-    vz = np.stack([a + x, y, b + z], axis=-1)
-    t = vz / 2.0
-    cross = np.stack([b * y, a * z - b * x, -a * y], axis=-1)
-    half = cross / (2.0 * b)[..., None]
-    out[..., 0, :] = np.stack([zero, zero, zero], axis=-1)  # x itself
-    out[..., 1, :] = vz
-    out[..., 2, :] = t + half
-    out[..., 3, :] = t - half
-    other = np.stack([(3.0 * a - x) / 2.0, -y / 2.0, (3.0 * b - z) / 2.0],
-                     axis=-1)
-    e1 = vz / (2.0 * _SQRT2)
-    e2 = half / _SQRT2
-    out[..., 4, :] = other + e1 + e2
-    out[..., 5, :] = other + e1 - e2
-    out[..., 6, :] = other - e1 + e2
-    out[..., 7, :] = other - e1 - e2
-    return out
+def _angle_params(phi, psi):
+    """The feasible problem-1 point (a, b, x, y, z) at angles (phi, psi),
+    on floats or on equal-shape arrays.
 
-
-def p_y_vertices(p: Lemma1Params, feas_tol: float = FEAS_TOL) -> np.ndarray:
-    """The 8 vertices of the antiprism P_y determined by feasible
-    problem-1 parameters.
-
-    The base through x = (0,0,0) consists of x, the opposite vertex
-    z = (a+x, y, b+z), and the two endpoints of +-(yx cross yz)/(2b)
-    placed at the base center t; the other base is obtained from the
-    quoted closed-form expression.  Raises InfeasibleParams for
-    infeasible p and ZeroDivisionError when b = 0.
+    (a, b) = (cos phi, sin phi); (x, y, z) runs over the circle cut out of
+    the unit sphere by the plane a x + b z = a^2 - b^2, with angle psi
+    measured from the in-plane direction (-b, 0, a).
     """
+    a = np.cos(phi)
+    b = np.sin(phi)
+    c = a * a - b * b
+    r = np.sqrt(np.maximum(0.0, 1.0 - c * c))
+    rc = r * np.cos(psi)
+    return a, b, c * a - rc * b, r * np.sin(psi), c * b + rc * a
+
+
+def _vertex_pairs(a, b, x, y, z):
+    """P_x and P_y as eight (x, y, z) component triples each.
+
+    P_x is ``generators.antiprism_points(a, b)``.  P_y has the base
+    through x = (0,0,0): x, the opposite vertex z = (a+x, y, b+z), and the
+    two endpoints of +-(yx cross yz)/(2b) placed at the base center t; the
+    other base is obtained from the quoted closed-form expression.  Only
+    + - * / are used, so the components are floats or equal-shape arrays
+    like the inputs (b = 0 divides by zero).
+    """
+    s = a / _SQRT2
+    px = ((a, 0.0, b), (-a, 0.0, b), (0.0, a, b), (0.0, -a, b),
+          (s, s, -b), (s, -s, -b), (-s, s, -b), (-s, -s, -b))
+    zx, zy, zz = a + x, y, b + z
+    tx, ty, tz = zx / 2.0, zy / 2.0, zz / 2.0
+    h = 2.0 * b
+    hx, hy, hz = b * y / h, (a * z - b * x) / h, -a * y / h
+    ox, oy, oz = (3.0 * a - x) / 2.0, -y / 2.0, (3.0 * b - z) / 2.0
+    k = 2.0 * _SQRT2
+    ex, ey, ez = zx / k, zy / k, zz / k
+    fx, fy, fz = hx / _SQRT2, hy / _SQRT2, hz / _SQRT2
+    py = ((0.0, 0.0, 0.0), (zx, zy, zz),
+          (tx + hx, ty + hy, tz + hz), (tx - hx, ty - hy, tz - hz),
+          (ox + ex + fx, oy + ey + fy, oz + ez + fz),
+          (ox + ex - fx, oy + ey - fy, oz + ez - fz),
+          (ox - ex + fx, oy - ey + fy, oz - ez + fz),
+          (ox - ex - fx, oy - ey - fy, oz - ez - fz))
+    return px, py
+
+
+def _checked_pairs(p: Lemma1Params, feas_tol: float):
     if p.b == 0.0:
         raise ZeroDivisionError("b = 0: antiprism bases coincide")
     if p.feasibility_residual() > feas_tol:
         raise InfeasibleParams(
             f"constraint residual {p.feasibility_residual():.3e} > {feas_tol:g}")
-    return _py_vertices_arrays(p.a, p.b, p.x, p.y, p.z)
+    return _vertex_pairs(p.a, p.b, p.x, p.y, p.z)
 
 
-def _min_filtered_distance(px: np.ndarray, py: np.ndarray,
-                           pair_filter: float) -> np.ndarray:
-    """Minimal distance between vertex pairs at least pair_filter apart.
+def p_y_vertices(p: Lemma1Params, feas_tol: float = FEAS_TOL) -> np.ndarray:
+    """The 8 vertices of the antiprism P_y determined by feasible
+    problem-1 parameters, as an (8, 3) array (see ``_vertex_pairs``).
 
-    px, py have shape (..., 8, 3); result has shape (...).
+    Raises InfeasibleParams for infeasible p and ZeroDivisionError when
+    b = 0.
     """
-    diff = px[..., :, None, :] - py[..., None, :, :]
-    d = np.sqrt(np.einsum("...k,...k->...", diff, diff))
-    d = np.where(d >= pair_filter, d, np.inf)
-    return d.min(axis=(-1, -2))
+    return np.array(_checked_pairs(p, feas_tol)[1])
+
+
+def _min_pair_distance(px, py, pair_filter: float) -> float:
+    """Minimal distance between a vertex of px and one of py at least
+    pair_filter apart (inf if none), on float components."""
+    best = math.inf
+    for ux, uy, uz in px:
+        for vx, vy, vz in py:
+            dx, dy, dz = ux - vx, uy - vy, uz - vz
+            d = math.sqrt((dx * dx + dz * dz) + dy * dy)
+            if pair_filter <= d < best:
+                best = d
+    return best
 
 
 def lemma1_objective(p: Lemma1Params, pair_filter: float = 0.01,
                      feas_tol: float = FEAS_TOL) -> float:
     """Minimal distance between vertices of P_x and P_y at least
     ``pair_filter`` apart (the problem-1 objective)."""
-    py = p_y_vertices(p, feas_tol=feas_tol)
-    px = antiprism_points(p.a, p.b)
-    return float(_min_filtered_distance(px, py, pair_filter))
+    return _min_pair_distance(*_checked_pairs(p, feas_tol), pair_filter)
 
 
-def _lemma1_value_from_angles(phi, psi, pair_filter: float) -> np.ndarray:
-    """Vectorized objective over angle arrays (same math as the scalar
-    path, evaluated in bulk for grid seeding)."""
-    phi, psi = np.broadcast_arrays(np.asarray(phi, float), np.asarray(psi, float))
-    a = np.cos(phi)
-    b = np.sin(phi)
-    c = a * a - b * b
-    r = np.sqrt(np.maximum(0.0, 1.0 - c * c))
-    x = c * a - r * np.cos(psi) * b
-    y = r * np.sin(psi)
-    z = c * b + r * np.cos(psi) * a
-    py = _py_vertices_arrays(a, b, x, y, z)
-    s = a / _SQRT2
-    zero = np.zeros_like(a)
-    px = np.stack([
-        np.stack([a, zero, b], axis=-1),
-        np.stack([-a, zero, b], axis=-1),
-        np.stack([zero, a, b], axis=-1),
-        np.stack([zero, -a, b], axis=-1),
-        np.stack([s, s, -b], axis=-1),
-        np.stack([s, -s, -b], axis=-1),
-        np.stack([-s, s, -b], axis=-1),
-        np.stack([-s, -s, -b], axis=-1),
-    ], axis=-2)
-    return _min_filtered_distance(px, py, pair_filter)
+def _lemma1_value(phi: float, psi: float, pair_filter: float) -> float:
+    """The problem-1 objective at one angle pair, on floats (the
+    Nelder-Mead objective)."""
+    pairs = _vertex_pairs(*map(float, _angle_params(phi, psi)))
+    return _min_pair_distance(*pairs, pair_filter)
+
+
+def _lemma1_value_from_angles(phi: np.ndarray, psi: np.ndarray,
+                              pair_filter: float) -> np.ndarray:
+    """The problem-1 objective over equal-shape angle arrays: the 64
+    vertex pairs are folded one at a time into a running minimum, with
+    the summation order of ``_min_pair_distance`` (``fmin`` skips a NaN
+    distance, as the filter there does)."""
+    px, py = _vertex_pairs(*_angle_params(phi, psi))
+    best = np.full(phi.shape, np.inf)
+    for ux, uy, uz in px:
+        for vx, vy, vz in py:
+            dx, dy, dz = ux - vx, uy - vy, uz - vz
+            d = np.sqrt((dx * dx + dz * dz) + dy * dy)
+            d[d < pair_filter] = np.inf
+            np.fmin(best, d, out=best)
+    return best
+
+
+def _refine(neg, clamp, vals, grids, budget: OptBudget, params
+            ) -> OptimizationReport:
+    """Refine the ``refine_top`` best grid seeds with Nelder-Mead on
+    ``neg`` and report the best point found, clamped and mapped to its
+    parameters by ``params``."""
+    flat = vals.ravel()
+    seeds = np.stack([g.ravel() for g in grids], axis=1)
+    top = np.argsort(-flat, kind="stable")[:budget.refine_top]
+    best_val = float(flat[top[0]])
+    best = tuple(map(float, seeds[top[0]]))
+    converged = 0
+    for idx in top:
+        res = minimize(neg, seeds[idx], method="Nelder-Mead",
+                       options={"maxiter": budget.nm_maxiter,
+                                "xatol": 1e-10, "fatol": 1e-12})
+        converged += bool(res.success)
+        val = -float(res.fun)
+        if val > best_val + 1e-15:
+            best_val = val
+            best = clamp(res.x)
+    if converged == 0:
+        raise BudgetExhausted("no Nelder-Mead start converged")
+    argmax = params(*best)
+    return OptimizationReport(
+        best_value=best_val,
+        argmax=argmax,
+        starts=int(len(top)),
+        converged_starts=converged,
+        constraint_residual=argmax.feasibility_residual(),
+    )
 
 
 def optimize_lemma1(budget: OptBudget = OptBudget()) -> OptimizationReport:
@@ -279,37 +322,13 @@ def optimize_lemma1(budget: OptBudget = OptBudget()) -> OptimizationReport:
     P, S = np.meshgrid(phis, psis, indexing="ij")
     vals = _lemma1_value_from_angles(P, S, budget.pair_filter)
 
-    flat = vals.ravel()
-    top = np.argsort(-flat, kind="stable")[:budget.refine_top]
-    best_val = float(flat[top[0]])
-    best_angles = (float(P.ravel()[top[0]]), float(S.ravel()[top[0]]))
-
     def neg(v):
-        phi = min(max(v[0], lo), hi)
-        return -float(_lemma1_value_from_angles(phi, v[1], budget.pair_filter))
+        return -_lemma1_value(min(max(v[0], lo), hi), v[1], budget.pair_filter)
 
-    converged = 0
-    for idx in top:
-        x0 = np.array([P.ravel()[idx], S.ravel()[idx]])
-        res = minimize(neg, x0, method="Nelder-Mead",
-                       options={"maxiter": budget.nm_maxiter,
-                                "xatol": 1e-10, "fatol": 1e-12})
-        if res.success:
-            converged += 1
-        val = -float(res.fun)
-        if val > best_val + 1e-15:
-            best_val = val
-            best_angles = (min(max(float(res.x[0]), lo), hi), float(res.x[1]))
-    if converged == 0:
-        raise BudgetExhausted("no Nelder-Mead start converged")
-    argmax = Lemma1Params.from_angles(*best_angles)
-    return OptimizationReport(
-        best_value=best_val,
-        argmax=argmax,
-        starts=int(len(top)),
-        converged_starts=converged,
-        constraint_residual=argmax.feasibility_residual(),
-    )
+    def clamp(v):
+        return min(max(float(v[0]), lo), hi), float(v[1])
+
+    return _refine(neg, clamp, vals, (P, S), budget, Lemma1Params.from_angles)
 
 
 def lemma2_objective(p: Lemma2Params, feas_tol: float = FEAS_TOL) -> float:
@@ -320,20 +339,22 @@ def lemma2_objective(p: Lemma2Params, feas_tol: float = FEAS_TOL) -> float:
     return float(_lemma2_value(p.a, p.b, p.x, p.y))
 
 
-def _lemma2_value(a, b, x, y) -> np.ndarray:
-    a, b, x, y = map(np.asarray, (a, b, x, y))
+def _lemma2_value(a, b, x, y, sqrt=math.sqrt):
+    """The problem-2 objective on floats; pass ``sqrt=np.sqrt`` for
+    arrays."""
     h = 1.0 - 2.0 * b  # z-offset from z=(a,0,b) to the base plane z = 1-b
-    d1 = np.sqrt((a - x) ** 2 + y ** 2 + h ** 2)
-    d2 = np.sqrt((a - y) ** 2 + x ** 2 + h ** 2)
-    return d1 + d2 - 1.0 - np.sqrt(a * a + b * b)
+    ax, ay = a - x, a - y
+    d1 = sqrt(ax * ax + y * y + h * h)
+    d2 = sqrt(ay * ay + x * x + h * h)
+    return d1 + d2 - 1.0 - sqrt(a * a + b * b)
 
 
 def _lemma2_clamp(v: np.ndarray, eps: float) -> Tuple[float, float, float]:
     """Project raw optimizer coordinates (a, b, u) onto the eps-shrunk
     feasible region (u parameterizes x = a cos u, y = a sin u)."""
     b = min(max(float(v[1]), LEMMA2_B_MIN + eps), 0.5 - eps)
-    a_lo = float(np.sqrt(max(1.0 - b * b, b * b))) + eps
-    a_hi = float(np.sqrt(3.0 * (_SQRT2 + 1.0)) * b)
+    a_lo = math.sqrt(max(1.0 - b * b, b * b)) + eps
+    a_hi = math.sqrt(3.0 * (_SQRT2 + 1.0)) * b
     if a_lo > a_hi:
         a_lo = a_hi
     a = min(max(float(v[0]), a_lo), a_hi)
@@ -366,38 +387,14 @@ def optimize_lemma2(budget: OptBudget = OptBudget()) -> OptimizationReport:
     Ug = np.broadcast_to(us[None, None, :], (n, n, n))
     X = Ag * np.cos(Ug)
     Y = Ag * np.sin(Ug)
-    vals = _lemma2_value(Ag, Bg, X, Y)
-
-    flat = vals.ravel()
-    top = np.argsort(-flat, kind="stable")[:budget.refine_top]
-    best_val = float(flat[top[0]])
-    best_abu = (float(Ag.ravel()[top[0]]), float(Bg.ravel()[top[0]]),
-                float(Ug.ravel()[top[0]]))
+    vals = _lemma2_value(Ag, Bg, X, Y, np.sqrt)
 
     def neg(v):
         a, b, u = _lemma2_clamp(v, eps)
-        return -float(_lemma2_value(a, b, a * np.cos(u), a * np.sin(u)))
+        return -_lemma2_value(a, b, a * float(np.cos(u)), a * float(np.sin(u)))
 
-    converged = 0
-    for idx in top:
-        x0 = np.array([Ag.ravel()[idx], Bg.ravel()[idx], Ug.ravel()[idx]])
-        res = minimize(neg, x0, method="Nelder-Mead",
-                       options={"maxiter": budget.nm_maxiter,
-                                "xatol": 1e-10, "fatol": 1e-12})
-        if res.success:
-            converged += 1
-        val = -float(res.fun)
-        if val > best_val + 1e-15:
-            best_val = val
-            best_abu = _lemma2_clamp(res.x, eps)
-    if converged == 0:
-        raise BudgetExhausted("no Nelder-Mead start converged")
-    a, b, u = best_abu
-    argmax = Lemma2Params(a, b, float(a * np.cos(u)), float(a * np.sin(u)))
-    return OptimizationReport(
-        best_value=best_val,
-        argmax=argmax,
-        starts=int(len(top)),
-        converged_starts=converged,
-        constraint_residual=argmax.feasibility_residual(),
-    )
+    def params(a, b, u):
+        return Lemma2Params(a, b, float(a * np.cos(u)), float(a * np.sin(u)))
+
+    return _refine(neg, lambda v: _lemma2_clamp(v, eps), vals, (Ag, Bg, Ug),
+                   budget, params)

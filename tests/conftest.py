@@ -285,3 +285,72 @@ def named_group_generators():
     gens["I"] = [r5, r3]
     gens["Ih"] = [r5, r3, -np.eye(3)]
     return gens
+
+
+# --- antiprism optimizer oracle ---------------------------------------------
+# The broadcasting lemma-1 kernel the optimizers used before the
+# component-form builder: P_y from stacked (..., 8, 3) arrays, P_x stacked
+# inline, and the pair distances from one einsum over a (..., 8, 8, 3)
+# difference tensor.  Kept unchanged as the reference the grid kernel and
+# the scalar Nelder-Mead objective must reproduce bit for bit.
+_ORACLE_SQRT2 = np.sqrt(2.0)
+
+
+def py_vertices_oracle(a, b, x, y, z):
+    """Vertices of P_y for broadcastable parameter arrays; returns an
+    array of shape broadcast(...) + (8, 3)."""
+    a, b, x, y, z = np.broadcast_arrays(*map(np.asarray, (a, b, x, y, z)))
+    shape = a.shape + (8, 3)
+    out = np.empty(shape, dtype=float)
+    zero = np.zeros_like(a)
+    vz = np.stack([a + x, y, b + z], axis=-1)
+    t = vz / 2.0
+    cross = np.stack([b * y, a * z - b * x, -a * y], axis=-1)
+    half = cross / (2.0 * b)[..., None]
+    out[..., 0, :] = np.stack([zero, zero, zero], axis=-1)  # x itself
+    out[..., 1, :] = vz
+    out[..., 2, :] = t + half
+    out[..., 3, :] = t - half
+    other = np.stack([(3.0 * a - x) / 2.0, -y / 2.0, (3.0 * b - z) / 2.0],
+                     axis=-1)
+    e1 = vz / (2.0 * _ORACLE_SQRT2)
+    e2 = half / _ORACLE_SQRT2
+    out[..., 4, :] = other + e1 + e2
+    out[..., 5, :] = other + e1 - e2
+    out[..., 6, :] = other - e1 + e2
+    out[..., 7, :] = other - e1 - e2
+    return out
+
+
+def _min_filtered_distance_oracle(px, py, pair_filter):
+    diff = px[..., :, None, :] - py[..., None, :, :]
+    d = np.sqrt(np.einsum("...k,...k->...", diff, diff))
+    d = np.where(d >= pair_filter, d, np.inf)
+    return d.min(axis=(-1, -2))
+
+
+def lemma1_values_oracle(phi, psi, pair_filter=0.01):
+    """The lemma-1 objective over broadcastable angle arrays (or scalars,
+    which give a 0-d array)."""
+    phi, psi = np.broadcast_arrays(np.asarray(phi, float), np.asarray(psi, float))
+    a = np.cos(phi)
+    b = np.sin(phi)
+    c = a * a - b * b
+    r = np.sqrt(np.maximum(0.0, 1.0 - c * c))
+    x = c * a - r * np.cos(psi) * b
+    y = r * np.sin(psi)
+    z = c * b + r * np.cos(psi) * a
+    py = py_vertices_oracle(a, b, x, y, z)
+    s = a / _ORACLE_SQRT2
+    zero = np.zeros_like(a)
+    px = np.stack([
+        np.stack([a, zero, b], axis=-1),
+        np.stack([-a, zero, b], axis=-1),
+        np.stack([zero, a, b], axis=-1),
+        np.stack([zero, -a, b], axis=-1),
+        np.stack([s, s, -b], axis=-1),
+        np.stack([s, -s, -b], axis=-1),
+        np.stack([-s, s, -b], axis=-1),
+        np.stack([-s, -s, -b], axis=-1),
+    ], axis=-2)
+    return _min_filtered_distance_oracle(px, py, pair_filter)

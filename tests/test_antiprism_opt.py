@@ -11,6 +11,9 @@ from delone_local.antiprism_opt import (
     Lemma1Params,
     Lemma2Params,
     OptBudget,
+    _lemma1_value,
+    _lemma1_value_from_angles,
+    _vertex_pairs,
     lemma1_objective,
     lemma2_objective,
     optimize_lemma1,
@@ -19,6 +22,18 @@ from delone_local.antiprism_opt import (
 )
 from delone_local.errors import InfeasibleParams
 from delone_local.point_group import stabilizer
+
+from conftest import lemma1_values_oracle, py_vertices_oracle
+
+
+@pytest.fixture(scope="module")
+def lemma1_report():
+    return optimize_lemma1()
+
+
+@pytest.fixture(scope="module")
+def lemma2_report():
+    return optimize_lemma2()
 
 
 def feasible_params(rng):
@@ -76,6 +91,34 @@ class TestPyVertices:
     def test_b_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
             p_y_vertices(Lemma1Params(1.0, 0.0, 0.0, 0.0, 1.0))
+        with pytest.raises(ZeroDivisionError):
+            lemma1_objective(Lemma1Params(1.0, 0.0, 0.0, 0.0, 1.0))
+
+    def test_objective_guards(self):
+        with pytest.raises(InfeasibleParams):
+            lemma1_objective(Lemma1Params(0.3, 0.9, 1.0, 0.0, 0.0))
+        # a < 0 satisfies the equalities but not a > 0, which P_x needs
+        p = Lemma1Params.from_angles(0.6, 1.0)
+        flipped = Lemma1Params(-p.a, p.b, -p.x, p.y, p.z)
+        assert flipped.feasibility_residual() == -flipped.a
+        with pytest.raises(InfeasibleParams):
+            lemma1_objective(flipped)
+
+    def test_px_is_the_generator_antiprism(self):
+        rng = np.random.default_rng(4)
+        cases = [tuple(map(float, rng.uniform(0.05, 2.0, 2)))
+                 for _ in range(30)]
+        cases += [(p.a, p.b) for p in (feasible_params(rng) for _ in range(20))]
+        for a, b in cases:
+            px, _ = _vertex_pairs(a, b, 0.0, 0.0, 0.0)
+            assert np.array_equal(np.array(px), dl.antiprism_points(a, b))
+
+    def test_py_matches_oracle(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            p = feasible_params(rng)
+            want = py_vertices_oracle(p.a, p.b, p.x, p.y, p.z)
+            assert np.array_equal(p_y_vertices(p), want)
 
 
 class TestObjectives:
@@ -107,6 +150,71 @@ class TestObjectives:
     def test_lemma2_infeasible(self):
         with pytest.raises(InfeasibleParams):
             lemma2_objective(Lemma2Params(0.5, 0.4, 0.0, 0.0))  # a^2+b^2 < 1
+
+
+class TestKernelsMatchOracle:
+    """The grid kernel and the scalar Nelder-Mead objective reproduce the
+    broadcasting kernel of ``conftest.lemma1_values_oracle`` bit for bit."""
+
+    @pytest.mark.parametrize("grid, phi_range", [
+        (200, (PHI_MIN, PHI_MAX)),
+        (50, (PHI_MIN + 0.05, PHI_MIN + 0.2)),
+    ])
+    def test_grid_kernel(self, grid, phi_range):
+        phis = np.linspace(*phi_range, grid)
+        psis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+        P, S = np.meshgrid(phis, psis, indexing="ij")
+        for pf in (0.01, 0.3):
+            got = _lemma1_value_from_angles(P, S, pf)
+            assert np.array_equal(got, lemma1_values_oracle(P, S, pf))
+
+    def test_scalar_objective(self):
+        rng = np.random.default_rng(11)
+        phis = list(rng.uniform(PHI_MIN, PHI_MAX, 1990)) + [PHI_MIN] * 5 \
+            + [PHI_MAX] * 5
+        psis = list(rng.uniform(-4 * np.pi, 6 * np.pi, 2000))
+        psis[-5:] = [0.0, np.pi, 2 * np.pi, -np.pi / 2, 7.5]
+        for phi, psi in zip(phis, psis):
+            want = float(lemma1_values_oracle(phi, psi))
+            assert _lemma1_value(phi, psi, 0.01) == want
+            assert lemma1_objective(Lemma1Params.from_angles(phi, psi)) == want
+
+    def test_scalar_objective_where_the_filter_acts(self):
+        # at phi = PHI_MAX, psi = 0 the antiprisms share two vertices:
+        # their pair distances (~1.6e-16) are dropped by the filter
+        p = Lemma1Params.from_angles(PHI_MAX, 0.0)
+        px, py = _vertex_pairs(p.a, p.b, p.x, p.y, p.z)
+        d = np.linalg.norm(np.array(px)[:, None] - np.array(py)[None], axis=-1)
+        assert (d < 1e-12).sum() == 2
+        for pf in (1e-300, 0.01, 0.05, 0.3, 1.5):
+            want = float(lemma1_values_oracle(PHI_MAX, 0.0, pf))
+            assert _lemma1_value(PHI_MAX, 0.0, pf) == want
+        assert _lemma1_value(PHI_MAX, 0.0, 0.01) == 0.9999999999999999
+
+
+class TestReports:
+    def test_plain_floats(self, lemma1_report, lemma2_report):
+        for rep in (lemma1_report, lemma2_report):
+            assert type(rep.best_value) is float
+            assert type(rep.constraint_residual) is float
+        assert type(Lemma2Params(0.95, 0.35, 0.95, 0.0)
+                    .feasibility_residual()) is float
+
+    def test_pinned_lemma1(self, lemma1_report):
+        assert lemma1_report == dl.OptimizationReport(
+            best_value=1.0,
+            argmax=Lemma1Params(0.7086317358798139, 0.7055785306427356,
+                                -0.7025121705117302, 0.0, 0.7116717292986268),
+            starts=24, converged_starts=24,
+            constraint_residual=2.220446049250313e-16)
+
+    def test_pinned_lemma2(self, lemma2_report):
+        assert lemma2_report == dl.OptimizationReport(
+            best_value=-0.3366973144916805,
+            argmax=Lemma2Params(0.9373818335268139, 0.3483116997490065,
+                                0.9373818335268139, 0.0),
+            starts=24, converged_starts=24,
+            constraint_residual=1.1102230246251565e-16)
 
 
 class TestOptimizeLemma1:
