@@ -42,10 +42,8 @@ from .generators import (
     hex_lattice,
 )
 from .geometry import (
-    DEFAULT_CTX,
     ElementKind,
     Isometry,
-    ToleranceContext,
     classify_element,
     frame_isometry,
 )

@@ -29,7 +29,6 @@ from . import antiprism_opt, delone_core, generators, point_group, regularity
 from .delone_core import PointPatch, cluster, covering_radius, load_patch, save_patch
 from .equivalence import cluster_classes
 from .errors import DeloneError
-from .geometry import ToleranceContext
 
 FMT = "%.10g"
 
@@ -76,10 +75,6 @@ def _load_checked(path: str) -> PointPatch:
         raise CliError(
             f"packing violation: points {i} and {j} at distance {_fmt(d)} < 1")
     return patch
-
-
-def _ctx(args) -> ToleranceContext:
-    return ToleranceContext(geom_tol=args.tol)
 
 
 def _out(args, text: str) -> None:
@@ -164,9 +159,8 @@ def _cmd_generate(args) -> int:
 def _cmd_analyze(args) -> int:
     patch = _load_checked(args.path)
     rho, R, prov = _resolve_radius(args.rho, patch)
-    ctx = _ctx(args)
     lines = [f"R = {_fmt(R)} ({prov})", f"rho = {_fmt(rho)}"]
-    report = regularity.classify_scenario(patch, rho / 2.0, ctx)
+    report = regularity.classify_scenario(patch, rho / 2.0)
     lines.append(f"N(rho) = {report.n_classes}")
     if report.label is not None:
         lines.append(f"group = {report.label}")
@@ -189,7 +183,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_classes(args) -> int:
     patch = _load_checked(args.path)
     rho, _, _ = _resolve_radius(args.rho, patch)
-    dec = cluster_classes(patch, rho, _ctx(args))
+    dec = cluster_classes(patch, rho)
     lines = [f"rho = {_fmt(rho)}", f"N = {dec.N}"]
     counts = [0] * dec.N
     for ci in dec.assignment.values():
@@ -226,7 +220,7 @@ def _cmd_check_local(args) -> int:
     if args.R is not None:
         R = args.R
         prov = "flag"
-    verdict = regularity.local_criterion(patch, rho0, R, _ctx(args))
+    verdict = regularity.local_criterion(patch, rho0, R)
     lines = [
         f"R = {_fmt(R)} ({prov})",
         f"rho0 = {_fmt(rho0)}",
@@ -287,8 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="delone",
         description="Local theory of regular systems for 3D Delone sets")
-    parser.add_argument("--tol", type=float, default=1e-9,
-                        help="geometric tolerance (default 1e-9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a stock point set")

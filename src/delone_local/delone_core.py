@@ -64,15 +64,16 @@ class PointPatch:
             CLI) surface the violation.
     """
 
-    def __init__(self, points, box_lo, box_hi, declared_R: Optional[float] = None,
-                 geom_tol: float = GEOM_TOL):
+    #: Distance tolerance of membership, center lookup and the box margin.
+    geom_tol = GEOM_TOL
+
+    def __init__(self, points, box_lo, box_hi, declared_R: Optional[float] = None):
         self.points = as_points(points)
         self.box_lo = as_point(box_lo)
         self.box_hi = as_point(box_hi)
         if np.any(self.box_hi <= self.box_lo):
             raise BoxTooSmall("trusted box is degenerate (hi <= lo on some axis)")
         self.declared_R = None if declared_R is None else float(declared_R)
-        self.geom_tol = float(geom_tol)
         self._tree = cKDTree(self.points) if len(self.points) else None
         if self._tree is not None:
             pairs = self._tree.query_pairs(1.0 - self.geom_tol)
@@ -102,20 +103,19 @@ class PointPatch:
                 f"no patch point within {self.geom_tol:g} of {c.tolist()}")
         return int(idx)
 
-    def ball_inside_box(self, center, rho: float) -> bool:
-        """True iff the closed ball B(center, rho) lies in the trusted box."""
-        c = as_point(center)
+    def ball_inside_box(self, center, rho):
+        """Whether the closed ball B(center, rho) lies in the trusted box
+        (within geom_tol).  A stack of centers (n, 3) gives one answer
+        per center, with ``rho`` a scalar or an (n, 1) column."""
+        c = np.asarray(center, dtype=float)
         tol = self.geom_tol
-        return bool(np.all(c - rho >= self.box_lo - tol)
-                    and np.all(c + rho <= self.box_hi + tol))
+        return np.all((c - rho >= self.box_lo - tol)
+                      & (c + rho <= self.box_hi + tol), axis=-1)
 
     def usable_centers(self, rho: float) -> np.ndarray:
         """Patch points whose rho-ball stays inside the trusted box,
         sorted lexicographically."""
-        tol = self.geom_tol
-        mask = (np.all(self.points - rho >= self.box_lo - tol, axis=1)
-                & np.all(self.points + rho <= self.box_hi + tol, axis=1))
-        return lex_sort(self.points[mask])
+        return lex_sort(self.points[self.ball_inside_box(self.points, rho)])
 
 
 @dataclass(frozen=True)
@@ -138,10 +138,12 @@ class Cluster:
         """Members relative to the center (center's own offset included)."""
         return self.members - self.center
 
-    @property
+    @cached_property
     def center_distances(self) -> np.ndarray:
-        """Sorted distances of members from the center."""
-        return np.sort(np.linalg.norm(self.offsets, axis=1))
+        """Sorted distances of members from the center (cached, read-only)."""
+        d = np.sort(np.linalg.norm(self.offsets, axis=1))
+        d.flags.writeable = False
+        return d
 
     def affine_dimension(self, tol: float = 1e-9) -> int:
         """Dimension of the affine hull of the members."""
@@ -240,23 +242,27 @@ def _covering_from_candidates(patch: PointPatch, cands: np.ndarray) -> Optional[
     if cands is None or len(cands) == 0:
         return None
     d, _ = patch.tree.query(cands)
-    tol = patch.geom_tol
-    inside = (np.all(cands - d[:, None] >= patch.box_lo - tol, axis=1)
-              & np.all(cands + d[:, None] <= patch.box_hi + tol, axis=1))
+    inside = patch.ball_inside_box(cands, d[:, None])
     if not np.any(inside):
         return None
     return float(d[inside].max())
 
 
-def cluster(patch: PointPatch, center, rho: float) -> Cluster:
-    """The cluster C_center(rho) of the patch (closed ball membership)."""
-    idx = patch.index_of(center)
-    c = patch.points[idx]
+def _ball_center(patch: PointPatch, center, rho: float, what: str) -> np.ndarray:
+    """The patch point at ``center``, once the ``what`` radius rho is
+    checked non-negative and its ball inside the trusted box."""
+    c = patch.points[patch.index_of(center)]
     if rho < 0:
-        raise ValueError("cluster radius must be non-negative")
+        raise ValueError(f"{what} radius must be non-negative")
     if not patch.ball_inside_box(c, rho):
         raise MarginViolation(
             f"ball of radius {rho:g} at {c.tolist()} exits the trusted box")
+    return c
+
+
+def cluster(patch: PointPatch, center, rho: float) -> Cluster:
+    """The cluster C_center(rho) of the patch (closed ball membership)."""
+    c = _ball_center(patch, center, rho, "cluster")
     members_idx = patch.tree.query_ball_point(c, rho + patch.geom_tol)
     members = patch.points[sorted(members_idx)]
     return Cluster(center=c, radius=float(rho), members=members)
@@ -268,13 +274,7 @@ def shell(patch: PointPatch, center, rho: float) -> np.ndarray:
     Excludes the center unless rho = 0, in which case the shell is the
     center alone.
     """
-    idx = patch.index_of(center)
-    c = patch.points[idx]
-    if rho < 0:
-        raise ValueError("shell radius must be non-negative")
-    if not patch.ball_inside_box(c, rho):
-        raise MarginViolation(
-            f"ball of radius {rho:g} at {c.tolist()} exits the trusted box")
+    c = _ball_center(patch, center, rho, "shell")
     if rho <= patch.geom_tol:
         return c[None, :].copy()
     cand_idx = patch.tree.query_ball_point(c, rho + patch.geom_tol)

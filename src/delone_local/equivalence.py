@@ -24,13 +24,7 @@ from scipy.spatial import cKDTree
 
 from .delone_core import Cluster, PointPatch, cluster
 from .errors import NoUsableCenters, RadiusMismatch
-from .geometry import (
-    DEFAULT_CTX,
-    Isometry,
-    ToleranceContext,
-    _complete_basis,
-    _frame_map,
-)
+from .geometry import GEOM_TOL, Isometry, _complete_basis, _frame_map
 
 __all__ = [
     "ClusterClassDecomposition",
@@ -39,10 +33,6 @@ __all__ = [
     "match_tolerance",
 ]
 
-#: Rounding (decimal places) for the sorted-distance prefilter keys.
-_KEY_DECIMALS = 6
-
-
 def match_tolerance(rho: float) -> float:
     """Point-matching tolerance for clusters of radius rho.
 
@@ -50,6 +40,15 @@ def match_tolerance(rho: float) -> float:
     distance, so the tolerance scales with the cluster radius.
     """
     return 1e-7 * max(1.0, float(rho))
+
+
+def _profiles_match(profiles: np.ndarray, d: np.ndarray, rho: float):
+    """Which of ``profiles`` (sorted center distances of clusters with as
+    many members as ``d``; one profile or a stack of rows) lie within
+    4 match_tolerance(rho) of ``d`` in max norm: the distance test every
+    pair of equivalent rho-clusters passes."""
+    return (np.abs(profiles - d).max(axis=-1, initial=0.0)
+            <= 4.0 * match_tolerance(rho))
 
 
 def _sets_match(moved: np.ndarray, target: np.ndarray,
@@ -99,21 +98,16 @@ def _candidate_maps(frame: np.ndarray, targets: np.ndarray,
     return extend([])
 
 
-def cluster_isometry(a: Cluster, b: Cluster,
-                     ctx: ToleranceContext = DEFAULT_CTX) -> Optional[Isometry]:
+def cluster_isometry(a: Cluster, b: Cluster) -> Optional[Isometry]:
     """Isometry g with g(a.center) = b.center and g(a.members) = b.members,
     or None if the clusters are not equivalent.
 
     Raises :class:`RadiusMismatch` if the radii differ.
     """
-    if abs(a.radius - b.radius) > max(ctx.geom_tol, 1e-9 * max(1.0, a.radius)):
+    if abs(a.radius - b.radius) > GEOM_TOL * max(1.0, a.radius):
         raise RadiusMismatch(f"radii {a.radius:g} and {b.radius:g} differ")
-    if len(a) != len(b):
-        return None
-    da = a.center_distances
-    db = b.center_distances
-    mtol = match_tolerance(a.radius)
-    if len(da) and float(np.abs(da - db).max()) > 4.0 * mtol:
+    if len(a) != len(b) or not _profiles_match(
+            a.center_distances, b.center_distances, a.radius):
         return None
     if len(a) == 1:
         return Isometry.translation(b.center - a.center)
@@ -121,6 +115,7 @@ def cluster_isometry(a: Cluster, b: Cluster,
         return None
 
     b_tree = cKDTree(b.members)
+    mtol = match_tolerance(a.radius)
     for q in _candidate_maps(a.frame, b.offsets, a.radius):
         iso = Isometry(q, b.center - q @ a.center)
         if _sets_match(iso.apply(a.members), b.members, b_tree, mtol):
@@ -147,36 +142,39 @@ class ClusterClassDecomposition:
         return len(self.class_representatives)
 
 
-def cluster_classes(patch: PointPatch, rho: float,
-                    ctx: ToleranceContext = DEFAULT_CTX) -> ClusterClassDecomposition:
+def cluster_classes(patch: PointPatch, rho: float) -> ClusterClassDecomposition:
     """Partition the rho-clusters at all usable centers by equivalence.
 
     Centers are visited in lexicographic order and compared against the
-    current class representatives only (with a sorted-distance prefilter),
-    so the representative of each class is its lexicographically smallest
-    center.  Raises :class:`NoUsableCenters` if the trusted box cannot
-    host a single rho-ball.
+    current class representatives only, so the representative of each
+    class is its lexicographically smallest center.  The representatives'
+    distance profiles are stacked by member count; one comparison against
+    the stack picks the classes that pass the profile test of
+    :func:`cluster_isometry`, which then runs on those in class order.
+    Raises :class:`NoUsableCenters` if the trusted box cannot host a
+    single rho-ball.
     """
     centers = patch.usable_centers(rho)
     if len(centers) == 0:
         raise NoUsableCenters(
             f"no center supports radius {rho:g} inside the trusted box")
-    reps: List[Tuple[tuple, Cluster, int]] = []
+    reps: List[Cluster] = []
+    # member count -> (class indices, their representatives' profiles)
+    by_count: Dict[int, Tuple[List[int], np.ndarray]] = {}
     assignment: Dict[Tuple[float, float, float], int] = {}
     for c in centers:
         cl = cluster(patch, c, rho)
-        key = tuple(np.round(cl.center_distances, _KEY_DECIMALS))
-        found = None
-        for rep_key, rep, class_idx in reps:
-            if rep_key == key and cluster_isometry(rep, cl, ctx) is not None:
-                found = class_idx
-                break
+        d = cl.center_distances
+        ids, stack = by_count.get(len(cl), ([], np.empty((0, len(cl)))))
+        found = next((ids[j] for j in np.flatnonzero(_profiles_match(stack, d, rho))
+                      if cluster_isometry(reps[ids[j]], cl) is not None), None)
         if found is None:
             found = len(reps)
-            reps.append((key, cl, found))
+            reps.append(cl)
+            by_count[len(cl)] = (ids + [found], np.vstack([stack, d]))
         assignment[tuple(c)] = found
     return ClusterClassDecomposition(
         rho=float(rho),
-        class_representatives=[rep for _, rep, _ in reps],
+        class_representatives=reps,
         assignment=assignment,
     )

@@ -50,10 +50,6 @@ class RadiusMismatch(DeloneError):
     """Two clusters compared for equivalence have different radii."""
 
 
-class DegenerateCluster(DeloneError):
-    """A cluster is not full-dimensional where full dimension is required."""
-
-
 class NoUsableCenters(DeloneError):
     """No patch point has enough margin for the requested radius."""
 

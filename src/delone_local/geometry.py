@@ -12,8 +12,18 @@ Conventions:
     * Lengths are dimensionless; the unit is the minimal interpoint
       distance of the ambient point set (so the packing radius is 1/2).
     * Isometries act as p -> Q p + t with Q orthogonal.
-    * Two orthogonal maps are the same element iff their max-norm
-      difference is at most ``ELEMENT_TOL``.
+
+Tolerances are fixed constants, not parameters:
+    * ``GEOM_TOL`` = 1e-9: absolute distance tolerance on unit-scale data
+      (patch membership, center lookup, the box margin, packing checks).
+    * ``ELEMENT_TOL`` = 1e-6: two orthogonal maps are the same element iff
+      their max-norm difference is at most this.
+    * ``ORTHO_TOL`` = 1e-7: the orthogonality residual
+      :func:`classify_element` accepts.
+    * ``MAX_ROTATION_ORDER`` = 24: the largest rotation order
+      :func:`classify_element` detects in a single matrix.
+    * Cluster matching uses ``equivalence.match_tolerance(rho)`` =
+      1e-7 max(1, rho).
 """
 from __future__ import annotations
 
@@ -25,15 +35,16 @@ import numpy as np
 from .errors import DegenerateFrame, NonOrthogonal
 
 __all__ = [
-    "ToleranceContext",
-    "DEFAULT_CTX",
+    "GEOM_TOL",
+    "ELEMENT_TOL",
+    "ORTHO_TOL",
+    "MAX_ROTATION_ORDER",
     "Isometry",
     "ElementKind",
     "as_point",
     "as_points",
     "nearest_orthogonal",
     "check_orthogonal",
-    "is_orthogonal",
     "rotation_matrix",
     "rotoreflection_matrix",
     "reflection_matrix",
@@ -43,38 +54,16 @@ __all__ = [
     "frame_isometry",
 ]
 
-#: Default absolute tolerance for distance comparisons on unit-scale data.
+#: Absolute tolerance for distance comparisons on unit-scale data.
 GEOM_TOL = 1e-9
 #: Two orthogonal maps are the same group element iff their max-norm
 #: difference is below this (far below the minimal separation of distinct
 #: elements in groups of order <= 120).
 ELEMENT_TOL = 1e-6
+#: Orthogonality residual accepted by the single-matrix classifier.
+ORTHO_TOL = 1e-7
 #: Largest rotation order the single-matrix classifier will report exactly.
 MAX_ROTATION_ORDER = 24
-
-
-@dataclass(frozen=True)
-class ToleranceContext:
-    """Bundle of the numerical tolerances threaded through the package.
-
-    Attributes:
-        geom_tol: absolute tolerance for distance comparisons.
-        max_rotation_order: largest rotation order ``classify_element``
-            detects in a single matrix; maps of larger (or infinite) order
-            classify as generic rotations.
-    """
-
-    geom_tol: float = GEOM_TOL
-    max_rotation_order: int = MAX_ROTATION_ORDER
-
-    def __post_init__(self) -> None:
-        if not self.geom_tol > 0:
-            raise ValueError("geom_tol must be strictly positive")
-        if self.max_rotation_order < 2:
-            raise ValueError("max_rotation_order must be >= 2")
-
-
-DEFAULT_CTX = ToleranceContext()
 
 
 def as_point(p) -> np.ndarray:
@@ -106,14 +95,6 @@ def nearest_orthogonal(q: np.ndarray) -> np.ndarray:
     """
     u, _, vt = np.linalg.svd(np.asarray(q, dtype=float))
     return u @ vt
-
-
-def is_orthogonal(q: np.ndarray, tol: float = GEOM_TOL) -> bool:
-    """True iff ``||Q^T Q - I||_max <= tol``."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (3, 3) or not np.all(np.isfinite(q)):
-        return False
-    return float(np.abs(q.T @ q - np.eye(3)).max()) <= tol
 
 
 def check_orthogonal(q: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
@@ -259,17 +240,16 @@ def element_kind(q: np.ndarray, order: Optional[int]) -> ElementKind:
     return ElementKind(kind, order, _axis(-q, False))
 
 
-def classify_element(q: np.ndarray, ctx: ToleranceContext = DEFAULT_CTX) -> ElementKind:
+def classify_element(q: np.ndarray) -> ElementKind:
     """Classify a single orthogonal map as a symmetry element.
 
     The order is the smallest k with q^k within ``ELEMENT_TOL`` of I,
-    searched up to ``ctx.max_rotation_order`` (twice that for improper
-    maps, whose orders are even).  Raises :class:`NonOrthogonal` if the
-    input is not orthogonal within ``ctx.geom_tol`` scaled up to a loose
-    sanity threshold.
+    searched up to ``MAX_ROTATION_ORDER`` (twice that for improper maps,
+    whose orders are even).  Raises :class:`NonOrthogonal` if the input is
+    not orthogonal within ``ORTHO_TOL``.
     """
-    q = check_orthogonal(q, max(ctx.geom_tol, 1e-7))
-    cap = ctx.max_rotation_order * (1 if np.linalg.det(q) > 0.0 else 2)
+    q = check_orthogonal(q, ORTHO_TOL)
+    cap = MAX_ROTATION_ORDER * (1 if np.linalg.det(q) > 0.0 else 2)
     p = q
     for k in range(1, cap + 1):
         if float(np.abs(p - np.eye(3)).max()) <= ELEMENT_TOL:

@@ -22,8 +22,7 @@ import numpy as np
 
 from .delone_core import PointPatch, cluster
 from .equivalence import cluster_classes
-from .errors import UnknownLabel
-from .geometry import DEFAULT_CTX, ToleranceContext
+from .errors import MarginViolation, NoUsableCenters, UnknownLabel
 from .point_group import PointGroup, _match, omega, stabilizer
 
 __all__ = [
@@ -240,8 +239,7 @@ def _groups_equal(g1: PointGroup, g2: PointGroup) -> bool:
             and bool((_match(g2.elements, g1.elements) >= 0).all()))
 
 
-def local_criterion(patch: PointPatch, rho0: float, R: float,
-                    ctx: ToleranceContext = DEFAULT_CTX) -> CriterionVerdict:
+def local_criterion(patch: PointPatch, rho0: float, R: float) -> CriterionVerdict:
     """Evaluate the local criterion: N(rho0 + 2R) = 1 and
     S_x0(rho0) = S_x0(rho0 + 2R) at the lexicographically smallest usable
     center x0.
@@ -250,7 +248,7 @@ def local_criterion(patch: PointPatch, rho0: float, R: float,
     violations (box too small for rho0 + 2R) raise rather than truncate.
     """
     rho_big = float(rho0) + 2.0 * float(R)
-    dec = cluster_classes(patch, rho_big, ctx)
+    dec = cluster_classes(patch, rho_big)
     if dec.N != 1:
         return CriterionVerdict(
             regular=False, rho0=float(rho0), n_classes=dec.N,
@@ -285,14 +283,11 @@ class ScenarioReport:
     note: Optional[str] = None
 
 
-def classify_scenario(patch: PointPatch, R: float,
-                      ctx: ToleranceContext = DEFAULT_CTX) -> ScenarioReport:
+def classify_scenario(patch: PointPatch, R: float) -> ScenarioReport:
     """Compute N(2R), the 2R-cluster group label when N(2R) = 1, its table
     bound, and the local criterion at rho0 = 2R if the box margin allows."""
-    from .errors import MarginViolation, NoUsableCenters
-
     rho = 2.0 * float(R)
-    dec = cluster_classes(patch, rho, ctx)
+    dec = cluster_classes(patch, rho)
     label = order = bound_row = None
     note = None
     if dec.N == 1:
@@ -307,7 +302,7 @@ def classify_scenario(patch: PointPatch, R: float,
         note = "clusters not mutually equivalent"
     verdict = None
     try:
-        verdict = local_criterion(patch, rho, R, ctx)
+        verdict = local_criterion(patch, rho, R)
     except (MarginViolation, NoUsableCenters):
         extra = f"box too small for the criterion at rho0 = {rho:g}"
         note = extra if note is None else f"{note}; {extra}"

@@ -72,6 +72,11 @@ class TestAnalyze:
         assert "table_bound = 10R" in out
         assert "local_criterion = regular" in out
 
+    def test_no_tolerance_flag(self, c4v_file, capsys):
+        code, out, err = run(capsys, "--tol", "1e-6", "analyze", str(c4v_file))
+        assert code == 2  # argparse usage error: tolerances are constants
+        assert out == ""
+
     def test_symbolic_radius(self, c4v_file, capsys):
         code, out, err = run(capsys, "analyze", str(c4v_file), "--rho", "2R")
         assert code == 0

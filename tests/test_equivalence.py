@@ -189,6 +189,17 @@ class TestClusterClasses:
         for rho in (0.3, 0.6, 0.95):
             assert cluster_classes(z3_patch, rho).N == 1
 
+    @pytest.mark.parametrize("sigma", [1e-12, 1e-11])
+    @pytest.mark.parametrize("s", [1.0000005, 1.0000025])
+    def test_noisy_scaled_lattice_single_class(self, z3_patch, s, sigma):
+        # Equal profiles on either side of a 6-decimal rounding boundary:
+        # the class loop must compare them as cluster_isometry does.
+        rng = np.random.default_rng(1)
+        pts = z3_patch.points * s + rng.normal(scale=sigma, size=(len(z3_patch), 3))
+        p = dl.PointPatch(pts, [-4 * s - 0.01] * 3, [4 * s + 0.01] * 3)
+        for rho in (1.1 * s, 1.5 * s):
+            assert cluster_classes(p, rho).N == 1
+
     def test_assignment_covers_all_usable_centers(self, z3_patch):
         dec = cluster_classes(z3_patch, 1.5)
         assert len(dec.assignment) == len(z3_patch.usable_centers(1.5))

@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from delone_local.errors import DegenerateFrame, NonOrthogonal
 from delone_local.geometry import (
-    DEFAULT_CTX,
     Isometry,
-    ToleranceContext,
     canonical_axis,
     classify_element,
     frame_isometry,
@@ -176,14 +174,6 @@ class TestIsometryAlgebra:
         d0 = np.linalg.norm(a - b, axis=1)
         d1 = np.linalg.norm(iso.apply(a) - iso.apply(b), axis=1)
         assert np.abs(d0 - d1).max() < 1e-12
-
-
-class TestToleranceContext:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ToleranceContext(geom_tol=0.0)
-        with pytest.raises(ValueError):
-            ToleranceContext(max_rotation_order=1)
 
     def test_nearest_orthogonal_projects(self):
         rng = np.random.default_rng(5)
