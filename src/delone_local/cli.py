@@ -353,7 +353,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (DeloneError, OSError) as e:
+    # every ValueError raised in the package rejects an argument or input
+    except (DeloneError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     TooFewPoints,
 )
-from .geometry import GEOM_TOL, as_point, as_points
+from .geometry import GEOM_TOL, _complete_basis, as_point, as_points
 
 __all__ = [
     "PointPatch",
@@ -145,13 +145,13 @@ class Cluster:
         d.flags.writeable = False
         return d
 
-    def affine_dimension(self, tol: float = 1e-9) -> int:
-        """Dimension of the affine hull of the members."""
+    def affine_dimension(self) -> int:
+        """Dimension of the affine hull: singular values > 1e-9 max(1, s_max)."""
         if len(self.members) <= 1:
             return 0
         diffs = self.members - self.members[0]
         s = np.linalg.svd(diffs, compute_uv=False)
-        return int(np.sum(s > tol * max(1.0, float(s[0]))))
+        return int(np.sum(s > 1e-9 * max(1.0, float(s[0]))))
 
     @cached_property
     def frame(self) -> Optional[np.ndarray]:
@@ -178,9 +178,18 @@ class Cluster:
                 return picked
             k *= 2
 
+    @cached_property
+    def frame_inv(self) -> np.ndarray:
+        """Inverse of the frame completed to a basis (cached; needs a frame)."""
+        return np.linalg.inv(_complete_basis(self.frame))
 
-def _greedy_frame(cand: np.ndarray, want: int,
-                  tol: float = 1e-9) -> Optional[np.ndarray]:
+    @cached_property
+    def offset_tree(self) -> cKDTree:
+        """KD-tree of the offsets (cached), the target of map verification."""
+        return cKDTree(self.offsets)
+
+
+def _greedy_frame(cand: np.ndarray, want: int) -> Optional[np.ndarray]:
     """The first ``want`` vectors of the greedy frame of ``cand`` (ties
     break to the first index), or None if they would be dependent."""
     picked = [cand[int(np.argmax(np.round(np.einsum("ij,ij->i", cand, cand), 9)))]]
@@ -192,7 +201,7 @@ def _greedy_frame(cand: np.ndarray, want: int,
             score = np.abs(cand @ np.cross(picked[0], picked[1]))
         score = np.round(score, 9)
         i = int(np.argmax(score))
-        if score[i] <= tol:
+        if score[i] <= 1e-9:
             return None
         picked.append(cand[i])
     return np.array(picked)

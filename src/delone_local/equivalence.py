@@ -1,18 +1,14 @@
 """Cluster equivalence and the cluster-counting function N(rho).
 
 Two clusters are equivalent when some isometry maps center to center and
-member set onto member set.  The search is frame-based, with one
-candidate generator for clusters of affine dimension k = 1, 2 or 3: the
-first cluster's frame (:attr:`Cluster.frame`, k independent offsets) is
-matched against k-tuples of the second cluster's offsets with the same
-norms and pairwise dot products, in lexicographic order; each tuple gives
-one orthogonal map (both tuples completed to a basis, q = G F^-1, gated
-on orthogonality and snapped), and the maps are yielded lazily so the
-search stops at the first one whose full member-set bijection a KD-tree
-verifies.
-
-The same generator is reused by :mod:`delone_local.point_group` to
-enumerate stabilizer elements (frames matched within one cluster).
+member set onto member set.  One lazy generator, ``_maps(a, b)``, serves
+clusters of affine dimension k = 1, 2 or 3: a's frame (k independent
+offsets) is matched against k-tuples of b's offsets with the same norms
+and pairwise dot products, in lexicographic order; each tuple gives one
+orthogonal map q = G F^-1 (both tuples completed to a basis), which is
+yielded once it maps b's offsets back onto a's cached KD-tree.
+:func:`cluster_isometry` takes its first map, and
+:func:`delone_local.point_group.stabilizer` all of ``_maps(c, c)``.
 """
 from __future__ import annotations
 
@@ -24,7 +20,7 @@ from scipy.spatial import cKDTree
 
 from .delone_core import Cluster, PointPatch, cluster
 from .errors import NoUsableCenters, RadiusMismatch
-from .geometry import GEOM_TOL, Isometry, _complete_basis, _frame_map
+from .geometry import GEOM_TOL, Isometry, _frame_map
 
 __all__ = [
     "ClusterClassDecomposition",
@@ -51,42 +47,39 @@ def _profiles_match(profiles: np.ndarray, d: np.ndarray, rho: float):
             <= 4.0 * match_tolerance(rho))
 
 
-def _sets_match(moved: np.ndarray, target: np.ndarray,
-                target_tree: cKDTree, tol: float) -> bool:
-    """True iff ``moved`` and ``target`` coincide as point sets within tol."""
-    if len(moved) != len(target):
+def _sets_match(moved: np.ndarray, tree: cKDTree, tol: float) -> bool:
+    """True iff ``moved`` and the points of ``tree`` coincide within tol."""
+    if len(moved) != tree.n:
         return False
-    d, idx = target_tree.query(moved)
-    if float(d.max()) > tol:
-        return False
-    return len(np.unique(idx)) == len(target)
+    d, idx = tree.query(moved)
+    return float(d.max()) <= tol and len(np.unique(idx)) == tree.n
 
 
-def _candidate_maps(frame: np.ndarray, targets: np.ndarray,
-                    rho: float) -> Iterator[np.ndarray]:
-    """Lazily yield orthogonal maps sending the k = 1, 2 or 3 ``frame``
-    vectors onto congruent k-tuples of ``targets`` (both given as offsets
-    from their centers), in lexicographic order of the tuples.
+def _maps(a: Cluster, b: Cluster) -> Iterator[np.ndarray]:
+    """Lazily yield each orthogonal q with q(a.offsets) = b.offsets, in
+    lexicographic order of the k-tuples of b's offsets (norms and dot
+    products prefiltered, zero offset skipped) that a's frame goes to.
 
-    A tuple must match the frame's norms and pairwise dot products before
-    the solve; the center's own zero offset, if passed, is skipped.  Every
-    yielded matrix is orthogonal (snapped), but full-set verification is
-    the caller's job.
+    Each solved q is snapped onto O(3) and verified: q^T(b.offsets) must
+    match a's cached :attr:`Cluster.offset_tree` within match_tolerance.
     """
-    mtol = match_tolerance(rho)
+    frame = a.frame
+    if frame is None:
+        return
+    mtol = match_tolerance(a.radius)
     norm_tol = 4.0 * mtol
-    dot_tol = 40.0 * max(1.0, rho) * mtol
+    dot_tol = 40.0 * max(1.0, a.radius) * mtol
+    targets = b.offsets
     tnorms = np.linalg.norm(targets, axis=1)
     gram = frame @ frame.T
-    frame_inv = np.linalg.inv(_complete_basis(frame))
     cands = [targets[(np.abs(tnorms - fn) <= norm_tol) & (tnorms > 1e-12)]
              for fn in np.linalg.norm(frame, axis=1)]
 
     def extend(images: List[np.ndarray]) -> Iterator[np.ndarray]:
         i = len(images)
         if i == len(frame):
-            q = _frame_map(images, frame_inv, 1e-5)
-            if q is not None:
+            q = _frame_map(images, a.frame_inv, 1e-5)
+            if q is not None and _sets_match(targets @ q, a.offset_tree, mtol):
                 yield q
             return
         ok = cands[i]
@@ -95,7 +88,7 @@ def _candidate_maps(frame: np.ndarray, targets: np.ndarray,
         for g in ok:
             yield from extend(images + [g])
 
-    return extend([])
+    yield from extend([])
 
 
 def cluster_isometry(a: Cluster, b: Cluster) -> Optional[Isometry]:
@@ -111,16 +104,8 @@ def cluster_isometry(a: Cluster, b: Cluster) -> Optional[Isometry]:
         return None
     if len(a) == 1:
         return Isometry.translation(b.center - a.center)
-    if a.frame is None:
-        return None
-
-    b_tree = cKDTree(b.members)
-    mtol = match_tolerance(a.radius)
-    for q in _candidate_maps(a.frame, b.offsets, a.radius):
-        iso = Isometry(q, b.center - q @ a.center)
-        if _sets_match(iso.apply(a.members), b.members, b_tree, mtol):
-            return iso
-    return None
+    q = next(_maps(a, b), None)
+    return None if q is None else Isometry(q, b.center - q @ a.center)
 
 
 @dataclass(frozen=True)

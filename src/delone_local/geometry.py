@@ -162,16 +162,16 @@ class ElementKind:
     axis: Optional[np.ndarray] = None
 
 
-def canonical_axis(v: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
+def canonical_axis(v: np.ndarray) -> np.ndarray:
     """Unit vector with the sign fixed so the first component larger than
-    ``tol`` in absolute value is positive."""
+    ``GEOM_TOL`` in absolute value is positive."""
     v = np.asarray(v, dtype=float)
     n = float(np.linalg.norm(v))
     if n == 0.0:
         raise ValueError("zero vector has no axis")
     v = v / n
     for comp in v:
-        if abs(comp) > tol:
+        if abs(comp) > GEOM_TOL:
             if comp < 0:
                 v = -v
             break
@@ -283,27 +283,28 @@ def _frame_map(images, frame_inv: np.ndarray, gate: float) -> Optional[np.ndarra
     return nearest_orthogonal(q)
 
 
-def frame_isometry(src, dst, tol: float = 1e-9) -> Optional[Isometry]:
+def frame_isometry(src, dst) -> Optional[Isometry]:
     """Unique isometry mapping one point quadruple onto another.
 
     ``src`` and ``dst`` are sequences of four points; the first point of
     each is the distinguished center.  The three difference vectors of
-    ``src`` must span R^3 (otherwise :class:`DegenerateFrame`).  Returns
-    the isometry g with g(src[i]) = dst[i] for all i if the quadruples are
-    congruent within ``tol``; returns None otherwise.
+    ``src`` must span R^3 (|det| > 1e-9, else :class:`DegenerateFrame`).
+    Returns the isometry g with g(src[i]) = dst[i] for all i if the
+    quadruples are congruent (q orthogonal within 1e-6, points within
+    1e-8); returns None otherwise.
     """
     s = as_points(src)
     d = as_points(dst)
     if s.shape != (4, 3) or d.shape != (4, 3):
         raise ValueError("frames must consist of exactly 4 points")
     A = _complete_basis(s[1:] - s[0])  # columns: difference vectors of src
-    if abs(np.linalg.det(A)) <= tol:
+    if abs(np.linalg.det(A)) <= 1e-9:
         raise DegenerateFrame("source frame difference vectors do not span R^3")
-    q = _frame_map(d[1:] - d[0], np.linalg.inv(A), max(tol * 1e3, 1e-7))
+    q = _frame_map(d[1:] - d[0], np.linalg.inv(A), 1e-6)
     if q is None:
         return None
     t = d[0] - q @ s[0]
     iso = Isometry(q, t)
-    if float(np.abs(iso.apply(s) - d).max()) > max(tol * 10.0, 1e-8):
+    if float(np.abs(iso.apply(s) - d).max()) > 1e-8:
         return None
     return iso

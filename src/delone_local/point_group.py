@@ -1,14 +1,14 @@
 """Cluster stabilizers, Schoenflies classification, and tower heights.
 
 The stabilizer S_x(rho) of a cluster is the finite group of orthogonal
-maps about the center that map the member set onto itself.  Elements are
-found with the same frame-matching candidate machinery used for cluster
-equivalence and each verified against the full member set.  The
-Schoenflies label is then read off the product table of the elements,
-which also checks that they form a group: each element's order is its
-cycle length in the table, proper or improper is the sign of its
-determinant, and its axis comes in closed form (see
-``geometry.element_kind``).  No angle is compared against a tolerance.
+maps about the center that map the member set onto itself: every map the
+verified-map generator of cluster equivalence yields from the cluster to
+itself.  A :class:`PointGroup` is checked once, when it is built: the
+product table of its elements must be a group's, and the Schoenflies
+label is read off that table: each element's order is its cycle length
+in the table, proper or improper is the sign of its determinant, and its
+axis comes in closed form (see ``geometry.element_kind``).  No angle is
+compared against a tolerance.
 
 Group elements are compared in one way only: stacked as 9-vectors in a
 KD-tree and matched within ``geometry.ELEMENT_TOL`` (max-norm).
@@ -19,14 +19,14 @@ every finite subgroup of O(3) equals ``omega(|G|) + 1``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .delone_core import Cluster
-from .equivalence import _candidate_maps, _sets_match, match_tolerance
+from .equivalence import _maps
 from .errors import (
     GroupTooLarge,
     LowerDimensionalCluster,
@@ -98,11 +98,18 @@ class SchoenfliesLabel:
 
 @dataclass(frozen=True)
 class PointGroup:
-    """Finite group of orthogonal maps acting about a center point."""
+    """Finite group of orthogonal maps acting about a center point, checked
+    once, when built (:class:`NotAGroup`, :class:`GroupTooLarge`); the
+    element ``kinds`` and the ``label`` are read off that check's table."""
 
     center: np.ndarray
     elements: Tuple[np.ndarray, ...]
-    label: SchoenfliesLabel
+    kinds: Tuple[ElementKind, ...] = field(init=False, repr=False)
+    label: SchoenfliesLabel = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "kinds", tuple(_element_kinds(self.elements)))
+        object.__setattr__(self, "label", _label(self.kinds))
 
     @property
     def order(self) -> int:
@@ -146,10 +153,8 @@ def _closure_matrices(mats: Sequence[np.ndarray]) -> List[np.ndarray]:
 def group_from_generators(generators: Sequence[np.ndarray],
                           center=(0.0, 0.0, 0.0)) -> PointGroup:
     """Build a PointGroup as the closure of generator matrices."""
-    elements = _closure_matrices(generators)
-    label = schoenflies_from_matrices(elements)
     return PointGroup(center=np.asarray(center, dtype=float),
-                      elements=tuple(elements), label=label)
+                      elements=tuple(_closure_matrices(generators)))
 
 
 def _check_group(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -208,16 +213,9 @@ def stabilizer(c: Cluster) -> PointGroup:
     if c.affine_dimension() < 3:
         raise LowerDimensionalCluster(
             "cluster is not full-dimensional; its stabilizer is infinite")
-    offsets = c.offsets
-    mtol = match_tolerance(c.radius)
-    tree = cKDTree(offsets)
     # The frame is non-degenerate, so distinct frame images give distinct
     # maps, and the frame's own image gives the identity.
-    elements = [q for q in _candidate_maps(c.frame, offsets, c.radius)
-                if _sets_match(offsets @ q.T, offsets, tree, mtol)]
-    label = schoenflies_from_matrices(elements)
-    return PointGroup(center=c.center.copy(), elements=tuple(elements),
-                      label=label)
+    return PointGroup(center=c.center.copy(), elements=tuple(_maps(c, c)))
 
 
 # --- Schoenflies classification --------------------------------------------
@@ -235,24 +233,27 @@ def _perpendicular(u: np.ndarray, v: np.ndarray) -> bool:
 
 
 def schoenflies(g: PointGroup) -> SchoenfliesLabel:
-    """Classify a point group; see :func:`schoenflies_from_matrices`."""
-    return schoenflies_from_matrices(g.elements)
+    """Schoenflies label of a point group, read off when it was built."""
+    return g.label
 
 
 def schoenflies_from_matrices(elements: Sequence[np.ndarray]) -> SchoenfliesLabel:
-    """Schoenflies label of a finite subgroup of O(3) given its elements.
+    """Schoenflies label of a finite subgroup of O(3) given its elements,
+    checked to form a group (:class:`NotAGroup`, :class:`GroupTooLarge`)."""
+    return _label(_element_kinds(elements))
 
-    The elements are checked to form a group (:class:`NotAGroup` or
-    :class:`GroupTooLarge` otherwise) and classified through their
-    product table.  Decision tree: two or more rotation axes of order
-    >= 3 send us to the polyhedral branch (T/Td/Th/O/Oh/I/Ih by order,
-    inversion, and mirrors); otherwise each axis of maximal rotation
-    order is tried as the principal axis and the first axial label whose
-    order formula matches the group order wins (this resolves the
-    principal-axis ambiguity of D2-like groups).  Aliased labels are canonicalized:
+
+def _label(kinds: Sequence[ElementKind]) -> SchoenfliesLabel:
+    """Schoenflies label of a group from the kinds of its elements.
+
+    Decision tree: two or more rotation axes of order >= 3 send us to the
+    polyhedral branch (T/Td/Th/O/Oh/I/Ih by order, inversion, and
+    mirrors); otherwise each axis of maximal rotation order is tried as
+    the principal axis and the first axial label whose order formula
+    matches the group order wins (this resolves the principal-axis
+    ambiguity of D2-like groups).  Aliased labels are canonicalized:
     Cs = C1h -> S1, Ci -> S2, Cnh with odd n -> Sn.
     """
-    kinds = _element_kinds(elements)
     order = len(kinds)
 
     has_inversion = any(k.kind == "inversion" for k in kinds)
@@ -387,12 +388,12 @@ def tower_height_from_matrices(elements: Sequence[np.ndarray]) -> int:
 
 
 def tower_height(g: PointGroup) -> int:
-    """Tower height m(G) of a point group; see tower_height_from_matrices."""
-    return tower_height_from_matrices(list(g.elements))
+    """Tower height omega(|G|) + 1; see tower_height_from_matrices."""
+    return omega(g.order) + 1
 
 
 def max_rotation_order(c: Cluster) -> int:
     """Maximal order of a (proper) rotation in the cluster's stabilizer;
     1 if the stabilizer contains no nontrivial rotation."""
-    kinds = _element_kinds(stabilizer(c).elements)
-    return max((k.order for k in kinds if k.kind == "rotation"), default=1)
+    return max((k.order for k in stabilizer(c).kinds if k.kind == "rotation"),
+               default=1)

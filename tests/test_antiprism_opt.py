@@ -20,7 +20,7 @@ from delone_local.antiprism_opt import (
     optimize_lemma2,
     p_y_vertices,
 )
-from delone_local.errors import InfeasibleParams
+from delone_local.errors import BudgetExhausted, InfeasibleParams
 from delone_local.point_group import stabilizer
 
 from conftest import lemma1_values_oracle, py_vertices_oracle
@@ -247,6 +247,15 @@ class TestOptimizeLemma1:
         rep = optimize_lemma1(OptBudget(grid_phi=60, grid_psi=60,
                                         phi_range=(PHI_MIN, PHI_MIN + 0.05)))
         assert rep.best_value <= 1.0 + 1e-9
+
+
+class TestBudgetExhausted:
+    @pytest.mark.parametrize("optimize", [optimize_lemma1, optimize_lemma2])
+    def test_one_nelder_mead_step_converges_nowhere(self, optimize):
+        budget = OptBudget(nm_maxiter=1, grid_phi=20, grid_psi=20,
+                           grid_lemma2=8)
+        with pytest.raises(BudgetExhausted, match="no Nelder-Mead start"):
+            optimize(budget)
 
 
 class TestOptimizeLemma2:

@@ -1,5 +1,6 @@
 """The public API: every exported name resolves, and so does every
-function the benchmark's span tracer wraps (``perfbench/spans.py``)."""
+function the benchmark's span tracer wraps (``perfbench/spans.py``); one
+traced cycle of two benchmark workloads runs and checks out."""
 import importlib
 import pkgutil
 import sys
@@ -11,6 +12,7 @@ import delone_local
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import spans  # noqa: E402
+import workloads  # noqa: E402
 
 MODULES = ["delone_local"] + [
     f"delone_local.{m.name}" for m in pkgutil.iter_modules(delone_local.__path__)]
@@ -30,3 +32,23 @@ def test_traced_functions_exist():
         missing += [f"{mod}.{fn}" for fn in fns
                     if not callable(getattr(module, fn, None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("workload", ["groups", "analyze_regular"])
+def test_traced_cycle(workload, tmp_path):
+    # the path `perfbench/run.py --trace 1` takes, on one cycle of ops
+    ops = getattr(workloads, f"build_{workload}")(tmp_path, 1)
+    tracer = spans.Tracer()
+    tracer.install()
+    reasons = []
+    try:
+        for op in ops:
+            tracer.begin_op()
+            reasons.append(op.check(op.call()))
+    finally:
+        tracer.remove()
+    assert reasons == [None] * len(ops)
+    if workload == "groups":
+        totals = spans.layer_totals(tracer.spans, len(ops))
+        assert totals["point_group.stabilizer.calls"] == 1.0
+        assert totals["point_group.tower_height.calls"] == 1.0

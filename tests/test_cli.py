@@ -182,3 +182,27 @@ class TestShtogrinBound:
     def test_bad_n(self, capsys):
         code, out, err = run(capsys, "shtogrin-bound", "--n", "x")
         assert code == 2
+
+
+class TestBadArguments:
+    # each of these raised a ValueError out of main with a traceback
+    @pytest.mark.parametrize("argv", [
+        ["group", "{c4v}", "--center", "0", "0", "1", "--rho", "-1"],
+        ["analyze", "{c4v}", "--rho", "-2"],
+        ["check-local", "{c4v}", "--rho0", "-1"],
+        ["shtogrin-bound", "--n", "1"],
+        ["optimize", "lemma1", "--grid", "0"],
+        ["optimize", "lemma1", "--pair-filter", "-1"],
+        ["generate", "--kind", "hex", "--lambda", "-1",
+         "--box", "-2", "-2", "-2", "2", "2", "2"],
+        ["generate", "--kind", "antiprism", "--a", "-1"],
+        ["analyze", "{nan}"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_one_error_line(self, argv, c4v_file, tmp_path, capsys):
+        nan_file = tmp_path / "nan.xyz"
+        nan_file.write_text("# box -1 -1 -1 1 1 1\n0 0 0\nnan 0 0\n")
+        argv = [a.format(c4v=c4v_file, nan=nan_file) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err

@@ -200,6 +200,22 @@ class TestClusterClasses:
         for rho in (1.1 * s, 1.5 * s):
             assert cluster_classes(p, rho).N == 1
 
+    def test_one_kd_tree_per_representative(self, z3_patch, monkeypatch):
+        # maps are verified against the representative's cached tree, so
+        # no tree is built per cluster_isometry call
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return cKDTree(*args, **kwargs)
+
+        for mod in vars(dl).values():
+            if getattr(mod, "cKDTree", None) is cKDTree:
+                monkeypatch.setattr(mod, "cKDTree", counting)
+        dec = cluster_classes(z3_patch, 1.5)
+        assert dec.N == 1 and len(dec.assignment) > 1
+        assert 0 < len(built) <= dec.N
+
     def test_assignment_covers_all_usable_centers(self, z3_patch):
         dec = cluster_classes(z3_patch, 1.5)
         assert len(dec.assignment) == len(z3_patch.usable_centers(1.5))

@@ -209,10 +209,8 @@ class TestSchoenflies:
 
     def test_not_a_group(self):
         r = rotation_matrix([0, 0, 1], 2 * np.pi / 5)
-        g = PointGroup(center=np.zeros(3), elements=(np.eye(3), r),
-                       label=SchoenfliesLabel("C", 1))
         with pytest.raises(NotAGroup):
-            schoenflies(g)
+            PointGroup(center=np.zeros(3), elements=(np.eye(3), r))
         with pytest.raises(NotAGroup):
             schoenflies_from_matrices([np.eye(3), r])
 
@@ -316,6 +314,30 @@ class TestOmegaAndTowers:
         c121 = [rotation_matrix([0, 0, 1], 2 * np.pi * k / 121) for k in range(121)]
         with pytest.raises(GroupTooLarge):
             tower_height_from_matrices(c121)
+
+
+class TestCheckedOnce:
+    def test_group_check_runs_once(self, z3_patch, monkeypatch):
+        # cluster -> stabilizer -> tower_height, the sequence behind
+        # `delone group`: the group check runs when the PointGroup is
+        # built and never again
+        calls = []
+        check = point_group._check_group
+        monkeypatch.setattr(point_group, "_check_group",
+                            lambda m: calls.append(1) or check(m))
+        g = stabilizer(dl.cluster(z3_patch, [0, 0, 0], 1.0))
+        assert tower_height(g) == 6
+        assert str(schoenflies(g)) == str(g.label) == "Oh"
+        assert len(calls) == 1
+
+    def test_label_follows_elements(self):
+        # no label can be passed in, so none can disagree with the elements
+        c4 = rotation_matrix([0, 0, 1], np.pi / 2)
+        g = PointGroup(np.zeros(3), (np.eye(3), c4, c4 @ c4, c4.T))
+        assert str(g.label) == "C4"
+        assert [k.kind for k in g.kinds] == ["identity"] + ["rotation"] * 3
+        with pytest.raises(TypeError):
+            PointGroup(np.zeros(3), (np.eye(3),), SchoenfliesLabel("C", 1))
 
 
 class TestMaxRotationOrder:

@@ -4,7 +4,7 @@ import pytest
 
 import delone_local as dl
 from delone_local.errors import MarginViolation, UnknownLabel
-from delone_local.point_group import PointGroup, SchoenfliesLabel
+from delone_local.point_group import PointGroup
 from delone_local.regularity import (
     TABLE,
     _groups_equal,
@@ -190,8 +190,7 @@ class TestLocalCriterion:
         def c2(theta):
             u = np.array([np.cos(theta), np.sin(theta), 0.0])
             half_turn = 2.0 * np.outer(u, u) - np.eye(3)
-            return PointGroup(np.zeros(3), (np.eye(3), half_turn),
-                              SchoenfliesLabel("C", 2))
+            return PointGroup(np.zeros(3), (np.eye(3), half_turn))
 
         theta = 0.5 * np.arccos(0.1234565)
         assert _groups_equal(c2(theta), c2(theta + 1e-9))
