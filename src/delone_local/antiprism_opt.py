@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-#: Default feasibility tolerance for the equality/inequality constraints.
+#: Feasibility tolerance for the equality/inequality constraints.
 FEAS_TOL = 1e-9
 
 # Feasible (a, b) = (cos phi, sin phi) with a, b > 0: a^2 >= b^2 gives
@@ -88,9 +88,6 @@ class Lemma1Params:
         ]
         return max(res)
 
-    def feasible(self, feas_tol: float = FEAS_TOL) -> bool:
-        return self.feasibility_residual() <= feas_tol and self.b != 0.0
-
     @staticmethod
     def from_angles(phi: float, psi: float) -> "Lemma1Params":
         """Exact parameterization of the feasible manifold (_angle_params)."""
@@ -120,13 +117,6 @@ class Lemma2Params:
             max(0.0, -y),
         ]
         return max(res)
-
-    def feasible(self, feas_tol: float = FEAS_TOL) -> bool:
-        if self.feasibility_residual() > feas_tol:
-            return False
-        # the three strict inequalities must hold strictly
-        return (self.a * self.a + self.b * self.b > 1.0
-                and 0.0 < self.b < 0.5)
 
 
 @dataclass(frozen=True)
@@ -207,23 +197,23 @@ def _vertex_pairs(a, b, x, y, z):
     return px, py
 
 
-def _checked_pairs(p: Lemma1Params, feas_tol: float):
+def _checked_pairs(p: Lemma1Params):
     if p.b == 0.0:
         raise ZeroDivisionError("b = 0: antiprism bases coincide")
-    if p.feasibility_residual() > feas_tol:
+    if p.feasibility_residual() > FEAS_TOL:
         raise InfeasibleParams(
-            f"constraint residual {p.feasibility_residual():.3e} > {feas_tol:g}")
+            f"constraint residual {p.feasibility_residual():.3e} > {FEAS_TOL:g}")
     return _vertex_pairs(p.a, p.b, p.x, p.y, p.z)
 
 
-def p_y_vertices(p: Lemma1Params, feas_tol: float = FEAS_TOL) -> np.ndarray:
+def p_y_vertices(p: Lemma1Params) -> np.ndarray:
     """The 8 vertices of the antiprism P_y determined by feasible
     problem-1 parameters, as an (8, 3) array (see ``_vertex_pairs``).
 
     Raises InfeasibleParams for infeasible p and ZeroDivisionError when
     b = 0.
     """
-    return np.array(_checked_pairs(p, feas_tol)[1])
+    return np.array(_checked_pairs(p)[1])
 
 
 def _min_pair_distance(px, py, pair_filter: float) -> float:
@@ -239,11 +229,10 @@ def _min_pair_distance(px, py, pair_filter: float) -> float:
     return best
 
 
-def lemma1_objective(p: Lemma1Params, pair_filter: float = 0.01,
-                     feas_tol: float = FEAS_TOL) -> float:
+def lemma1_objective(p: Lemma1Params, pair_filter: float = 0.01) -> float:
     """Minimal distance between vertices of P_x and P_y at least
     ``pair_filter`` apart (the problem-1 objective)."""
-    return _min_pair_distance(*_checked_pairs(p, feas_tol), pair_filter)
+    return _min_pair_distance(*_checked_pairs(p), pair_filter)
 
 
 def _lemma1_value(phi: float, psi: float, pair_filter: float) -> float:
@@ -331,11 +320,11 @@ def optimize_lemma1(budget: OptBudget = OptBudget()) -> OptimizationReport:
     return _refine(neg, clamp, vals, (P, S), budget, Lemma1Params.from_angles)
 
 
-def lemma2_objective(p: Lemma2Params, feas_tol: float = FEAS_TOL) -> float:
+def lemma2_objective(p: Lemma2Params) -> float:
     """The problem-2 objective |z u1| + |z u2| - 1 - sqrt(a^2 + b^2)."""
-    if p.feasibility_residual() > feas_tol:
+    if p.feasibility_residual() > FEAS_TOL:
         raise InfeasibleParams(
-            f"constraint residual {p.feasibility_residual():.3e} > {feas_tol:g}")
+            f"constraint residual {p.feasibility_residual():.3e} > {FEAS_TOL:g}")
     return float(_lemma2_value(p.a, p.b, p.x, p.y))
 
 

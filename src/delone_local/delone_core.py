@@ -118,7 +118,7 @@ class PointPatch:
         return lex_sort(self.points[self.ball_inside_box(self.points, rho)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cluster:
     """The cluster C_x(rho): all set points within the closed rho-ball at x."""
 
@@ -215,15 +215,19 @@ def packing_diameter(patch: PointPatch) -> float:
     return float(d[:, 1].min())
 
 
-def covering_radius(patch: PointPatch, grid_h: float = 0.05) -> float:
+#: Spacing of the grid scan ``covering_radius`` falls back to.
+_GRID_H = 0.05
+
+
+def covering_radius(patch: PointPatch) -> float:
     """Radius of the largest empty ball centered well inside the box.
 
     The maximizing center is sought among Voronoi vertices of the patch
     (the only local maxima of the distance-to-set function away from the
     boundary), restricted to centers whose empty ball lies inside the
-    trusted box.  Falls back to a uniform grid scan at resolution
-    ``grid_h`` if the Voronoi construction degenerates; the fallback is
-    accurate to ``grid_h * sqrt(3)``.
+    trusted box.  Falls back to a uniform grid scan at spacing ``_GRID_H``
+    if the Voronoi construction degenerates; the fallback is accurate to
+    ``_GRID_H * sqrt(3)``.
     """
     if len(patch) < 2:
         raise TooFewPoints("covering_radius needs at least two points")
@@ -235,7 +239,7 @@ def covering_radius(patch: PointPatch, grid_h: float = 0.05) -> float:
 
     best = _covering_from_candidates(patch, verts) if verts is not None else None
     if best is None:
-        best = _covering_from_candidates(patch, _grid_candidates(patch, grid_h))
+        best = _covering_from_candidates(patch, _grid_candidates(patch, _GRID_H))
     if best is None:
         raise BoxTooSmall("no empty-ball center fits inside the trusted box")
     return best
@@ -317,9 +321,12 @@ def load_patch(path) -> PointPatch:
     """Read a patch from the point-set file format.
 
     If no "# box" header is present, the bounding box of the points
-    (padded by nothing) is used as the trusted box.
+    (padded by nothing) is used as the trusted box.  A point outside the
+    box by more than ``geom_tol`` raises :class:`ParseError`: the patch
+    would no longer be the set's intersection with its box.
     """
     pts = []
+    linenos = []
     box = None
     declared_R = None
     with open(path, "r", encoding="utf-8") as f:
@@ -352,6 +359,7 @@ def load_patch(path) -> PointPatch:
                 pts.append([float(v) for v in fields])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad coordinate") from None
+            linenos.append(lineno)
     if not pts:
         raise ParseError("no points in file")
     points = np.array(pts, dtype=float)
@@ -362,4 +370,10 @@ def load_patch(path) -> PointPatch:
         span = hi - lo
         pad = np.where(span <= 0, 0.5, 0.0)
         box = (lo - pad, hi + pad)
-    return PointPatch(points, box[0], box[1], declared_R=declared_R)
+    patch = PointPatch(points, box[0], box[1], declared_R=declared_R)
+    outside = np.flatnonzero(~patch.ball_inside_box(points, 0.0))
+    if len(outside):
+        i = outside[0]
+        raise ParseError(f"line {linenos[i]}: point {points[i].tolist()} "
+                         "lies outside the box")
+    return patch

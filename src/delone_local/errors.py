@@ -65,7 +65,8 @@ class NotAGroup(DeloneError):
 
 
 class UnrecognizedGroup(DeloneError):
-    """The classification decision tree exhausted without a label.
+    """A group's counts (proper elements, largest rotation order,
+    reflections) fit no finite subgroup of O(3) in the classification.
 
     Cannot happen for genuine finite subgroups of O(3); raised defensively.
     """

@@ -17,7 +17,7 @@ import numpy as np
 
 from .delone_core import PointPatch
 from .errors import BoxTooSmall, DegenerateAntiprism, InvalidShift
-from .geometry import as_point
+from .geometry import GEOM_TOL, as_point
 
 __all__ = [
     "HexLatticeSpec",
@@ -29,8 +29,6 @@ __all__ = [
     "antiprism_points",
     "antiprism_patch",
 ]
-
-_CLIP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,10 +83,10 @@ class BiLatticeSpec:
     def __post_init__(self) -> None:
         t = as_point(self.t)
         object.__setattr__(self, "t", (float(t[0]), float(t[1]), float(t[2])))
-        if abs(t[0]) > _CLIP_TOL or abs(t[1]) > _CLIP_TOL:
+        if abs(t[0]) > GEOM_TOL or abs(t[1]) > GEOM_TOL:
             raise InvalidShift("shift must be orthogonal to the layer plane")
         step = np.sqrt(self.hex.mu)
-        if not (_CLIP_TOL < abs(t[2]) < step - _CLIP_TOL):
+        if not (GEOM_TOL < abs(t[2]) < step - GEOM_TOL):
             raise InvalidShift(
                 f"|t_z| must lie strictly between 0 and sqrt(mu) = {step:g}")
 
@@ -113,7 +111,7 @@ def _validate_box(box_lo, box_hi) -> Tuple[np.ndarray, np.ndarray]:
 def cubic_lattice(box_lo, box_hi) -> PointPatch:
     """All integer points in the closed box."""
     lo, hi = _validate_box(box_lo, box_hi)
-    axes = [np.arange(ceil(l - _CLIP_TOL), floor(h + _CLIP_TOL) + 1)
+    axes = [np.arange(ceil(l - GEOM_TOL), floor(h + GEOM_TOL) + 1)
             for l, h in zip(lo, hi)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     return PointPatch(_order_zyx(pts.astype(float)), lo, hi)
@@ -131,8 +129,8 @@ def _lattice_points(basis: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     ranges = [np.arange(a, b + 1) for a, b in zip(n_lo, n_hi)]
     idx = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, 3)
     pts = idx.astype(float) @ basis + shift
-    inside = (np.all(pts >= lo - _CLIP_TOL, axis=1)
-              & np.all(pts <= hi + _CLIP_TOL, axis=1))
+    inside = (np.all(pts >= lo - GEOM_TOL, axis=1)
+              & np.all(pts <= hi + GEOM_TOL, axis=1))
     return pts[inside]
 
 
@@ -159,7 +157,7 @@ def c4v_example(box_lo, box_hi) -> PointPatch:
     is sqrt(3/2) (deep hole at half-integer x, y on a removed layer).
     """
     lo, hi = _validate_box(box_lo, box_hi)
-    axes = [np.arange(ceil(l - _CLIP_TOL), floor(h + _CLIP_TOL) + 1)
+    axes = [np.arange(ceil(l - GEOM_TOL), floor(h + GEOM_TOL) + 1)
             for l, h in zip(lo, hi)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     pts = pts[pts[:, 2] % 3 != 0]

@@ -15,13 +15,16 @@ Conventions:
 
 Tolerances are fixed constants, not parameters:
     * ``GEOM_TOL`` = 1e-9: absolute distance tolerance on unit-scale data
-      (patch membership, center lookup, the box margin, packing checks).
+      (patch membership, center lookup, the box margin, packing checks,
+      the generators' box clipping, a file's points against its box).
     * ``ELEMENT_TOL`` = 1e-6: two orthogonal maps are the same element iff
       their max-norm difference is at most this.
     * ``ORTHO_TOL`` = 1e-7: the orthogonality residual
       :func:`classify_element` accepts.
     * ``MAX_ROTATION_ORDER`` = 24: the largest rotation order
       :func:`classify_element` detects in a single matrix.
+    * ``antiprism_opt.FEAS_TOL`` = 1e-9: the constraint residual the
+      antiprism objectives accept.
     * Cluster matching uses ``equivalence.match_tolerance(rho)`` =
       1e-7 max(1, rho).
 """
@@ -110,7 +113,7 @@ def check_orthogonal(q: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
     return q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Isometry:
     """Affine isometry p -> Q p + t of R^3."""
 
@@ -143,7 +146,7 @@ class Isometry:
         return Isometry(qi, -(qi @ self.t))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ElementKind:
     """Classified symmetry element of an orthogonal map.
 

@@ -4,11 +4,23 @@ The stabilizer S_x(rho) of a cluster is the finite group of orthogonal
 maps about the center that map the member set onto itself: every map the
 verified-map generator of cluster equivalence yields from the cluster to
 itself.  A :class:`PointGroup` is checked once, when it is built: the
-product table of its elements must be a group's, and the Schoenflies
-label is read off that table: each element's order is its cycle length
-in the table, proper or improper is the sign of its determinant, and its
-axis comes in closed form (see ``geometry.element_kind``).  No angle is
-compared against a tolerance.
+product table of its elements must be a group's, and each element's kind
+is read off it (order = cycle length in the table, proper or improper =
+sign of the determinant, axis in closed form: ``geometry.element_kind``).
+
+The Schoenflies label follows from integers alone, by the classification
+of the finite subgroups of O(3): with p = |G+| proper elements, n the
+largest rotation order and m reflections, the first rule that fits is
+
+* p = n (G+ = Cn): Cn if all elements are proper; else Sn (n odd) or Cnh
+  (n even) if m = 1, Cnv if m = n, S2n if m = 0;
+* p = 2n (G+ = Dn): Dn if all are proper; else Dnh if m = n + 1, Dnd if
+  m = n;
+* (p, n) = (12, 3), (24, 4), (60, 5): T, O, I if all are proper; else Th
+  (inversion present) or Td (absent), Oh, Ih;
+
+and any other count raises :class:`UnrecognizedGroup`.  No axis is read
+and no angle is compared against a tolerance.
 
 Group elements are compared in one way only: stacked as 9-vectors in a
 KD-tree and matched within ``geometry.ELEMENT_TOL`` (max-norm).
@@ -115,6 +127,17 @@ class PointGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    def __eq__(self, other) -> bool:
+        """Equal element sets, centers aside: checked groups list no element
+        twice, so equal orders and each element of self in other suffice."""
+        if not isinstance(other, PointGroup):
+            return NotImplemented
+        return (self.order == other.order
+                and bool((_match(other.elements, self.elements) >= 0).all()))
+
+    def __hash__(self) -> int:
+        return hash(self.order)
+
 
 def _match(elements, queries) -> np.ndarray:
     """Index of the element within ELEMENT_TOL (max-norm) of each query
@@ -220,18 +243,6 @@ def stabilizer(c: Cluster) -> PointGroup:
 
 # --- Schoenflies classification --------------------------------------------
 
-#: Two unit axes are parallel iff |cos| of their angle is within this of 1.
-_ANG_TOL = 1e-6
-
-
-def _parallel(u: np.ndarray, v: np.ndarray) -> bool:
-    return abs(abs(float(np.dot(u, v))) - 1.0) <= _ANG_TOL
-
-
-def _perpendicular(u: np.ndarray, v: np.ndarray) -> bool:
-    return abs(float(np.dot(u, v))) <= _ANG_TOL
-
-
 def schoenflies(g: PointGroup) -> SchoenfliesLabel:
     """Schoenflies label of a point group, read off when it was built."""
     return g.label
@@ -244,107 +255,36 @@ def schoenflies_from_matrices(elements: Sequence[np.ndarray]) -> SchoenfliesLabe
 
 
 def _label(kinds: Sequence[ElementKind]) -> SchoenfliesLabel:
-    """Schoenflies label of a group from the kinds of its elements.
-
-    Decision tree: two or more rotation axes of order >= 3 send us to the
-    polyhedral branch (T/Td/Th/O/Oh/I/Ih by order, inversion, and
-    mirrors); otherwise each axis of maximal rotation order is tried as
-    the principal axis and the first axial label whose order formula
-    matches the group order wins (this resolves the principal-axis
-    ambiguity of D2-like groups).  Aliased labels are canonicalized:
-    Cs = C1h -> S1, Ci -> S2, Cnh with odd n -> Sn.
-    """
-    order = len(kinds)
-
-    has_inversion = any(k.kind == "inversion" for k in kinds)
-    reflections = [k for k in kinds if k.kind == "reflection"]
-    rotations = [k for k in kinds if k.kind == "rotation"]
-    rotoreflections = [k for k in kinds if k.kind == "rotoreflection"]
-
-    # distinct rotation axes, in order of first appearance (each rotation
-    # joins the first known axis it is parallel to), with their maximal order
-    axes: List[np.ndarray] = []
-    axis_orders: List[int] = []
-    for k in rotations:
-        i = next((i for i, v in enumerate(axes) if _parallel(v, k.axis)), None)
-        if i is None:
-            axes.append(k.axis)
-            axis_orders.append(k.order)
-        else:
-            axis_orders[i] = max(axis_orders[i], k.order)
-
-    n_max = max(axis_orders, default=1)
-    high_axes = [n for n in axis_orders if n >= 3]
-
-    if len(high_axes) >= 2:
-        return _polyhedral_label(order, has_inversion, bool(reflections))
-
-    if n_max == 1:
-        if order == 1:
-            return SchoenfliesLabel("C", 1)
-        if order == 2 and has_inversion:
-            return SchoenfliesLabel("S", 2)  # Ci
-        if order == 2 and reflections:
-            return SchoenfliesLabel("S", 1)  # Cs = C1h
-        raise UnrecognizedGroup(f"no rotation axis, order {order}")
-
-    for axis, n in zip(axes, axis_orders):
-        if n != n_max:
-            continue
-        label = _axial_label(axis, n_max, axes, axis_orders,
-                             reflections, rotoreflections)
-        if label is not None and label.order == order:
-            return label
-    raise UnrecognizedGroup(
-        f"axial decision tree exhausted at order {order}, n_max {n_max}")
-
-
-def _polyhedral_label(order: int, has_inversion: bool,
-                      has_reflections: bool) -> SchoenfliesLabel:
-    if order == 12:
-        return SchoenfliesLabel("T")
-    if order == 24:
-        if has_inversion:
-            return SchoenfliesLabel("Th")
-        if has_reflections:
-            return SchoenfliesLabel("Td")
-        return SchoenfliesLabel("O")
-    if order == 48:
-        return SchoenfliesLabel("Oh")
-    if order == 60:
-        return SchoenfliesLabel("I")
-    if order == 120:
-        return SchoenfliesLabel("Ih")
-    raise UnrecognizedGroup(f"polyhedral branch with order {order}")
-
-
-def _axial_label(axis: np.ndarray, n: int, axes: List[np.ndarray],
-                 axis_orders: List[int],
-                 reflections: List[ElementKind],
-                 rotoreflections: List[ElementKind]) -> Optional[SchoenfliesLabel]:
-    perp_c2 = sum(1 for v, o in zip(axes, axis_orders)
-                  if o == 2 and _perpendicular(v, axis))
-    sigma_h = any(_parallel(r.axis, axis) for r in reflections)
-    sigma_v = sum(1 for r in reflections if _perpendicular(r.axis, axis))
-    s2n = any(_parallel(s.axis, axis) and s.order == 2 * n for s in rotoreflections)
-
-    if perp_c2 >= n and n >= 2:
-        if sigma_h:
+    """Schoenflies label from the element kinds by the module docstring's
+    rule, spelled as the bounds table keys it (Cs = S1, Ci = S2, odd Cnh = Sn)."""
+    p = sum(k.kind in ("identity", "rotation") for k in kinds)
+    n = max((k.order for k in kinds if k.kind == "rotation"), default=1)
+    m = sum(k.kind == "reflection" for k in kinds)
+    improper = p < len(kinds)
+    if p == n:  # G+ = Cn
+        if not improper:
+            return SchoenfliesLabel("C", n)
+        if m == 1:
+            return SchoenfliesLabel("S" if n % 2 else "Ch", n)
+        if m == n:
+            return SchoenfliesLabel("Cv", n)
+        if m == 0:
+            return SchoenfliesLabel("S", 2 * n)
+    elif p == 2 * n:  # G+ = Dn
+        if not improper:
+            return SchoenfliesLabel("D", n)
+        if m == n + 1:
             return SchoenfliesLabel("Dh", n)
-        if sigma_v >= n:
+        if m == n:
             return SchoenfliesLabel("Dd", n)
-        return SchoenfliesLabel("D", n)
-    if sigma_h:
-        # Cnh and Sn coincide for odd n; canonicalize to the S spelling
-        # (the spelling the bounds table keys on).
-        if n % 2 == 1:
-            return SchoenfliesLabel("S", n)
-        return SchoenfliesLabel("Ch", n)
-    if sigma_v >= n:
-        return SchoenfliesLabel("Cv", n)
-    if s2n:
-        return SchoenfliesLabel("S", 2 * n)
-    return SchoenfliesLabel("C", n)
+    elif (p, n) in ((12, 3), (24, 4), (60, 5)):  # G+ = T, O, I
+        if not improper:
+            return SchoenfliesLabel("TOI"[n - 3])
+        if n > 3 or any(k.kind == "inversion" for k in kinds):
+            return SchoenfliesLabel("TOI"[n - 3] + "h")
+        return SchoenfliesLabel("Td")
+    raise UnrecognizedGroup(f"no finite subgroup of O(3) has order {len(kinds)}, "
+                            f"|G+| = {p}, rotation order {n}, {m} reflections")
 
 
 # --- order arithmetic -------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 from .delone_core import PointPatch, cluster
 from .equivalence import cluster_classes
 from .errors import MarginViolation, NoUsableCenters, UnknownLabel
-from .point_group import PointGroup, _match, omega, stabilizer
+from .point_group import omega, stabilizer
 
 __all__ = [
     "CriterionVerdict",
@@ -232,13 +232,6 @@ class CriterionVerdict:
     witness: Optional[str] = None
 
 
-def _groups_equal(g1: PointGroup, g2: PointGroup) -> bool:
-    # Both are checked groups (no element listed twice), so equal orders
-    # and every element of g1 matching one of g2 make the sets equal.
-    return (g1.order == g2.order
-            and bool((_match(g2.elements, g1.elements) >= 0).all()))
-
-
 def local_criterion(patch: PointPatch, rho0: float, R: float) -> CriterionVerdict:
     """Evaluate the local criterion: N(rho0 + 2R) = 1 and
     S_x0(rho0) = S_x0(rho0 + 2R) at the lexicographically smallest usable
@@ -257,7 +250,7 @@ def local_criterion(patch: PointPatch, rho0: float, R: float) -> CriterionVerdic
     x0 = dec.class_representatives[0].center
     g_small = stabilizer(cluster(patch, x0, rho0))
     g_big = stabilizer(cluster(patch, x0, rho_big))
-    equal = _groups_equal(g_small, g_big)
+    equal = g_small == g_big
     witness = None
     if not equal:
         witness = (f"stabilizer at rho0 = {rho0:g} has order {g_small.order} "

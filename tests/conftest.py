@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import delone_local as dl
+from delone_local.errors import UnrecognizedGroup
 from delone_local.geometry import (
     ElementKind,
     canonical_axis,
@@ -21,6 +22,7 @@ from delone_local.geometry import (
     reflection_matrix,
     rotation_matrix,
 )
+from delone_local.point_group import SchoenfliesLabel
 
 SQRT3 = np.sqrt(3.0)
 
@@ -221,6 +223,125 @@ def classify_element_oracle(q, angle_tol=1e-9, max_rotation_order=24):
     if n is None:
         return ElementKind("generic_rotoreflection", axis=axis)
     return ElementKind("rotoreflection", order=n, axis=axis)
+
+
+# --- Schoenflies label oracle -------------------------------------------------
+# The geometric decision tree the library labelled groups with before it
+# read the label off integer counts: distinct rotation axes found by
+# comparing |cos| of axes against _ANG_TOL, then the principal axis, its
+# perpendicular C2 axes and its horizontal, vertical and S2n elements.
+# Kept unchanged as the reference the counting label must reproduce.
+
+#: Two unit axes are parallel iff |cos| of their angle is within this of 1.
+_ANG_TOL = 1e-6
+
+
+def _parallel(u, v):
+    return abs(abs(float(np.dot(u, v))) - 1.0) <= _ANG_TOL
+
+
+def _perpendicular(u, v):
+    return abs(float(np.dot(u, v))) <= _ANG_TOL
+
+
+def label_oracle(kinds):
+    """Schoenflies label of a group from the kinds of its elements.
+
+    Decision tree: two or more rotation axes of order >= 3 send us to the
+    polyhedral branch (T/Td/Th/O/Oh/I/Ih by order, inversion, and
+    mirrors); otherwise each axis of maximal rotation order is tried as
+    the principal axis and the first axial label whose order formula
+    matches the group order wins (this resolves the principal-axis
+    ambiguity of D2-like groups).  Aliased labels are canonicalized:
+    Cs = C1h -> S1, Ci -> S2, Cnh with odd n -> Sn.
+    """
+    order = len(kinds)
+
+    has_inversion = any(k.kind == "inversion" for k in kinds)
+    reflections = [k for k in kinds if k.kind == "reflection"]
+    rotations = [k for k in kinds if k.kind == "rotation"]
+    rotoreflections = [k for k in kinds if k.kind == "rotoreflection"]
+
+    # distinct rotation axes, in order of first appearance (each rotation
+    # joins the first known axis it is parallel to), with their maximal order
+    axes = []
+    axis_orders = []
+    for k in rotations:
+        i = next((i for i, v in enumerate(axes) if _parallel(v, k.axis)), None)
+        if i is None:
+            axes.append(k.axis)
+            axis_orders.append(k.order)
+        else:
+            axis_orders[i] = max(axis_orders[i], k.order)
+
+    n_max = max(axis_orders, default=1)
+    high_axes = [n for n in axis_orders if n >= 3]
+
+    if len(high_axes) >= 2:
+        return _polyhedral_label(order, has_inversion, bool(reflections))
+
+    if n_max == 1:
+        if order == 1:
+            return SchoenfliesLabel("C", 1)
+        if order == 2 and has_inversion:
+            return SchoenfliesLabel("S", 2)  # Ci
+        if order == 2 and reflections:
+            return SchoenfliesLabel("S", 1)  # Cs = C1h
+        raise UnrecognizedGroup(f"no rotation axis, order {order}")
+
+    for axis, n in zip(axes, axis_orders):
+        if n != n_max:
+            continue
+        label = _axial_label(axis, n_max, axes, axis_orders,
+                             reflections, rotoreflections)
+        if label is not None and label.order == order:
+            return label
+    raise UnrecognizedGroup(
+        f"axial decision tree exhausted at order {order}, n_max {n_max}")
+
+
+def _polyhedral_label(order, has_inversion, has_reflections):
+    if order == 12:
+        return SchoenfliesLabel("T")
+    if order == 24:
+        if has_inversion:
+            return SchoenfliesLabel("Th")
+        if has_reflections:
+            return SchoenfliesLabel("Td")
+        return SchoenfliesLabel("O")
+    if order == 48:
+        return SchoenfliesLabel("Oh")
+    if order == 60:
+        return SchoenfliesLabel("I")
+    if order == 120:
+        return SchoenfliesLabel("Ih")
+    raise UnrecognizedGroup(f"polyhedral branch with order {order}")
+
+
+def _axial_label(axis, n, axes, axis_orders, reflections, rotoreflections):
+    perp_c2 = sum(1 for v, o in zip(axes, axis_orders)
+                  if o == 2 and _perpendicular(v, axis))
+    sigma_h = any(_parallel(r.axis, axis) for r in reflections)
+    sigma_v = sum(1 for r in reflections if _perpendicular(r.axis, axis))
+    s2n = any(_parallel(s.axis, axis) and s.order == 2 * n for s in rotoreflections)
+
+    if perp_c2 >= n and n >= 2:
+        if sigma_h:
+            return SchoenfliesLabel("Dh", n)
+        if sigma_v >= n:
+            return SchoenfliesLabel("Dd", n)
+        return SchoenfliesLabel("D", n)
+    if sigma_h:
+        # Cnh and Sn coincide for odd n; canonicalize to the S spelling
+        # (the spelling the bounds table keys on).
+        if n % 2 == 1:
+            return SchoenfliesLabel("S", n)
+        return SchoenfliesLabel("Ch", n)
+    if sigma_v >= n:
+        return SchoenfliesLabel("Cv", n)
+    if s2n:
+        return SchoenfliesLabel("S", 2 * n)
+    return SchoenfliesLabel("C", n)
 
 
 # Standard generator matrices (z principal axis) for building named groups.

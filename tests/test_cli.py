@@ -197,11 +197,15 @@ class TestBadArguments:
          "--box", "-2", "-2", "-2", "2", "2", "2"],
         ["generate", "--kind", "antiprism", "--a", "-1"],
         ["analyze", "{nan}"],
+        ["analyze", "{outside}"],
     ], ids=lambda argv: " ".join(argv))
     def test_one_error_line(self, argv, c4v_file, tmp_path, capsys):
         nan_file = tmp_path / "nan.xyz"
         nan_file.write_text("# box -1 -1 -1 1 1 1\n0 0 0\nnan 0 0\n")
-        argv = [a.format(c4v=c4v_file, nan=nan_file) for a in argv]
+        outside_file = tmp_path / "outside.xyz"
+        outside_file.write_text("# box 0 0 0 1 1 1\n0 0 0\n5 5 5\n")
+        argv = [a.format(c4v=c4v_file, nan=nan_file, outside=outside_file)
+                for a in argv]
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -179,6 +179,16 @@ class TestFileFormat:
         with pytest.raises(ParseError, match="line 2"):
             load_patch(path)
 
+    def test_point_outside_box(self, tmp_path):
+        # the patch must be the set's intersection with its box; a point
+        # outside it made `analyze` blame a lower-dimensional cluster
+        path = tmp_path / "outside.xyz"
+        path.write_text("# box 0 0 0 1 1 1\n0 0 0\n5 5 5\n")
+        with pytest.raises(ParseError, match="line 3"):
+            load_patch(path)
+        path.write_text("# box 0 0 0 1 1 1\n0 0 0\n1.0000000005 1 1\n")
+        assert len(load_patch(path)) == 2
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.xyz"
         path.write_text("# nothing\n")

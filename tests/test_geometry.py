@@ -1,9 +1,15 @@
 """Element classification and frame-isometry recovery."""
+import importlib
+import pkgutil
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import delone_local
+from delone_local import geometry
 from delone_local.errors import DegenerateFrame, NonOrthogonal
 from delone_local.geometry import (
     Isometry,
@@ -180,3 +186,16 @@ class TestIsometryAlgebra:
         q = random_orthogonal(rng) + rng.normal(size=(3, 3)) * 1e-8
         p = nearest_orthogonal(q)
         assert np.abs(p.T @ p - np.eye(3)).max() < 1e-14
+
+
+def test_every_tolerance_is_documented():
+    # one tolerance policy: each module-level *_TOL constant of the
+    # package is listed in the tolerance section of geometry's docstring
+    names = set()
+    for info in pkgutil.iter_modules(delone_local.__path__):
+        module = importlib.import_module(f"delone_local.{info.name}")
+        names |= {n for n in vars(module) if n.endswith("_TOL")}
+    assert {"GEOM_TOL", "ELEMENT_TOL", "ORTHO_TOL", "FEAS_TOL"} <= names
+    missing = [n for n in sorted(names)
+               if not re.search(rf"(?<!\w){n}(?!\w)", geometry.__doc__)]
+    assert not missing

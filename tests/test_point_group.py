@@ -11,7 +11,12 @@ from delone_local.errors import (
     NotAGroup,
     UnrecognizedGroup,
 )
-from delone_local.geometry import classify_element, reflection_matrix, rotation_matrix
+from delone_local.geometry import (
+    ElementKind,
+    classify_element,
+    reflection_matrix,
+    rotation_matrix,
+)
 from delone_local.point_group import (
     PointGroup,
     SchoenfliesLabel,
@@ -26,11 +31,17 @@ from delone_local.point_group import (
 )
 
 from conftest import (
+    C2_X,
+    SIGMA_H,
+    SIGMA_V,
     classify_element_oracle,
     closure_oracle,
+    cn_gen,
     element_key,
+    label_oracle,
     named_group_generators,
     signed_permutations,
+    sn_gen,
     tower_height_oracle,
 )
 
@@ -147,6 +158,17 @@ class TestStabilizer:
             assert outcomes == ["Oh"] * 10
 
 
+def axial_generators(family, n):
+    """Generators of the axial family (C, S, Ch, Cv, D, Dh, Dd) at axis
+    order n, principal axis z."""
+    sigma_d = reflection_matrix([np.sin(np.pi / (2 * n)),
+                                 -np.cos(np.pi / (2 * n)), 0.0])
+    return {"C": [cn_gen(n)], "S": [sn_gen(n)], "Ch": [cn_gen(n), SIGMA_H],
+            "Cv": [cn_gen(n), SIGMA_V], "D": [cn_gen(n), C2_X],
+            "Dh": [cn_gen(n), C2_X, SIGMA_H],
+            "Dd": [cn_gen(n), C2_X, sigma_d]}[family]
+
+
 class TestSchoenflies:
     @pytest.mark.parametrize("label", sorted(EXPECTED_ORDERS))
     def test_named_groups(self, label):
@@ -214,12 +236,21 @@ class TestSchoenflies:
         with pytest.raises(NotAGroup):
             schoenflies_from_matrices([np.eye(3), r])
 
+    def test_counts_of_no_group_raise(self):
+        # kinds no checked group can have: two mirrors and no rotation, and
+        # five half-turns (p = 6, n = 2: neither C6 nor D3)
+        e, z = ElementKind("identity"), np.array([0.0, 0.0, 1.0])
+        for kinds in ([e] + [ElementKind("reflection", axis=z)] * 2,
+                      [e] + [ElementKind("rotation", 2, z)] * 5):
+            with pytest.raises(UnrecognizedGroup):
+                point_group._label(kinds)
+
     @pytest.mark.parametrize("label", sorted(EXPECTED_ORDERS))
     def test_element_kinds_match_angle_oracle(self, label, monkeypatch):
         # kind, order and axis from the product table (and from the
         # single-matrix power search) agree with the angle-based
-        # classifier, element by element, and so does the label the
-        # decision tree reads off them
+        # classifier, element by element, and so does the label read off
+        # them, which also equals the decision tree's (label_oracle)
         rng = np.random.default_rng(sum(map(ord, label)))
         for _ in range(3):
             u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
@@ -233,10 +264,40 @@ class TestSchoenflies:
                     if want.axis is not None:
                         assert abs(abs(float(k.axis @ want.axis)) - 1.0) < 1e-9
             assert str(g.label) == label
+            assert label_oracle(table_kinds) == g.label
             with monkeypatch.context() as m:
                 m.setattr(point_group, "_element_kinds",
                           lambda els: [classify_element_oracle(q) for q in els])
                 assert schoenflies_from_matrices(g.elements) == g.label
+
+    @pytest.mark.parametrize("family", ["C", "S", "Ch", "Cv", "D", "Dh", "Dd",
+                                        "polyhedral"])
+    def test_counting_label_matches_tree(self, family):
+        # n = 1..12 for each axial family, or T, Td, Th, O, Oh, I and Ih,
+        # each under three random conjugations; then the same elements
+        # with 3e-7 of noise each, wherever they still pass the group check
+        rng = np.random.default_rng(sum(map(ord, family)))
+        if family == "polyhedral":
+            named = named_group_generators()
+            cases = [named[k] for k in ("T", "Td", "Th", "O", "Oh", "I", "Ih")]
+        else:
+            cases = [axial_generators(family, n) for n in range(1, 13)]
+        noisy = 0
+        for gens in cases:
+            for _ in range(3):
+                u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+                g = group_from_generators([u @ m @ u.T for m in gens])
+                assert g.label == label_oracle(g.kinds)
+                assert g.label.order == g.order
+                elements = tuple(m + rng.uniform(-3e-7, 3e-7, size=(3, 3))
+                                 for m in g.elements)
+                try:
+                    h = PointGroup(np.zeros(3), elements)
+                except NotAGroup:
+                    continue
+                noisy += 1
+                assert h.label == label_oracle(h.kinds) == g.label
+        assert noisy > 0
 
     def test_label_orders(self):
         for name, order in EXPECTED_ORDERS.items():
@@ -338,6 +399,27 @@ class TestCheckedOnce:
         assert [k.kind for k in g.kinds] == ["identity"] + ["rotation"] * 3
         with pytest.raises(TypeError):
             PointGroup(np.zeros(3), (np.eye(3),), SchoenfliesLabel("C", 1))
+
+
+class TestEquality:
+    def test_point_groups_compare_and_hash_by_element_set(self):
+        c4 = rotation_matrix([0, 0, 1], np.pi / 2)
+        g = group_from_generators([c4])
+        h = PointGroup(np.ones(3), tuple(reversed(g.elements)))
+        assert g == h and hash(g) == hash(h) and len({g, h}) == 1
+        assert g != group_from_generators([c4 @ c4])
+        assert g != group_from_generators([rotation_matrix([1, 0, 0], np.pi / 2)])
+        assert g != "C4"
+
+    def test_numpy_dataclasses_compare_by_identity(self, z3_patch):
+        # a generated == would compare numpy fields and raise ValueError
+        r = rotation_matrix([0, 0, 1], 1.0)
+        for make in (lambda: dl.cluster(z3_patch, [0, 0, 0], 1.0),
+                     lambda: dl.Isometry(r, np.ones(3)),
+                     lambda: classify_element(r)):
+            a, b = make(), make()
+            assert a == a and a != b
+            assert len({a, b}) == 2
 
 
 class TestMaxRotationOrder:

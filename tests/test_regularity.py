@@ -7,7 +7,6 @@ from delone_local.errors import MarginViolation, UnknownLabel
 from delone_local.point_group import PointGroup
 from delone_local.regularity import (
     TABLE,
-    _groups_equal,
     bound_lookup,
     classify_scenario,
     local_criterion,
@@ -193,8 +192,8 @@ class TestLocalCriterion:
             return PointGroup(np.zeros(3), (np.eye(3), half_turn))
 
         theta = 0.5 * np.arccos(0.1234565)
-        assert _groups_equal(c2(theta), c2(theta + 1e-9))
-        assert not _groups_equal(c2(theta), c2(theta + 1e-3))
+        assert c2(theta) == c2(theta + 1e-9)
+        assert not c2(theta) == c2(theta + 1e-3)
 
 
 class TestClassifyScenario:
