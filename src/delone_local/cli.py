@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import antiprism_opt, delone_core, generators, point_group, regularity
+from . import antiprism_opt, generators, point_group, regularity
 from .delone_core import PointPatch, cluster, covering_radius, load_patch, save_patch
 from .equivalence import cluster_classes
 from .errors import DeloneError

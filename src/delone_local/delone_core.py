@@ -13,10 +13,9 @@ covering radius, i.e. the radius of the largest ball empty of set points.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.spatial import QhullError, Voronoi, cKDTree

@@ -6,9 +6,14 @@ clusters of affine dimension k = 1, 2 or 3: a's frame (k independent
 offsets) is matched against k-tuples of b's offsets with the same norms
 and pairwise dot products, in lexicographic order; each tuple gives one
 orthogonal map q = G F^-1 (both tuples completed to a basis), which is
-yielded once it maps b's offsets back onto a's cached KD-tree.
-:func:`cluster_isometry` takes its first map, and
+yielded once it maps b's offsets back onto a's cached KD-tree
+(``_carries``).  :func:`cluster_isometry` takes its first map, and
 :func:`delone_local.point_group.stabilizer` all of ``_maps(c, c)``.
+
+:func:`cluster_classes` extracts every cluster with one batched ball query
+and, per class, first tries the linear parts that have already verified
+against the class (the identity to begin with), so that the frame search
+of ``_maps`` runs only for the first center of each new orientation.
 """
 from __future__ import annotations
 
@@ -16,9 +21,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .delone_core import Cluster, PointPatch, cluster
+from .delone_core import Cluster, PointPatch
 from .errors import NoUsableCenters, RadiusMismatch
 from .geometry import GEOM_TOL, Isometry, _frame_map
 
@@ -47,12 +51,16 @@ def _profiles_match(profiles: np.ndarray, d: np.ndarray, rho: float):
             <= 4.0 * match_tolerance(rho))
 
 
-def _sets_match(moved: np.ndarray, tree: cKDTree, tol: float) -> bool:
-    """True iff ``moved`` and the points of ``tree`` coincide within tol."""
-    if len(moved) != tree.n:
+def _carries(a: Cluster, offsets: np.ndarray, q: np.ndarray) -> bool:
+    """True iff the orthogonal q maps a's offsets onto ``offsets``:
+    q^T(offsets) coincides with a's cached :attr:`Cluster.offset_tree`
+    within match_tolerance(a.radius), point for point."""
+    tree = a.offset_tree
+    if len(offsets) != tree.n:
         return False
-    d, idx = tree.query(moved)
-    return float(d.max()) <= tol and len(np.unique(idx)) == tree.n
+    d, idx = tree.query(offsets @ q)
+    return (float(d.max()) <= match_tolerance(a.radius)
+            and len(np.unique(idx)) == tree.n)
 
 
 def _maps(a: Cluster, b: Cluster) -> Iterator[np.ndarray]:
@@ -60,8 +68,7 @@ def _maps(a: Cluster, b: Cluster) -> Iterator[np.ndarray]:
     lexicographic order of the k-tuples of b's offsets (norms and dot
     products prefiltered, zero offset skipped) that a's frame goes to.
 
-    Each solved q is snapped onto O(3) and verified: q^T(b.offsets) must
-    match a's cached :attr:`Cluster.offset_tree` within match_tolerance.
+    Each solved q is snapped onto O(3) and verified by :func:`_carries`.
     """
     frame = a.frame
     if frame is None:
@@ -79,7 +86,7 @@ def _maps(a: Cluster, b: Cluster) -> Iterator[np.ndarray]:
         i = len(images)
         if i == len(frame):
             q = _frame_map(images, a.frame_inv, 1e-5)
-            if q is not None and _sets_match(targets @ q, a.offset_tree, mtol):
+            if q is not None and _carries(a, targets, q):
                 yield q
             return
         ok = cands[i]
@@ -130,36 +137,64 @@ class ClusterClassDecomposition:
 def cluster_classes(patch: PointPatch, rho: float) -> ClusterClassDecomposition:
     """Partition the rho-clusters at all usable centers by equivalence.
 
+    Raises ValueError for rho < 0, and :class:`NoUsableCenters` if the
+    trusted box cannot host a single rho-ball.
+
+    One ``query_ball_point`` call over all usable centers extracts every
+    cluster; usable centers are patch points whose ball lies in the box,
+    so the center lookup and margin check of
+    :func:`delone_local.delone_core.cluster` hold by construction.
     Centers are visited in lexicographic order and compared against the
     current class representatives only, so the representative of each
     class is its lexicographically smallest center.  The representatives'
     distance profiles are stacked by member count; one comparison against
     the stack picks the classes that pass the profile test of
-    :func:`cluster_isometry`, which then runs on those in class order.
-    Raises :class:`NoUsableCenters` if the trusted box cannot host a
-    single rho-ball.
+    :func:`cluster_isometry`.  For each of those, in class order, the
+    linear parts already verified against the class (the identity first)
+    are tried before the frame search of ``_maps``, whose map, if any,
+    joins them.  Every accepted map passes the same verification
+    (:func:`_carries`) as in :func:`cluster_isometry`, and a ``Cluster``
+    is built only for a representative or a frame search.
     """
+    if rho < 0:
+        raise ValueError("cluster radius must be non-negative")
     centers = patch.usable_centers(rho)
     if len(centers) == 0:
         raise NoUsableCenters(
             f"no center supports radius {rho:g} inside the trusted box")
+    rho = float(rho)
+    balls = patch.tree.query_ball_point(centers, rho + patch.geom_tol)
     reps: List[Cluster] = []
+    parts: List[List[np.ndarray]] = []  # per class: verified linear parts
     # member count -> (class indices, their representatives' profiles)
     by_count: Dict[int, Tuple[List[int], np.ndarray]] = {}
     assignment: Dict[Tuple[float, float, float], int] = {}
-    for c in centers:
-        cl = cluster(patch, c, rho)
-        d = cl.center_distances
-        ids, stack = by_count.get(len(cl), ([], np.empty((0, len(cl)))))
-        found = next((ids[j] for j in np.flatnonzero(_profiles_match(stack, d, rho))
-                      if cluster_isometry(reps[ids[j]], cl) is not None), None)
+    for c, idx in zip(centers, balls):
+        members = patch.points[idx]
+        offsets = members - c
+        d = np.sort(np.linalg.norm(offsets, axis=1))
+        ids, stack = by_count.get(len(d), ([], np.empty((0, len(d)))))
+        found = cl = None
+        for j in np.flatnonzero(_profiles_match(stack, d, rho)):
+            rep, known = reps[ids[j]], parts[ids[j]]
+            if any(_carries(rep, offsets, q) for q in known):
+                found = ids[j]
+                break
+            if cl is None:
+                cl = Cluster(c, rho, members)
+            q = next(_maps(rep, cl), None)
+            if q is not None:
+                known.append(q)
+                found = ids[j]
+                break
         if found is None:
             found = len(reps)
-            reps.append(cl)
-            by_count[len(cl)] = (ids + [found], np.vstack([stack, d]))
+            reps.append(Cluster(c, rho, members) if cl is None else cl)
+            parts.append([np.eye(3)])
+            by_count[len(d)] = (ids + [found], np.vstack([stack, d]))
         assignment[tuple(c)] = found
     return ClusterClassDecomposition(
-        rho=float(rho),
+        rho=rho,
         class_representatives=reps,
         assignment=assignment,
     )

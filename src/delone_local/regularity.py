@@ -1,7 +1,8 @@
 """Regularity criteria and the per-group regularity-radius bounds table.
 
 Implements the local criterion (single 2R-extension test: N(rho0 + 2R) = 1
-and S_x0(rho0) = S_x0(rho0 + 2R) imply regularity), the tower bound
+and S_x0(rho0) = S_x0(rho0 + 2R) imply regularity; the larger group is
+filtered down from the smaller one), the tower bound
 2(Omega + 2) R derived from subgroup-chain heights, the step bound
 2 sin(pi/n) that forbids rotation orders above 6, and the published table
 mapping each admissible 2R-cluster group to its best known bound.
@@ -16,14 +17,14 @@ from __future__ import annotations
 import io
 import csv
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .delone_core import PointPatch, cluster
-from .equivalence import cluster_classes
+from .delone_core import Cluster, PointPatch, cluster
+from .equivalence import _carries, cluster_classes
 from .errors import MarginViolation, NoUsableCenters, UnknownLabel
-from .point_group import omega, stabilizer
+from .point_group import PointGroup, omega, stabilizer
 
 __all__ = [
     "CriterionVerdict",
@@ -237,19 +238,38 @@ def local_criterion(patch: PointPatch, rho0: float, R: float) -> CriterionVerdic
     S_x0(rho0) = S_x0(rho0 + 2R) at the lexicographically smallest usable
     center x0.
 
+    Only S_x0(rho0) takes a frame search.  S_x0(rho0 + 2R) is the subgroup
+    of its elements that also map the (rho0 + 2R)-cluster onto itself,
+    verified at that radius's match tolerance.  This is exact: for
+    rho' > rho, C_x(rho) = C_x(rho') ∩ B(x, rho), and an isometry fixing x
+    preserves every ball about x, so S_x(rho') ⊆ S_x(rho).
+
     The verdict certifies the criterion's hypotheses on the patch; margin
     violations (box too small for rho0 + 2R) raise rather than truncate.
     """
+    return _criterion(patch, rho0, R)[0]
+
+
+def _criterion(patch: PointPatch, rho0: float,
+               R: float) -> Tuple[CriterionVerdict, Optional[PointGroup]]:
+    """:func:`local_criterion`'s verdict and S_x0(rho0), or None for the
+    group when N(rho0 + 2R) > 1 (no center is singled out then).
+
+    Raises ValueError for R < 0, where rho0 + 2R < rho0 and the filter
+    would no longer give S_x0(rho0 + 2R)."""
+    if R < 0:
+        raise ValueError("covering radius must be non-negative")
     rho_big = float(rho0) + 2.0 * float(R)
     dec = cluster_classes(patch, rho_big)
     if dec.N != 1:
         return CriterionVerdict(
             regular=False, rho0=float(rho0), n_classes=dec.N,
             groups_equal=False,
-            witness=f"N({rho_big:g}) = {dec.N} > 1; clusters not all equivalent")
-    x0 = dec.class_representatives[0].center
+            witness=f"N({rho_big:g}) = {dec.N} > 1; clusters not all equivalent"), None
+    big = dec.class_representatives[0]
+    x0 = big.center
     g_small = stabilizer(cluster(patch, x0, rho0))
-    g_big = stabilizer(cluster(patch, x0, rho_big))
+    g_big = _fixing(g_small, big)
     equal = g_small == g_big
     witness = None
     if not equal:
@@ -258,7 +278,15 @@ def local_criterion(patch: PointPatch, rho0: float, R: float) -> CriterionVerdic
                    f"order {g_big.order} ({g_big.label}) at center "
                    f"{x0.tolist()}")
     return CriterionVerdict(regular=equal, rho0=float(rho0), n_classes=1,
-                            groups_equal=equal, witness=witness)
+                            groups_equal=equal, witness=witness), g_small
+
+
+def _fixing(g: PointGroup, c: Cluster) -> PointGroup:
+    """The elements of g that map the cluster c (centered at g's center)
+    onto itself, checked as a group when built."""
+    offsets = c.offsets
+    return PointGroup(center=c.center.copy(), elements=tuple(
+        q for q in g.elements if _carries(c, offsets, q)))
 
 
 @dataclass(frozen=True)
@@ -278,13 +306,26 @@ class ScenarioReport:
 
 def classify_scenario(patch: PointPatch, R: float) -> ScenarioReport:
     """Compute N(2R), the 2R-cluster group label when N(2R) = 1, its table
-    bound, and the local criterion at rho0 = 2R if the box margin allows."""
+    bound, and the local criterion at rho0 = 2R if the box margin allows.
+
+    When N(2R) = 1 all 2R-clusters are equivalent and their groups
+    conjugate, so the label is read off the criterion's S_x0(2R); the
+    representative's stabilizer is computed only when the criterion
+    yields no group.
+    """
     rho = 2.0 * float(R)
     dec = cluster_classes(patch, rho)
+    verdict = g = None
+    margin_note = None
+    try:
+        verdict, g = _criterion(patch, rho, R)
+    except (MarginViolation, NoUsableCenters):
+        margin_note = f"box too small for the criterion at rho0 = {rho:g}"
     label = order = bound_row = None
     note = None
     if dec.N == 1:
-        g = stabilizer(dec.class_representatives[0])
+        if g is None:
+            g = stabilizer(dec.class_representatives[0])
         label = str(g.label)
         order = g.order
         try:
@@ -293,12 +334,8 @@ def classify_scenario(patch: PointPatch, R: float) -> ScenarioReport:
             note = f"label {label} not in the bounds table"
     else:
         note = "clusters not mutually equivalent"
-    verdict = None
-    try:
-        verdict = local_criterion(patch, rho, R)
-    except (MarginViolation, NoUsableCenters):
-        extra = f"box too small for the criterion at rho0 = {rho:g}"
-        note = extra if note is None else f"{note}; {extra}"
+    if margin_note is not None:
+        note = margin_note if note is None else f"{note}; {margin_note}"
     return ScenarioReport(R=float(R), n_classes=dec.N, label=label,
                           order=order, bound_row=bound_row,
                           verdict=verdict, note=note)

@@ -56,6 +56,53 @@ def layered_square_patch():
     return dl.PointPatch(pts, [-4, -4, -7.5], [4, 4, 7.5])
 
 
+_BILATTICE = dl.BiLatticeSpec(dl.HexLatticeSpec(1.0, 6.25), (0.0, 0.0, 1.2))
+
+#: Lattice builders (box_lo, box_hi) -> PointPatch with their covering
+#: radii: the kinds of the stock patches ``delone analyze`` is timed on.
+LATTICES = {
+    "z3": (dl.cubic_lattice, SQRT3 / 2),
+    "hex": (lambda lo, hi: dl.hex_lattice(dl.HexLatticeSpec(1.0, 1.0), lo, hi),
+            np.sqrt(1 / 3 + 0.25)),
+    "c4v": (dl.c4v_example, np.sqrt(1.5)),
+    "hex_bilattice": (lambda lo, hi: dl.hex_bilattice(_BILATTICE, lo, hi),
+                      np.sqrt(1 / 3 + 0.65 ** 2)),
+}
+
+#: The five stock patches of the ``analyze_regular`` benchmark workload:
+#: (lattice, half-width of the cubic box).
+STOCK_PATCHES = (("c4v", 6), ("z3", 4), ("hex", 4), ("hex_bilattice", 4),
+                 ("hex_bilattice", 5))
+
+
+def jittered_cubic(m, seed, spacing=1.6, amplitude=0.15):
+    """Cubic sites |k| <= m at ``spacing``, each moved by seeded uniform
+    per-axis jitter of at most ``amplitude``, trusted on the box of
+    half-width (m + 1/4) spacings, which no jittered site leaves."""
+    sites = dl.cubic_lattice((-m,) * 3, (m,) * 3).points
+    rng = np.random.default_rng(seed)
+    pts = spacing * sites + rng.uniform(-amplitude, amplitude, size=sites.shape)
+    h = (m + 0.25) * spacing
+    return dl.PointPatch(pts, (-h,) * 3, (h,) * 3)
+
+
+def cluster_classes_oracle(patch, rho):
+    """The class loop as it was before extraction was batched: one
+    ``cluster`` call per usable center in lexicographic order, compared
+    by ``cluster_isometry`` against each representative in class order.
+    Returns (assignment, representative centers as tuples)."""
+    reps, assignment = [], {}
+    for c in patch.usable_centers(rho):
+        cl = dl.cluster(patch, c, rho)
+        found = next((i for i, rep in enumerate(reps)
+                      if dl.cluster_isometry(rep, cl) is not None), None)
+        if found is None:
+            found = len(reps)
+            reps.append(cl)
+        assignment[tuple(c)] = found
+    return assignment, [tuple(rep.center) for rep in reps]
+
+
 def signed_permutations():
     """All 48 signed permutation matrices (oracle for the Z^3 stabilizer)."""
     mats = []

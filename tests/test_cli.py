@@ -1,8 +1,14 @@
 """Command-line interface: subcommands, output format, and exit codes."""
-import numpy as np
+from pathlib import Path
+
 import pytest
 
 from delone_local.cli import main
+from delone_local.delone_core import save_patch
+
+from conftest import jittered_cubic
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -133,6 +139,13 @@ class TestCheckLocal:
         assert "regular = true" in out
 
 
+    def test_negative_R(self, c4v_file, capsys):
+        code, out, err = run(capsys, "check-local", str(c4v_file),
+                             "--rho0", "3", "--R", "-0.5")
+        assert code == 1 and out == ""
+        assert err == "error: covering radius must be non-negative\n"
+
+
 class TestBoundsTable:
     def test_text(self, capsys):
         code, out, err = run(capsys, "bounds-table")
@@ -210,3 +223,58 @@ class TestBadArguments:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def _box(h):
+    return [str(-h)] * 3 + [str(h)] * 3
+
+
+#: ``delone generate`` flags of the five stock patches that the
+#: ``analyze_regular`` benchmark workload analyzes.
+STOCK = {
+    "c4v6": ("--kind", "c4v", "--box", *_box(6)),
+    "cubic4": ("--kind", "cubic", "--box", *_box(4)),
+    "hex4": ("--kind", "hex", "--lambda", "1", "--mu", "1", "--box", *_box(4)),
+    "hex_bilattice4": ("--kind", "hex_bilattice", "--mu", "6.25",
+                       "--t-z", "1.2", "--box", *_box(4)),
+    "hex_bilattice5": ("--kind", "hex_bilattice", "--mu", "6.25",
+                       "--t-z", "1.2", "--box", *_box(5)),
+}
+
+#: The commands whose output is pinned, as argv after the file path.
+GOLDEN_COMMANDS = (("analyze",), ("classes", "--rho", "2R"),
+                   ("classes", "--rho", "4R"), ("check-local", "--rho0", "2R"))
+
+
+def golden_report(capsys, path):
+    """stdout of each of GOLDEN_COMMANDS on ``path``, each under a header
+    line that holds the command, its exit code and its stderr."""
+    parts = []
+    for cmd, *flags in GOLDEN_COMMANDS:
+        code, out, err = run(capsys, cmd, str(path), *flags)
+        head = f"== {' '.join([cmd, *flags])} -> {code} {err.strip()}".rstrip()
+        parts.append(f"{head}\n{out}")
+    return "".join(parts)
+
+
+def golden_patch(name, tmp_path, capsys):
+    """Write the named golden patch: a stock file, or the jittered cubic
+    patch on sites |k| <= 4 at seed 7 (N(2R) = 125 and N(4R) = 1)."""
+    path = tmp_path / f"{name}.xyz"
+    if name in STOCK:
+        code, _, err = run(capsys, "generate", *STOCK[name], "-o", str(path))
+        assert code == 0, err
+    else:
+        save_patch(jittered_cubic(4, 7), path)
+    return path
+
+
+class TestGoldenOutputs:
+    # pinned from the class loop that called cluster() and
+    # cluster_isometry once per center and ran three stabilizers per
+    # analyze; any change to the loop must keep these bytes
+    @pytest.mark.parametrize("name", [*STOCK, "jitter4"])
+    def test_byte_identical(self, name, tmp_path, capsys):
+        path = golden_patch(name, tmp_path, capsys)
+        want = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+        assert golden_report(capsys, path) == want

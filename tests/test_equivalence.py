@@ -4,10 +4,13 @@ import pytest
 from scipy.spatial import cKDTree
 
 import delone_local as dl
+from delone_local import equivalence
 from delone_local.delone_core import Cluster
 from delone_local.equivalence import cluster_classes, cluster_isometry
 from delone_local.errors import NoUsableCenters, RadiusMismatch
 from delone_local.geometry import Isometry, classify_element, rotation_matrix
+
+from conftest import LATTICES, cluster_classes_oracle, jittered_cubic
 
 SQRT3 = np.sqrt(3.0)
 
@@ -216,7 +219,77 @@ class TestClusterClasses:
         assert dec.N == 1 and len(dec.assignment) > 1
         assert 0 < len(built) <= dec.N
 
+    def test_one_frame_search_per_orientation(self, z3_patch, monkeypatch):
+        # a verified linear part is reused for every later center of its
+        # class: Z^3 needs none beyond the identity, the c4v layers one
+        calls = []
+        maps = equivalence._maps
+        monkeypatch.setattr(equivalence, "_maps",
+                            lambda a, b: calls.append(1) or maps(a, b))
+        assert cluster_classes(z3_patch, SQRT3).N == 1
+        assert calls == []
+        c4v = dl.c4v_example([-6] * 3, [6] * 3)
+        dec = cluster_classes(c4v, 2 * np.sqrt(1.5))
+        assert dec.N == 1 and len(dec.assignment) == 196
+        assert calls == [1]
+
     def test_assignment_covers_all_usable_centers(self, z3_patch):
         dec = cluster_classes(z3_patch, 1.5)
         assert len(dec.assignment) == len(z3_patch.usable_centers(1.5))
         assert set(dec.assignment.values()) == set(range(dec.N))
+
+
+class TestClassLoopOracle:
+    """The batched, learned-parts class loop against the loop that called
+    ``cluster`` and ``cluster_isometry`` once per center."""
+
+    @staticmethod
+    def assert_same(patch, rho):
+        dec = cluster_classes(patch, rho)
+        assignment, rep_centers = cluster_classes_oracle(patch, rho)
+        assert dec.assignment == assignment
+        assert [tuple(rep.center) for rep in dec.class_representatives] == rep_centers
+        for rep in dec.class_representatives:
+            want = dl.cluster(patch, rep.center, rho)
+            assert rep.radius == want.radius
+            assert np.array_equal(rep.members, want.members)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("name", LATTICES)
+    def test_lattices(self, name, k):
+        build, R = LATTICES[name]
+        h = 4 if k == 2 else 6
+        self.assert_same(build([-h] * 3, [h] * 3), k * R)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", LATTICES)
+    def test_rotated_lattices(self, name, seed):
+        # the rotated infinite set cut to a box: every center still has
+        # translated copies, but no longer along the box axes
+        build, R = LATTICES[name]
+        rng = np.random.default_rng([seed, len(name)])
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        h = 6.0 if name == "c4v" else 4.5  # c4v's 4R is 4.9
+        moved = build([-2 * h] * 3, [2 * h] * 3).points @ q.T
+        keep = np.all(np.abs(moved) <= h, axis=1)
+        patch = dl.PointPatch(moved[keep], [-h] * 3, [h] * 3)
+        for k in (2, 4):
+            self.assert_same(patch, k * R)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_jittered(self, seed):
+        patch = jittered_cubic(4, seed)
+        for rho in (2.9, 5.8):  # 2R and 4R, with R near 1.45
+            self.assert_same(patch, rho)
+
+    @pytest.mark.parametrize("rho", [1.0, 1.5, 2.0, 2.5])
+    def test_z3_with_hole(self, rho):
+        # the hole seen from centers in every direction: classes of equal
+        # member count, joined by rotations the frame search must find
+        pts = [[x, y, z] for x in range(-4, 5) for y in range(-4, 5)
+               for z in range(-4, 5) if (x, y, z) != (0, 0, 0)]
+        self.assert_same(dl.PointPatch(pts, [-4] * 3, [4] * 3), rho)
+
+    def test_negative_radius(self, z3_patch):
+        with pytest.raises(ValueError, match="non-negative"):
+            cluster_classes(z3_patch, -1.0)

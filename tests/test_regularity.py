@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 import delone_local as dl
+from delone_local import regularity
 from delone_local.errors import MarginViolation, UnknownLabel
-from delone_local.point_group import PointGroup
+from delone_local.point_group import PointGroup, stabilizer
 from delone_local.regularity import (
     TABLE,
     bound_lookup,
@@ -18,7 +19,18 @@ from delone_local.regularity import (
     tower_formula_mismatches,
 )
 
+from conftest import LATTICES, STOCK_PATCHES
+
 SQRT3 = np.sqrt(3.0)
+
+
+def z3_missing_site():
+    """Z^3 on the sites -3..3 without (2, 1, 0), trusted on the box +-3.5:
+    the hole lies inside the (1.5 + sqrt3)-ball at the origin but outside
+    its 1.5-ball."""
+    pts = [[x, y, z] for x in range(-3, 4) for y in range(-3, 4)
+           for z in range(-3, 4) if (x, y, z) != (2, 1, 0)]
+    return dl.PointPatch(pts, [-3.5] * 3, [3.5] * 3)
 
 
 class TestStepBound:
@@ -162,6 +174,40 @@ class TestLocalCriterion:
         assert v.n_classes > 1
         assert "not all equivalent" in v.witness
 
+    def test_groups_differ_with_witness(self):
+        # N(rho0 + 2R) = 1 (the origin is the only usable center), but the
+        # missing site breaks all symmetry except the mirror z -> -z
+        v = local_criterion(z3_missing_site(), 1.5, SQRT3 / 2)
+        assert not v.regular
+        assert v.n_classes == 1
+        assert not v.groups_equal
+        assert v.witness == (
+            "stabilizer at rho0 = 1.5 has order 48 (Oh) but at rho0 + 2R = "
+            "3.23205 order 2 (S1) at center [0.0, 0.0, 0.0]")
+
+    @pytest.mark.parametrize("build, rho0, R", [
+        *(pytest.param(lambda b=LATTICES[k][0], h=h: b([-h] * 3, [h] * 3),
+                       2 * LATTICES[k][1], LATTICES[k][1], id=f"{k}_{h}")
+          for k, h in STOCK_PATCHES),
+        pytest.param(z3_missing_site, 1.5, SQRT3 / 2, id="z3_missing_site"),
+    ])
+    def test_big_group_filtered_from_small(self, build, rho0, R):
+        # S(rho0 + 2R) as the elements of S(rho0) that fix the larger
+        # cluster equals its own frame-search stabilizer
+        patch, rho_big = build(), rho0 + 2 * R
+        x0 = patch.usable_centers(rho_big)[0]
+        big = dl.cluster(patch, x0, rho_big)
+        filtered = regularity._fixing(
+            stabilizer(dl.cluster(patch, x0, rho0)), big)
+        want = stabilizer(big)
+        assert filtered == want
+        assert filtered.label == want.label
+
+    def test_negative_R_raises(self, z3_patch):
+        # S(rho0 + 2R) is filtered from S(rho0), which needs R >= 0
+        with pytest.raises(ValueError, match="non-negative"):
+            local_criterion(z3_patch, 2.0, -0.25)
+
     def test_box_too_small_raises(self, z3_patch_small):
         # rho0 + 2R exceeds what the box supports: no usable center has
         # the needed margin, and the criterion refuses to truncate
@@ -212,3 +258,41 @@ class TestClassifyScenario:
         assert rep.label == "Oh"
         assert rep.verdict is None
         assert "box too small" in rep.note
+
+
+class TestOneFrameSearch:
+    """classify_scenario reads the 2R label off the criterion's S(2R),
+    and the criterion filters S(4R) from it: one stabilizer per call."""
+
+    @staticmethod
+    def count_stabilizers(monkeypatch):
+        calls = []
+
+        def counting(c):
+            calls.append(c.radius)
+            return stabilizer(c)
+
+        monkeypatch.setattr(regularity, "stabilizer", counting)
+        return calls
+
+    def test_one_stabilizer(self, z3_patch, monkeypatch):
+        calls = self.count_stabilizers(monkeypatch)
+        rep = classify_scenario(z3_patch, SQRT3 / 2)
+        assert rep.label == "Oh" and rep.order == 48
+        assert rep.verdict is not None and rep.verdict.regular
+        assert calls == [pytest.approx(SQRT3)]
+
+    def test_one_stabilizer_without_criterion(self, z3_patch_small, monkeypatch):
+        # no usable center at 4R: the label comes from the representative
+        calls = self.count_stabilizers(monkeypatch)
+        rep = classify_scenario(z3_patch_small, SQRT3 / 2)
+        assert rep.label == "Oh" and rep.verdict is None
+        assert calls == [pytest.approx(SQRT3)]
+
+    def test_no_label_stabilizer_when_N_exceeds_one(self, monkeypatch):
+        # N(2R) > 1 but N(4R) = 1: the criterion's S(2R) is the only one
+        calls = self.count_stabilizers(monkeypatch)
+        rep = classify_scenario(z3_missing_site(), 0.75)
+        assert rep.n_classes > 1 and rep.label is None
+        assert rep.verdict is not None and rep.verdict.n_classes == 1
+        assert calls == [1.5]
