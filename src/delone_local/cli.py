@@ -11,10 +11,11 @@ Subcommands:
     shtogrin-bound print the step bound 2 sin(pi/n)
 
 Radii may be given numerically or symbolically as a multiple of R
-("2R", "10R", ...), resolved against the declared R of the input file or,
-failing that, the computed patch covering radius.  All numeric output uses
-10 significant digits; every error path prints one line
-"error: ..." to stderr and exits 1 (usage errors exit 2).
+("2R", "10R", ...), resolved against check-local's --R flag, else the
+declared R of the input file, else the computed patch covering radius.
+R is computed only where a "kR" radius or a printed "R =" line needs it.
+All numeric output uses 10 significant digits; every error path prints
+one line "error: ..." to stderr and exits 1 (usage errors exit 2).
 """
 from __future__ import annotations
 
@@ -52,19 +53,33 @@ def _parse_radius(text: str) -> Tuple[Optional[float], Optional[float]]:
         raise CliError(f"bad radius {text!r}") from None
 
 
-def _resolve_R(patch: PointPatch) -> Tuple[float, str]:
+def _resolve_R(patch: PointPatch, flag: Optional[float] = None) -> Tuple[float, str]:
+    """R and its provenance: the --R flag, else the file's declared R,
+    else the computed covering radius."""
+    if flag is not None:
+        return flag, "flag"
     if patch.declared_R is not None:
         return patch.declared_R, "declared"
     return covering_radius(patch), "computed"
 
 
-def _resolve_radius(text: str, patch: PointPatch) -> Tuple[float, float, str]:
-    """Returns (rho, R, R_provenance)."""
+def _resolve_radius(text: str, patch: PointPatch,
+                    flag: Optional[float] = None) -> Tuple[float, float, str]:
+    """Returns (rho, R, R_provenance), for commands that print R."""
     numeric, mult = _parse_radius(text)
-    R, prov = _resolve_R(patch)
+    R, prov = _resolve_R(patch, flag)
     if numeric is not None:
         return numeric, R, prov
     return mult * R, R, prov
+
+
+def _radius(text: str, patch: PointPatch) -> float:
+    """rho, for commands that do not print R: R is resolved only to
+    multiply a "kR" radius."""
+    numeric, mult = _parse_radius(text)
+    if numeric is not None:
+        return numeric
+    return mult * _resolve_R(patch)[0]
 
 
 def _load_checked(path: str) -> PointPatch:
@@ -182,7 +197,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_classes(args) -> int:
     patch = _load_checked(args.path)
-    rho, _, _ = _resolve_radius(args.rho, patch)
+    rho = _radius(args.rho, patch)
     dec = cluster_classes(patch, rho)
     lines = [f"rho = {_fmt(rho)}", f"N = {dec.N}"]
     counts = [0] * dec.N
@@ -199,7 +214,7 @@ def _cmd_classes(args) -> int:
 
 def _cmd_group(args) -> int:
     patch = _load_checked(args.path)
-    rho, _, _ = _resolve_radius(args.rho, patch)
+    rho = _radius(args.rho, patch)
     c = cluster(patch, args.center, rho)
     g = point_group.stabilizer(c)
     lines = [
@@ -216,10 +231,7 @@ def _cmd_group(args) -> int:
 
 def _cmd_check_local(args) -> int:
     patch = _load_checked(args.path)
-    rho0, R, prov = _resolve_radius(args.rho0, patch)
-    if args.R is not None:
-        R = args.R
-        prov = "flag"
+    rho0, R, prov = _resolve_radius(args.rho0, patch, args.R)
     verdict = regularity.local_criterion(patch, rho0, R)
     lines = [
         f"R = {_fmt(R)} ({prov})",

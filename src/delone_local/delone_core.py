@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import QhullError, Voronoi, cKDTree
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .errors import (
     BoxTooSmall,
@@ -221,24 +221,39 @@ _GRID_H = 0.05
 def covering_radius(patch: PointPatch) -> float:
     """Radius of the largest empty ball centered well inside the box.
 
-    The maximizing center is sought among Voronoi vertices of the patch
+    The maximizing center is sought among the circumcenters of the
+    Delaunay cells of the patch, restricted to cells whose circumball lies
+    inside the trusted box.  Those circumcenters are the Voronoi vertices
     (the only local maxima of the distance-to-set function away from the
-    boundary), restricted to centers whose empty ball lies inside the
-    trusted box.  Falls back to a uniform grid scan at spacing ``_GRID_H``
-    if the Voronoi construction degenerates; the fallback is accurate to
-    ``_GRID_H * sqrt(3)``.
+    boundary), and a Delaunay cell's circumball is empty, so its radius is
+    the distance from the center to the set.  Each center is read off its
+    cell's lifted-facet hyperplane rather than solved per tetrahedron:
+    Qhull splits a merged cospherical cell (every lattice has them) into
+    tetrahedra, some flat, that all keep the merged cell's hyperplane.  A
+    hyperplane that is vertical in the lift has no center; its cell drops
+    out.  The winning ball is checked empty by one KD query (see
+    ``_largest_fitting_ball``).
+
+    Falls back to a uniform grid scan at spacing ``_GRID_H`` if the
+    triangulation degenerates (a planar patch) or no circumball fits; the
+    fallback is accurate to ``_GRID_H * sqrt(3)``.
     """
     if len(patch) < 2:
         raise TooFewPoints("covering_radius needs at least two points")
     try:
-        vor = Voronoi(patch.points)
-        verts = vor.vertices
+        tri = Delaunay(patch.points)
     except (QhullError, ValueError):
-        verts = None
-
-    best = _covering_from_candidates(patch, verts) if verts is not None else None
+        best = None
+    else:
+        eq = tri.equations
+        with np.errstate(divide="ignore", invalid="ignore"):
+            centers = eq[:, :3] / (-2.0 * tri.paraboloid_scale * eq[:, 3:4])
+        radii = np.linalg.norm(centers - patch.points[tri.simplices[:, 0]], axis=1)
+        finite = np.isfinite(radii)
+        best = _largest_fitting_ball(patch, centers[finite], radii[finite])
     if best is None:
-        best = _covering_from_candidates(patch, _grid_candidates(patch, _GRID_H))
+        grid = _grid_candidates(patch, _GRID_H)
+        best = _largest_fitting_ball(patch, grid, patch.tree.query(grid)[0])
     if best is None:
         raise BoxTooSmall("no empty-ball center fits inside the trusted box")
     return best
@@ -250,14 +265,24 @@ def _grid_candidates(patch: PointPatch, h: float) -> np.ndarray:
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     return grid
 
-def _covering_from_candidates(patch: PointPatch, cands: np.ndarray) -> Optional[float]:
-    if cands is None or len(cands) == 0:
+
+def _largest_fitting_ball(patch: PointPatch, centers: np.ndarray,
+                          radii: np.ndarray) -> Optional[float]:
+    """Largest radius among the balls B(centers[i], radii[i]) that lie in
+    the trusted box, or None if none does.
+
+    One KD query checks that the winning ball is empty.  If a patch point
+    lies closer than its radius less geom_tol, the radii are not those of
+    empty balls, and every center is scored by its distance to the set
+    instead.
+    """
+    inside = np.flatnonzero(patch.ball_inside_box(centers, radii[:, None]))
+    if len(inside) == 0:
         return None
-    d, _ = patch.tree.query(cands)
-    inside = patch.ball_inside_box(cands, d[:, None])
-    if not np.any(inside):
-        return None
-    return float(d[inside].max())
+    i = inside[np.argmax(radii[inside])]
+    if patch.tree.query(centers[i])[0] >= radii[i] - patch.geom_tol:
+        return float(radii[i])
+    return _largest_fitting_ball(patch, centers, patch.tree.query(centers)[0])
 
 
 def _ball_center(patch: PointPatch, center, rho: float, what: str) -> np.ndarray:

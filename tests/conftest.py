@@ -11,9 +11,11 @@ from math import gcd
 
 import numpy as np
 import pytest
+from scipy.spatial import QhullError, Voronoi
 
 import delone_local as dl
-from delone_local.errors import UnrecognizedGroup
+from delone_local.delone_core import _GRID_H, _grid_candidates
+from delone_local.errors import BoxTooSmall, UnrecognizedGroup
 from delone_local.geometry import (
     ElementKind,
     canonical_axis,
@@ -75,6 +77,18 @@ STOCK_PATCHES = (("c4v", 6), ("z3", 4), ("hex", 4), ("hex_bilattice", 4),
                  ("hex_bilattice", 5))
 
 
+def rotated_lattice(name, seed, h):
+    """The ``LATTICES`` set ``name`` under a seeded random rotation, cut to
+    the cube of half-width ``h``: every center still has translated
+    copies, but no longer along the box axes."""
+    build, _ = LATTICES[name]
+    rng = np.random.default_rng([seed, len(name)])
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    moved = build([-2 * h] * 3, [2 * h] * 3).points @ q.T
+    keep = np.all(np.abs(moved) <= h, axis=1)
+    return dl.PointPatch(moved[keep], [-h] * 3, [h] * 3)
+
+
 def jittered_cubic(m, seed, spacing=1.6, amplitude=0.15):
     """Cubic sites |k| <= m at ``spacing``, each moved by seeded uniform
     per-axis jitter of at most ``amplitude``, trusted on the box of
@@ -101,6 +115,33 @@ def cluster_classes_oracle(patch, rho):
             reps.append(cl)
         assignment[tuple(c)] = found
     return assignment, [tuple(rep.center) for rep in reps]
+
+
+def covering_radius_oracle(patch):
+    """The covering radius as it was computed before the Delaunay
+    circumballs: one Voronoi diagram of the patch, every vertex scored by
+    its KD distance to the set, the largest score whose ball fits the
+    trusted box; the library's grid scan when no vertex fits or Qhull
+    fails."""
+    def from_candidates(cands):
+        if cands is None or len(cands) == 0:
+            return None
+        d, _ = patch.tree.query(cands)
+        inside = patch.ball_inside_box(cands, d[:, None])
+        if not np.any(inside):
+            return None
+        return float(d[inside].max())
+
+    try:
+        verts = Voronoi(patch.points).vertices
+    except (QhullError, ValueError):
+        verts = None
+    best = from_candidates(verts) if verts is not None else None
+    if best is None:
+        best = from_candidates(_grid_candidates(patch, _GRID_H))
+    if best is None:
+        raise BoxTooSmall("no empty-ball center fits inside the trusted box")
+    return best
 
 
 def signed_permutations():

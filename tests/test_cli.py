@@ -116,6 +116,18 @@ class TestClassesAndGroup:
         assert "order = 8" in out
         assert "tower_height =" in out
 
+    def test_numeric_radius_resolves_no_R(self, tmp_path, capsys):
+        # one point has no covering radius, and none is needed
+        path = tmp_path / "one.xyz"
+        path.write_text("# box -1 -1 -1 1 1 1\n0 0 0\n")
+        code, out, err = run(capsys, "classes", str(path), "--rho", "0.5")
+        assert (code, err) == (0, "")
+        assert out == ("rho = 0.5\nN = 1\nclass 0: representative = "
+                       "(0, 0, 0), members = 1, centers = 1\n")
+        code, out, err = run(capsys, "classes", str(path), "--rho", "2R")
+        assert code == 1
+        assert err == "error: covering_radius needs at least two points\n"
+
     def test_group_bad_center(self, c4v_file, capsys):
         code, out, err = run(capsys, "group", str(c4v_file),
                              "--center", "0.5", "0", "1", "--rho", "1.5")
@@ -138,6 +150,15 @@ class TestCheckLocal:
         assert "(flag)" in out
         assert "regular = true" in out
 
+
+    def test_kR_multiplies_flag_R(self, tmp_path, capsys):
+        path = tmp_path / "cubic4.xyz"
+        run(capsys, "generate", "--kind", "cubic", "--box", *_box(4),
+            "-o", str(path))
+        code, out, err = run(capsys, "check-local", str(path),
+                             "--rho0", "2R", "--R", "1.0")
+        assert (code, err) == (0, "")
+        assert out.startswith("R = 1 (flag)\nrho0 = 2\n")
 
     def test_negative_R(self, c4v_file, capsys):
         code, out, err = run(capsys, "check-local", str(c4v_file),

@@ -3,12 +3,25 @@ import numpy as np
 import pytest
 
 import delone_local as dl
-from delone_local.delone_core import load_patch, save_patch
+from delone_local.delone_core import (
+    _GRID_H,
+    _largest_fitting_ball,
+    load_patch,
+    save_patch,
+)
 from delone_local.errors import (
     CenterNotInPatch,
     MarginViolation,
     ParseError,
     TooFewPoints,
+)
+
+from conftest import (
+    LATTICES,
+    STOCK_PATCHES,
+    covering_radius_oracle,
+    jittered_cubic,
+    rotated_lattice,
 )
 
 SQRT3 = np.sqrt(3.0)
@@ -95,6 +108,66 @@ class TestCoveringRadius:
         large = dl.cubic_lattice([-5, -5, -5], [5, 5, 5])
         assert dl.covering_radius(small) == pytest.approx(
             dl.covering_radius(large), abs=1e-6)
+
+
+def _noisy_z3(sigma):
+    p = dl.cubic_lattice([-5] * 3, [5] * 3)
+    noise = np.random.default_rng(0).normal(0.0, sigma, p.points.shape)
+    return dl.PointPatch(p.points + noise, p.box_lo, p.box_hi)
+
+
+#: Patches on which the Delaunay circumballs must give the Voronoi scan's R.
+ORACLE_PATCHES = {
+    **{f"stock_{name}_{h}": (lambda b=LATTICES[name][0], h=h: b([-h] * 3, [h] * 3))
+       for name, h in STOCK_PATCHES},
+    **{f"jittered_{seed}": (lambda seed=seed: jittered_cubic(4, seed))
+       for seed in range(5)},
+    **{f"rotated_{name}_{seed}": (lambda name=name, seed=seed:
+                                  rotated_lattice(name, seed, 4.0))
+       for name in LATTICES for seed in range(3)},
+    "z3_noise_1e-14": lambda: _noisy_z3(1e-14),
+    "z3_noise_1e-9": lambda: _noisy_z3(1e-9),
+    "hex_mu16": lambda: dl.hex_lattice(dl.HexLatticeSpec(1, 16),
+                                       [-6, -6, -10], [6, 6, 10]),
+}
+
+
+class TestCoveringRadiusOracle:
+    """Delaunay circumballs against the Voronoi-vertex scan they replace."""
+
+    @pytest.mark.parametrize("name", ORACLE_PATCHES)
+    def test_matches_voronoi_scan(self, name):
+        p = ORACLE_PATCHES[name]()
+        assert abs(dl.covering_radius(p) - covering_radius_oracle(p)) <= 1e-12
+
+    def test_planar_patch_takes_grid(self):
+        # Qhull cannot triangulate a flat patch; the grid scan answers
+        pts = [[x, y, 0.0] for x in range(-3, 4) for y in range(-3, 4)]
+        p = dl.PointPatch(pts, [-3, -3, -0.5], [3, 3, 0.5])
+        R = dl.covering_radius(p)
+        assert R == pytest.approx(0.5, abs=_GRID_H * SQRT3)
+        assert R == covering_radius_oracle(p)
+
+    def test_no_circumball_fits_takes_grid(self):
+        # every Delaunay cell of Z^3 on [-1, 1]^3 has radius sqrt(3)/2 and
+        # a center 1/2 from the box faces
+        p = dl.cubic_lattice([-1] * 3, [1] * 3)
+        assert dl.covering_radius(p) == covering_radius_oracle(p) == 0.6062177826491092
+
+    def test_inflated_winner_is_rescored(self):
+        # (0.2, 0, 0) claims 1.9 but lies 0.2 from the origin; (1.5, .5, .5)
+        # claims 0.3 but lies sqrt(3)/2 from the set.  Trusting the claims
+        # gives 1.9, dropping only the winner gives 0.3; the KD rule gives
+        # sqrt(3)/2
+        p = dl.cubic_lattice([-3] * 3, [3] * 3)
+        centers = np.array([[0.2, 0.0, 0.0], [1.5, 0.5, 0.5]])
+        R = _largest_fitting_ball(p, centers, np.array([1.9, 0.3]))
+        assert R == pytest.approx(SQRT3 / 2, abs=1e-15)
+
+    def test_nothing_fits(self):
+        p = dl.cubic_lattice([-3] * 3, [3] * 3)
+        assert _largest_fitting_ball(p, np.array([[2.9, 0.0, 0.0]]),
+                                     np.array([0.5])) is None
 
 
 class TestCluster:

@@ -10,7 +10,12 @@ from delone_local.equivalence import cluster_classes, cluster_isometry
 from delone_local.errors import NoUsableCenters, RadiusMismatch
 from delone_local.geometry import Isometry, classify_element, rotation_matrix
 
-from conftest import LATTICES, cluster_classes_oracle, jittered_cubic
+from conftest import (
+    LATTICES,
+    cluster_classes_oracle,
+    jittered_cubic,
+    rotated_lattice,
+)
 
 SQRT3 = np.sqrt(3.0)
 
@@ -264,15 +269,9 @@ class TestClassLoopOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("name", LATTICES)
     def test_rotated_lattices(self, name, seed):
-        # the rotated infinite set cut to a box: every center still has
-        # translated copies, but no longer along the box axes
-        build, R = LATTICES[name]
-        rng = np.random.default_rng([seed, len(name)])
-        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        _, R = LATTICES[name]
         h = 6.0 if name == "c4v" else 4.5  # c4v's 4R is 4.9
-        moved = build([-2 * h] * 3, [2 * h] * 3).points @ q.T
-        keep = np.all(np.abs(moved) <= h, axis=1)
-        patch = dl.PointPatch(moved[keep], [-h] * 3, [h] * 3)
+        patch = rotated_lattice(name, seed, h)
         for k in (2, 4):
             self.assert_same(patch, k * R)
 
