@@ -19,10 +19,12 @@ onto the feasible region, strict inequalities shrunk by ``eps``).
 Everything is deterministic: identical reports across runs.
 
 Problem 1's P_x and P_y come from one builder, ``_vertex_pairs``, whose
-arithmetic reads the same on floats and on arrays: the grid folds its 64
-vertex pairs into a running minimum over whole angle arrays, and the
-Nelder-Mead objective and ``lemma1_objective`` run it on floats with the
-same (dx^2 + dz^2) + dy^2 sum, so all three agree bit for bit.
+arithmetic reads the same on floats and on arrays: one array kernel
+serves the grid (a phi row per call) and the refinement, and
+``lemma1_objective`` runs the builder on floats with the same
+(dx^2 + dz^2) + dy^2 sum, so they agree bit for bit.  The refinement runs
+all starts in lockstep (``_nelder_mead``), and each ends where scipy's
+per-start Nelder-Mead, the tests' oracle, ends.
 """
 from __future__ import annotations
 
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import BudgetExhausted, InfeasibleParams
 
@@ -235,50 +236,110 @@ def lemma1_objective(p: Lemma1Params, pair_filter: float = 0.01) -> float:
     return _min_pair_distance(*_checked_pairs(p), pair_filter)
 
 
-def _lemma1_value(phi: float, psi: float, pair_filter: float) -> float:
-    """The problem-1 objective at one angle pair, on floats (the
-    Nelder-Mead objective)."""
-    pairs = _vertex_pairs(*map(float, _angle_params(phi, psi)))
-    return _min_pair_distance(*pairs, pair_filter)
-
-
 def _lemma1_value_from_angles(phi: np.ndarray, psi: np.ndarray,
                               pair_filter: float) -> np.ndarray:
-    """The problem-1 objective over equal-shape angle arrays: the 64
-    vertex pairs are folded one at a time into a running minimum, with
-    the summation order of ``_min_pair_distance`` (``fmin`` skips a NaN
-    distance, as the filter there does)."""
-    px, py = _vertex_pairs(*_angle_params(phi, psi))
-    best = np.full(phi.shape, np.inf)
-    for ux, uy, uz in px:
-        for vx, vy, vz in py:
-            dx, dy, dz = ux - vx, uy - vy, uz - vz
-            d = np.sqrt((dx * dx + dz * dz) + dy * dy)
-            d[d < pair_filter] = np.inf
-            np.fmin(best, d, out=best)
-    return best
+    """The problem-1 objective over equal-length 1-d angle arrays: all 64
+    vertex pairs at once, with the summation order of
+    ``_min_pair_distance`` (``fmin`` skips a NaN distance, as the filter
+    there does)."""
+    v = np.empty((2, 3, 8, len(phi)))  # (P_x or P_y, component, vertex)
+    for i, pts in enumerate(_vertex_pairs(*_angle_params(phi, psi))):
+        for j, (x, y, z) in enumerate(pts):
+            v[i, 0, j], v[i, 1, j], v[i, 2, j] = x, y, z
+    dx, dy, dz = v[0][:, :, None] - v[1][:, None]  # each (8, 8, m)
+    d = np.sqrt((dx * dx + dz * dz) + dy * dy)
+    d[d < pair_filter] = np.inf
+    return np.fmin.reduce(d.reshape(64, -1), axis=0, initial=np.inf)
 
 
-def _refine(neg, clamp, vals, grids, budget: OptBudget, params
+def _nelder_mead(f, x0: np.ndarray, maxiter: int, xatol: float,
+                 fatol: float):
+    """scipy's Nelder-Mead (default coefficients, ``maxiter`` only) on
+    every row of ``x0`` in lockstep, ``f`` mapping (m, N) arrays to m
+    values: each row's x, fun and success equal ``minimize``'s on that
+    row alone.  An iteration calls ``f`` on the reflections, on each
+    row's expansion or contraction, and on the shrinking rows' vertices;
+    sorts use numpy's default ``argsort``, as scipy's, so ties agree."""
+    m, n = x0.shape
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    k = np.arange(n)
+    sim[:, k + 1, k] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    fsim = f(sim.reshape(-1, n)).reshape(m, n + 1)
+    order = np.argsort(fsim, axis=1)
+    sim = np.take_along_axis(sim, order[:, :, None], axis=1)
+    fsim = np.take_along_axis(fsim, order, axis=1)
+    success = np.zeros(m, dtype=bool)
+    for _ in range(1, maxiter):
+        run = np.flatnonzero(~success)
+        s, fs = sim[run], fsim[run]
+        done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol)
+                & (np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol))
+        success[run[done]] = True
+        run, s, fs = run[~done], s[~done], fs[~done]
+        if len(run) == 0:
+            break
+        xbar = np.add.reduce(s[:, :-1], 1) / n
+        worst = s[:, -1]
+        xr = 2 * xbar - worst
+        fxr = f(xr)
+        expand = fxr < fs[:, 0]
+        outside = fxr < fs[:, -1]
+        # a reflection between the best and the second worst is taken
+        # as it is; the other rows try an expansion or a contraction
+        rest = np.flatnonzero(expand | ~(fxr < fs[:, -2]))
+        e, o, xb, w = expand[rest], outside[rest], xbar[rest], worst[rest]
+        x2 = np.where(e[:, None], 3 * xb - 2 * w,
+                      np.where(o[:, None], 1.5 * xb - 0.5 * w,
+                               0.5 * xb + 0.5 * w))
+        f2 = f(x2)
+        better = np.where(e, f2 < fxr[rest],
+                          np.where(o, f2 <= fxr[rest], f2 < fs[rest, -1]))
+        xr[rest[better]], fxr[rest[better]] = x2[better], f2[better]
+        keep = np.ones(len(run), dtype=bool)
+        keep[rest[~(e | better)]] = False
+        s[keep, -1], fs[keep, -1] = xr[keep], fxr[keep]
+        if not keep.all():
+            shrink = ~keep
+            best = s[shrink, :1]
+            s[shrink, 1:] = best + 0.5 * (s[shrink, 1:] - best)
+            fs[shrink, 1:] = f(s[shrink, 1:].reshape(-1, n)).reshape(-1, n)
+        order = np.argsort(fs, axis=1)
+        sim[run] = np.take_along_axis(s, order[:, :, None], axis=1)
+        fsim[run] = np.take_along_axis(fs, order, axis=1)
+    return sim[:, 0], np.min(fsim, axis=1), success
+
+
+def _top(keys: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")[:k]``, sorting only the keys
+    that a partition puts at or below the k-th smallest (NaN sorts last
+    in both, and a NaN k-th key makes every key a candidate)."""
+    if k >= len(keys):
+        return np.argsort(keys, kind="stable")
+    kth = np.partition(keys, k - 1)[k - 1]
+    cand = np.flatnonzero(~(keys > kth))
+    return cand[np.argsort(keys[cand], kind="stable")[:k]]
+
+
+def _refine(f, clamp, vals, grids, budget: OptBudget, params
             ) -> OptimizationReport:
-    """Refine the ``refine_top`` best grid seeds with Nelder-Mead on
-    ``neg`` and report the best point found, clamped and mapped to its
-    parameters by ``params``."""
+    """Refine the ``refine_top`` best grid seeds with lockstep
+    Nelder-Mead on ``-f`` (``f`` maps (m, N) arrays of raw coordinates to
+    m values), scan the starts in seed order and report the best point
+    found, clamped and mapped to its parameters by ``params``."""
     flat = vals.ravel()
-    seeds = np.stack([g.ravel() for g in grids], axis=1)
-    top = np.argsort(-flat, kind="stable")[:budget.refine_top]
+    top = _top(-flat, budget.refine_top)
+    seeds = np.stack([g[np.unravel_index(top, vals.shape)] for g in grids],
+                     axis=1)
     best_val = float(flat[top[0]])
-    best = tuple(map(float, seeds[top[0]]))
-    converged = 0
-    for idx in top:
-        res = minimize(neg, seeds[idx], method="Nelder-Mead",
-                       options={"maxiter": budget.nm_maxiter,
-                                "xatol": 1e-10, "fatol": 1e-12})
-        converged += bool(res.success)
-        val = -float(res.fun)
+    best = tuple(map(float, seeds[0]))
+    xs, funs, success = _nelder_mead(lambda v: -f(v), seeds,
+                                     budget.nm_maxiter, 1e-10, 1e-12)
+    for x, fun in zip(xs, funs):
+        val = -float(fun)
         if val > best_val + 1e-15:
             best_val = val
-            best = clamp(res.x)
+            best = tuple(map(float, clamp(x)))
+    converged = int(success.sum())
     if converged == 0:
         raise BudgetExhausted("no Nelder-Mead start converged")
     argmax = params(*best)
@@ -309,15 +370,16 @@ def optimize_lemma1(budget: OptBudget = OptBudget()) -> OptimizationReport:
     phis = np.linspace(lo, hi, budget.grid_phi)
     psis = np.linspace(0.0, 2.0 * np.pi, budget.grid_psi, endpoint=False)
     P, S = np.meshgrid(phis, psis, indexing="ij")
-    vals = _lemma1_value_from_angles(P, S, budget.pair_filter)
-
-    def neg(v):
-        return -_lemma1_value(min(max(v[0], lo), hi), v[1], budget.pair_filter)
+    vals = np.array([_lemma1_value_from_angles(p, s, budget.pair_filter)
+                     for p, s in zip(P, S)])
 
     def clamp(v):
-        return min(max(float(v[0]), lo), hi), float(v[1])
+        return np.minimum(np.maximum(v[..., 0], lo), hi), v[..., 1]
 
-    return _refine(neg, clamp, vals, (P, S), budget, Lemma1Params.from_angles)
+    def f(v):
+        return _lemma1_value_from_angles(*clamp(v), budget.pair_filter)
+
+    return _refine(f, clamp, vals, (P, S), budget, Lemma1Params.from_angles)
 
 
 def lemma2_objective(p: Lemma2Params) -> float:
@@ -338,16 +400,15 @@ def _lemma2_value(a, b, x, y, sqrt=math.sqrt):
     return d1 + d2 - 1.0 - sqrt(a * a + b * b)
 
 
-def _lemma2_clamp(v: np.ndarray, eps: float) -> Tuple[float, float, float]:
-    """Project raw optimizer coordinates (a, b, u) onto the eps-shrunk
-    feasible region (u parameterizes x = a cos u, y = a sin u)."""
-    b = min(max(float(v[1]), LEMMA2_B_MIN + eps), 0.5 - eps)
-    a_lo = math.sqrt(max(1.0 - b * b, b * b)) + eps
+def _lemma2_clamp(v: np.ndarray, eps: float):
+    """Project raw optimizer coordinates (a, b, u), the last axis of
+    ``v``, onto the eps-shrunk feasible region (u parameterizes
+    x = a cos u, y = a sin u)."""
+    b = np.minimum(np.maximum(v[..., 1], LEMMA2_B_MIN + eps), 0.5 - eps)
+    a_lo = np.sqrt(np.maximum(1.0 - b * b, b * b)) + eps
     a_hi = math.sqrt(3.0 * (_SQRT2 + 1.0)) * b
-    if a_lo > a_hi:
-        a_lo = a_hi
-    a = min(max(float(v[0]), a_lo), a_hi)
-    u = min(max(float(v[2]), 0.0), np.pi / 2.0)
+    a = np.minimum(np.maximum(v[..., 0], a_lo), a_hi)  # a_hi if a_lo > a_hi
+    u = np.minimum(np.maximum(v[..., 2], 0.0), np.pi / 2.0)
     return a, b, u
 
 
@@ -378,12 +439,12 @@ def optimize_lemma2(budget: OptBudget = OptBudget()) -> OptimizationReport:
     Y = Ag * np.sin(Ug)
     vals = _lemma2_value(Ag, Bg, X, Y, np.sqrt)
 
-    def neg(v):
+    def f(v):
         a, b, u = _lemma2_clamp(v, eps)
-        return -_lemma2_value(a, b, a * float(np.cos(u)), a * float(np.sin(u)))
+        return _lemma2_value(a, b, a * np.cos(u), a * np.sin(u), np.sqrt)
 
     def params(a, b, u):
         return Lemma2Params(a, b, float(a * np.cos(u)), float(a * np.sin(u)))
 
-    return _refine(neg, lambda v: _lemma2_clamp(v, eps), vals, (Ag, Bg, Ug),
+    return _refine(f, lambda v: _lemma2_clamp(v, eps), vals, (Ag, Bg, Ug),
                    budget, params)

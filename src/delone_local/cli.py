@@ -20,6 +20,7 @@ one line "error: ..." to stderr and exits 1 (usage errors exit 2).
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from typing import List, Optional, Tuple
@@ -289,6 +290,7 @@ def _cmd_shtogrin(args) -> int:
 
 # --- parser -----------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="delone",

@@ -11,6 +11,7 @@ from math import gcd
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.spatial import QhullError, Voronoi
 
 import delone_local as dl
@@ -500,8 +501,9 @@ def named_group_generators():
 # The broadcasting lemma-1 kernel the optimizers used before the
 # component-form builder: P_y from stacked (..., 8, 3) arrays, P_x stacked
 # inline, and the pair distances from one einsum over a (..., 8, 8, 3)
-# difference tensor.  Kept unchanged as the reference the grid kernel and
-# the scalar Nelder-Mead objective must reproduce bit for bit.
+# difference tensor.  Kept unchanged as the reference the array kernel,
+# which serves both the grid and the Nelder-Mead refinement, and the
+# float objective ``lemma1_objective`` must reproduce bit for bit.
 _ORACLE_SQRT2 = np.sqrt(2.0)
 
 
@@ -563,3 +565,19 @@ def lemma1_values_oracle(phi, psi, pair_filter=0.01):
         np.stack([-s, -s, -b], axis=-1),
     ], axis=-2)
     return _min_filtered_distance_oracle(px, py, pair_filter)
+
+
+# --- Nelder-Mead oracle -------------------------------------------------------
+# The refinement loop the optimizers ran before the lockstep solver: one
+# scipy ``minimize(method="Nelder-Mead")`` per start, on a scalar wrapper
+# of the array objective.  Kept as the reference ``_nelder_mead`` must
+# match start by start: the same x, fun and success.
+
+
+def nelder_mead_oracle(f, x0, maxiter, xatol=1e-10, fatol=1e-12):
+    """scipy's Nelder-Mead on each row of ``x0`` separately; ``f`` maps an
+    (m, N) array to m values.  Returns a list of OptimizeResult."""
+    return [minimize(lambda v: f(v[None])[0], row, method="Nelder-Mead",
+                     options={"maxiter": maxiter, "xatol": xatol,
+                              "fatol": fatol})
+            for row in x0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import delone_local as dl
+from delone_local import antiprism_opt
 from delone_local.antiprism_opt import (
     LEMMA2_B_MIN,
     PHI_MAX,
@@ -11,8 +12,9 @@ from delone_local.antiprism_opt import (
     Lemma1Params,
     Lemma2Params,
     OptBudget,
-    _lemma1_value,
     _lemma1_value_from_angles,
+    _nelder_mead,
+    _top,
     _vertex_pairs,
     lemma1_objective,
     lemma2_objective,
@@ -23,7 +25,11 @@ from delone_local.antiprism_opt import (
 from delone_local.errors import BudgetExhausted, InfeasibleParams
 from delone_local.point_group import stabilizer
 
-from conftest import lemma1_values_oracle, py_vertices_oracle
+from conftest import (
+    lemma1_values_oracle,
+    nelder_mead_oracle,
+    py_vertices_oracle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -152,9 +158,16 @@ class TestObjectives:
             lemma2_objective(Lemma2Params(0.5, 0.4, 0.0, 0.0))  # a^2+b^2 < 1
 
 
+def lemma1_kernel(phi, psi, pair_filter=0.01):
+    """The array kernel at one angle pair, as a float."""
+    return float(_lemma1_value_from_angles(np.array([phi]), np.array([psi]),
+                                           pair_filter)[0])
+
+
 class TestKernelsMatchOracle:
-    """The grid kernel and the scalar Nelder-Mead objective reproduce the
-    broadcasting kernel of ``conftest.lemma1_values_oracle`` bit for bit."""
+    """The array kernel, on grid rows and on single points, and the float
+    objective reproduce the broadcasting kernel of
+    ``conftest.lemma1_values_oracle`` bit for bit."""
 
     @pytest.mark.parametrize("grid, phi_range", [
         (200, (PHI_MIN, PHI_MAX)),
@@ -165,7 +178,8 @@ class TestKernelsMatchOracle:
         psis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
         P, S = np.meshgrid(phis, psis, indexing="ij")
         for pf in (0.01, 0.3):
-            got = _lemma1_value_from_angles(P, S, pf)
+            got = np.array([_lemma1_value_from_angles(p, s, pf)
+                            for p, s in zip(P, S)])
             assert np.array_equal(got, lemma1_values_oracle(P, S, pf))
 
     def test_scalar_objective(self):
@@ -176,7 +190,7 @@ class TestKernelsMatchOracle:
         psis[-5:] = [0.0, np.pi, 2 * np.pi, -np.pi / 2, 7.5]
         for phi, psi in zip(phis, psis):
             want = float(lemma1_values_oracle(phi, psi))
-            assert _lemma1_value(phi, psi, 0.01) == want
+            assert lemma1_kernel(phi, psi) == want
             assert lemma1_objective(Lemma1Params.from_angles(phi, psi)) == want
 
     def test_scalar_objective_where_the_filter_acts(self):
@@ -188,8 +202,104 @@ class TestKernelsMatchOracle:
         assert (d < 1e-12).sum() == 2
         for pf in (1e-300, 0.01, 0.05, 0.3, 1.5):
             want = float(lemma1_values_oracle(PHI_MAX, 0.0, pf))
-            assert _lemma1_value(PHI_MAX, 0.0, pf) == want
-        assert _lemma1_value(PHI_MAX, 0.0, 0.01) == 0.9999999999999999
+            assert lemma1_kernel(PHI_MAX, 0.0, pf) == want
+        assert lemma1_kernel(PHI_MAX, 0.0, 0.01) == 0.9999999999999999
+
+
+def assert_matches_oracle(f, x0, maxiter, xatol=1e-10, fatol=1e-12):
+    """Every start of ``_nelder_mead`` equals scipy's ``minimize`` on it
+    alone; returns the number of converged starts."""
+    xs, funs, success = _nelder_mead(f, x0, maxiter, xatol, fatol)
+    want = nelder_mead_oracle(f, x0, maxiter, xatol, fatol)
+    assert len(xs) == len(funs) == len(success) == len(want)
+    for i, res in enumerate(want):
+        assert np.array_equal(xs[i], res.x), i
+        assert funs[i] == res.fun, i
+        assert bool(success[i]) == res.success, i
+    return int(success.sum())
+
+
+@pytest.fixture
+def recorded_refinements(monkeypatch):
+    """Each ``_nelder_mead`` call an optimizer makes, as (f, x0, maxiter,
+    xatol, fatol)."""
+    calls = []
+
+    def record(f, x0, maxiter, xatol, fatol):
+        calls.append((f, x0.copy(), maxiter, xatol, fatol))
+        return _nelder_mead(f, x0, maxiter, xatol, fatol)
+
+    monkeypatch.setattr(antiprism_opt, "_nelder_mead", record)
+    return calls
+
+
+def plateaus(v):
+    """A 3-d objective of integer steps, so simplices hold tied values.
+    Its steps at y = 0 and z = 0 fall inside the 0.00025 offset of an
+    initial simplex around a zero coordinate, which gives ties that
+    numpy's default argsort orders unlike a stable sort."""
+    return (np.floor(3.0 * v[:, 0]) ** 2 + np.floor(2.0 * v[:, 1] - 1.0) ** 2
+            + np.abs(np.floor(4.0 * v[:, 2] + 1.0))
+            + np.minimum(np.floor(-2000.0 * v[:, 1:]), 0.0).sum(axis=1))
+
+
+def rosenbrock(v):
+    return 100.0 * (v[:, 1] - v[:, 0] ** 2) ** 2 + (1.0 - v[:, 0]) ** 2
+
+
+class TestNelderMeadOracle:
+    """The lockstep Nelder-Mead matches scipy's per-start ``minimize``
+    exactly: on the optimizers' own seeds and objectives, and on
+    synthetic objectives with ties, plateaus and zero coordinates."""
+
+    @pytest.mark.parametrize("optimize", [optimize_lemma1, optimize_lemma2])
+    def test_default_budget(self, optimize, recorded_refinements):
+        optimize()
+        (call,) = recorded_refinements
+        assert call[1].shape[0] == 24
+        assert assert_matches_oracle(*call) == 24
+
+    @pytest.mark.parametrize("maxiter, converged", [(1, 0), (80, 1),
+                                                    (150, 22)])
+    def test_lemma1_iteration_caps(self, maxiter, converged,
+                                   recorded_refinements):
+        budget = OptBudget(grid_phi=60, grid_psi=60, nm_maxiter=maxiter)
+        if converged:
+            optimize_lemma1(budget)
+        else:
+            with pytest.raises(BudgetExhausted):
+                optimize_lemma1(budget)
+        (call,) = recorded_refinements
+        assert assert_matches_oracle(*call) == converged
+
+    @pytest.mark.parametrize("maxiter", [5, 50, 400])
+    @pytest.mark.parametrize("f, n", [(plateaus, 3), (rosenbrock, 2)])
+    def test_synthetic(self, f, n, maxiter):
+        rng = np.random.default_rng(13)
+        x0 = rng.uniform(-2.0, 2.0, (40, n))
+        x0[:8] = np.round(x0[:8])
+        x0[8:16, 0] = 0.0
+        x0[16:20] = 0.0
+        # from this start, plateaus meets ties inside the loop that a
+        # stable sort orders unlike scipy (by 400 iterations)
+        x0[20] = (-2.0, -1.5, 0.5)[:n]
+        assert_matches_oracle(f, x0, maxiter)
+
+
+class TestTopSeeds:
+    def test_prefix_of_stable_argsort(self):
+        # ties, signed zeros, infinities and NaN (sorted last); k below,
+        # at and above the length
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            keys = rng.integers(0, 5, n).astype(float)
+            keys[rng.random(n) < 0.2] = np.nan
+            keys[rng.random(n) < 0.1] = -0.0
+            keys[rng.random(n) < 0.1] = -np.inf
+            for k in (1, int(rng.integers(1, 70)), n):
+                assert np.array_equal(_top(keys, k),
+                                      np.argsort(keys, kind="stable")[:k])
 
 
 class TestReports:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from delone_local.cli import main
+from delone_local.cli import _build_parser, main
 from delone_local.delone_core import save_patch
 
 from conftest import jittered_cubic
@@ -244,6 +244,25 @@ class TestBadArguments:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestParserReuse:
+    def test_back_to_back_equals_separate(self, c4v_file, capsys):
+        # main builds its parser once per process; reusing it across
+        # subcommands, a usage error among them, changes no output
+        argvs = (["classes", str(c4v_file), "--rho", "2R"],
+                 ["optimize", "lemma2", "--bogus"],
+                 ["shtogrin-bound", "--n", "7"],
+                 ["bounds-table", "--format", "csv"])
+        back_to_back = [run(capsys, *argv) for argv in argvs]
+        assert _build_parser() is _build_parser()
+        separate = []
+        for argv in argvs:
+            _build_parser.cache_clear()
+            separate.append(run(capsys, *argv))
+        assert back_to_back == separate
+        assert [code for code, _, _ in separate] == [0, 2, 0, 0]
+        assert "unrecognized arguments: --bogus" in separate[1][2]
 
 
 def _box(h):
