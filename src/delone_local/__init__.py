@@ -45,7 +45,6 @@ from .geometry import (
     ElementKind,
     Isometry,
     classify_element,
-    frame_isometry,
 )
 from .point_group import (
     PointGroup,

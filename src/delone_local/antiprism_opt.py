@@ -435,8 +435,8 @@ def optimize_lemma2(budget: OptBudget = OptBudget()) -> OptimizationReport:
     Bg = np.broadcast_to(bs[:, None, None], (n, n, n))
     Ag = np.broadcast_to(A[:, :, None], (n, n, n))
     Ug = np.broadcast_to(us[None, None, :], (n, n, n))
-    X = Ag * np.cos(Ug)
-    Y = Ag * np.sin(Ug)
+    X = Ag * np.cos(us)  # u takes n values: n trig calls, broadcast
+    Y = Ag * np.sin(us)
     vals = _lemma2_value(Ag, Bg, X, Y, np.sqrt)
 
     def f(v):

@@ -180,7 +180,7 @@ class Cluster:
     @cached_property
     def frame_inv(self) -> np.ndarray:
         """Inverse of the frame completed to a basis (cached; needs a frame)."""
-        return np.linalg.inv(_complete_basis(self.frame))
+        return np.linalg.inv(_complete_basis(self.frame[None])[0])
 
     @cached_property
     def offset_tree(self) -> cKDTree:

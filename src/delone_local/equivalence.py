@@ -1,24 +1,26 @@
 """Cluster equivalence and the cluster-counting function N(rho).
 
 Two clusters are equivalent when some isometry maps center to center and
-member set onto member set.  One lazy generator, ``_maps(a, b)``, serves
-clusters of affine dimension k = 1, 2 or 3: a's frame (k independent
-offsets) is matched against k-tuples of b's offsets with the same norms
-and pairwise dot products, in lexicographic order; each tuple gives one
-orthogonal map q = G F^-1 (both tuples completed to a basis), which is
-yielded once it maps b's offsets back onto a's cached KD-tree
-(``_carries``).  :func:`cluster_isometry` takes its first map, and
+member set onto member set.  One map search, ``_maps(a, b)``, serves
+clusters of affine dimension k = 1, 2 or 3 and returns every verified map
+as one stack: a's frame (k independent offsets) is matched against the
+k-tuples of b's offsets with the same norms and pairwise dot products,
+built level by level in lexicographic order; each tuple gives one
+orthogonal map q = G F^-1 (both tuples completed to a basis), and all of
+them are solved, gated, snapped and checked against a's cached KD-tree in
+one pass (``_carries``).  :func:`cluster_isometry` takes the first map, and
 :func:`delone_local.point_group.stabilizer` all of ``_maps(c, c)``.
 
 :func:`cluster_classes` extracts every cluster with one batched ball query
-and, per class, first tries the linear parts that have already verified
-against the class (the identity to begin with), so that the frame search
-of ``_maps`` runs only for the first center of each new orientation.
+and sweeps the centers representative first: each class verifies all its
+candidate centers against one linear part at a time (the identity to begin
+with), so that the frame search of ``_maps`` runs only for the first
+center of each new orientation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,51 +53,53 @@ def _profiles_match(profiles: np.ndarray, d: np.ndarray, rho: float):
             <= 4.0 * match_tolerance(rho))
 
 
-def _carries(a: Cluster, offsets: np.ndarray, q: np.ndarray) -> bool:
-    """True iff the orthogonal q maps a's offsets onto ``offsets``:
-    q^T(offsets) coincides with a's cached :attr:`Cluster.offset_tree`
-    within match_tolerance(a.radius), point for point."""
-    tree = a.offset_tree
-    if len(offsets) != tree.n:
-        return False
-    d, idx = tree.query(offsets @ q)
-    return (float(d.max()) <= match_tolerance(a.radius)
-            and len(np.unique(idx)) == tree.n)
+def _carries(a: Cluster, offsets: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """Which rows of ``offsets @ qs`` coincide with a's cached
+    :attr:`Cluster.offset_tree`, point for point: many maps (n, 3, 3)
+    against one offset set (m, 3), or one map (3, 3) against many
+    centers' offset stacks (n, m, 3).  One query over all n m points; a
+    row passes when its max distance is within match_tolerance(a.radius)
+    and its nearest indices are one-to-one."""
+    moved = offsets @ qs
+    n, m = moved.shape[:2]
+    if m != len(a):
+        return np.zeros(n, dtype=bool)
+    d, idx = a.offset_tree.query(moved.reshape(-1, 3))
+    d, idx = d.reshape(n, m), idx.reshape(n, m)
+    return ((d.max(axis=1) <= match_tolerance(a.radius))
+            & (np.diff(np.sort(idx, axis=1), axis=1) > 0).all(axis=1))
 
 
-def _maps(a: Cluster, b: Cluster) -> Iterator[np.ndarray]:
-    """Lazily yield each orthogonal q with q(a.offsets) = b.offsets, in
-    lexicographic order of the k-tuples of b's offsets (norms and dot
+def _maps(a: Cluster, b: Cluster) -> np.ndarray:
+    """Every orthogonal q with q(a.offsets) = b.offsets, stacked (n, 3, 3)
+    in lexicographic order of the k-tuples of b's offsets (norms and dot
     products prefiltered, zero offset skipped) that a's frame goes to.
 
-    Each solved q is snapped onto O(3) and verified by :func:`_carries`.
+    The tuples are built level by level: a boolean mask per level holds
+    the norm filter and the dot filters against the earlier images, and
+    its row-major nonzeros keep the lexicographic order.  All maps are
+    solved, gated, snapped onto O(3) and verified (:func:`_carries`) as
+    one stack.
     """
     frame = a.frame
     if frame is None:
-        return
+        return np.empty((0, 3, 3))
     mtol = match_tolerance(a.radius)
     norm_tol = 4.0 * mtol
     dot_tol = 40.0 * max(1.0, a.radius) * mtol
     targets = b.offsets
     tnorms = np.linalg.norm(targets, axis=1)
     gram = frame @ frame.T
-    cands = [targets[(np.abs(tnorms - fn) <= norm_tol) & (tnorms > 1e-12)]
-             for fn in np.linalg.norm(frame, axis=1)]
-
-    def extend(images: List[np.ndarray]) -> Iterator[np.ndarray]:
-        i = len(images)
-        if i == len(frame):
-            q = _frame_map(images, a.frame_inv, 1e-5)
-            if q is not None and _carries(a, targets, q):
-                yield q
-            return
-        ok = cands[i]
-        for j, g in enumerate(images):
-            ok = ok[np.abs(ok @ g - gram[j, i]) <= dot_tol]
-        for g in ok:
-            yield from extend(images + [g])
-
-    yield from extend([])
+    tuples = np.empty((1, 0, 3))
+    for i, fn in enumerate(np.linalg.norm(frame, axis=1)):
+        cands = targets[(np.abs(tnorms - fn) <= norm_tol) & (tnorms > 1e-12)]
+        ok = np.ones((len(tuples), len(cands)), dtype=bool)
+        for j in range(i):
+            ok &= np.abs(tuples[:, j] @ cands.T - gram[j, i]) <= dot_tol
+        row, col = np.nonzero(ok)
+        tuples = np.concatenate([tuples[row], cands[col, None]], axis=1)
+    qs = _frame_map(tuples, a.frame_inv, 1e-5)
+    return qs[_carries(a, targets, qs)]
 
 
 def cluster_isometry(a: Cluster, b: Cluster) -> Optional[Isometry]:
@@ -111,8 +115,8 @@ def cluster_isometry(a: Cluster, b: Cluster) -> Optional[Isometry]:
         return None
     if len(a) == 1:
         return Isometry.translation(b.center - a.center)
-    q = next(_maps(a, b), None)
-    return None if q is None else Isometry(q, b.center - q @ a.center)
+    qs = _maps(a, b)
+    return Isometry(qs[0], b.center - qs[0] @ a.center) if len(qs) else None
 
 
 @dataclass(frozen=True)
@@ -143,18 +147,22 @@ def cluster_classes(patch: PointPatch, rho: float) -> ClusterClassDecomposition:
     One ``query_ball_point`` call over all usable centers extracts every
     cluster; usable centers are patch points whose ball lies in the box,
     so the center lookup and margin check of
-    :func:`delone_local.delone_core.cluster` hold by construction.
-    Centers are visited in lexicographic order and compared against the
-    current class representatives only, so the representative of each
-    class is its lexicographically smallest center.  The representatives'
-    distance profiles are stacked by member count; one comparison against
-    the stack picks the classes that pass the profile test of
-    :func:`cluster_isometry`.  For each of those, in class order, the
-    linear parts already verified against the class (the identity first)
-    are tried before the frame search of ``_maps``, whose map, if any,
-    joins them.  Every accepted map passes the same verification
-    (:func:`_carries`) as in :func:`cluster_isometry`, and a ``Cluster``
-    is built only for a representative or a frame search.
+    :func:`delone_local.delone_core.cluster` hold by construction.  The
+    centers are grouped by member count, with their offsets stacked and
+    their distance profiles sorted in one call per group.
+
+    A representative-first sweep then builds the classes: each new
+    representative is the first unassigned center in lexicographic
+    order.  Of the later unassigned centers of its member count, those
+    that pass the profile test of :func:`cluster_isometry` are verified
+    against its identity part in one :func:`_carries` call.  Of those
+    left over, the first runs the frame search of ``_maps``; a map found
+    that way joins the class with that center and is tried on the rest
+    at once, and a center whose search fails stays unassigned for a
+    later class.  So every center joins the first class that has a
+    verified map to it, as in :func:`cluster_isometry` against each
+    representative in turn, and a ``Cluster`` is built only for a
+    representative or a frame search.
     """
     if rho < 0:
         raise ValueError("cluster radius must be non-negative")
@@ -164,37 +172,40 @@ def cluster_classes(patch: PointPatch, rho: float) -> ClusterClassDecomposition:
             f"no center supports radius {rho:g} inside the trusted box")
     rho = float(rho)
     balls = patch.tree.query_ball_point(centers, rho + patch.geom_tol)
+    counts = np.array([len(idx) for idx in balls])
+    groups = {}  # member count -> (center indices, offset stack, profiles)
+    for m in np.unique(counts):
+        ids = np.flatnonzero(counts == m)
+        offsets = (patch.points[np.concatenate(balls[ids])].reshape(-1, m, 3)
+                   - centers[ids, None])
+        groups[m] = (ids, offsets,
+                     np.sort(np.linalg.norm(offsets, axis=2), axis=1))
+    cls = np.full(len(centers), -1)
     reps: List[Cluster] = []
-    parts: List[List[np.ndarray]] = []  # per class: verified linear parts
-    # member count -> (class indices, their representatives' profiles)
-    by_count: Dict[int, Tuple[List[int], np.ndarray]] = {}
-    assignment: Dict[Tuple[float, float, float], int] = {}
-    for c, idx in zip(centers, balls):
-        members = patch.points[idx]
-        offsets = members - c
-        d = np.sort(np.linalg.norm(offsets, axis=1))
-        ids, stack = by_count.get(len(d), ([], np.empty((0, len(d)))))
-        found = cl = None
-        for j in np.flatnonzero(_profiles_match(stack, d, rho)):
-            rep, known = reps[ids[j]], parts[ids[j]]
-            if any(_carries(rep, offsets, q) for q in known):
-                found = ids[j]
-                break
-            if cl is None:
-                cl = Cluster(c, rho, members)
-            q = next(_maps(rep, cl), None)
-            if q is not None:
-                known.append(q)
-                found = ids[j]
-                break
-        if found is None:
-            found = len(reps)
-            reps.append(Cluster(c, rho, members) if cl is None else cl)
-            parts.append([np.eye(3)])
-            by_count[len(d)] = (ids + [found], np.vstack([stack, d]))
-        assignment[tuple(c)] = found
+    for i in range(len(centers)):
+        if cls[i] >= 0:
+            continue
+        cls[i] = len(reps)
+        rep = Cluster(centers[i], rho, patch.points[balls[i]])
+        reps.append(rep)
+        ids, offsets, profiles = groups[counts[i]]
+        p = np.searchsorted(ids, i)
+        left = p + 1 + np.flatnonzero(
+            (cls[ids[p + 1:]] < 0)
+            & _profiles_match(profiles[p + 1:], profiles[p], rho))
+        q = np.eye(3)
+        while len(left):  # q is verified against the class: try it on all
+            hit = _carries(rep, offsets[left], q)
+            cls[ids[left[hit]]] = cls[i]
+            left = left[~hit]
+            while len(left):  # frame search on the first leftover
+                j, left = ids[left[0]], left[1:]
+                qs = _maps(rep, Cluster(centers[j], rho, patch.points[balls[j]]))
+                if len(qs):
+                    cls[j], q = cls[i], qs[0]
+                    break
     return ClusterClassDecomposition(
         rho=rho,
         class_representatives=reps,
-        assignment=assignment,
+        assignment={tuple(c): k for c, k in zip(centers, cls.tolist())},
     )

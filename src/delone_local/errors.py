@@ -15,10 +15,6 @@ class NonOrthogonal(DeloneError):
     """A matrix supposed to be orthogonal failed the orthogonality check."""
 
 
-class DegenerateFrame(DeloneError):
-    """A point frame whose difference vectors do not span R^3."""
-
-
 # --- delone_core ------------------------------------------------------------
 
 class TooFewPoints(DeloneError):

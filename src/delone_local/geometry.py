@@ -4,8 +4,9 @@ Provides the building blocks used everywhere else in the package:
 orthogonal-matrix hygiene (orthogonality checks, nearest-orthogonal
 projection), the symmetry element kind of an orthogonal map (identity,
 inversion, rotation, reflection, rotoreflection) read off its order, the
-sign of its determinant and a closed-form axis, and recovery of the unique
-isometry mapping one non-degenerate point frame onto another.
+sign of its determinant and a closed-form axis (a whole stack of maps in
+one pass), and the orthogonal maps that carry a frame onto a stack of
+congruent k-tuples.
 
 Conventions:
     * Points and vectors are numpy arrays of shape (3,), dtype float64.
@@ -31,11 +32,11 @@ Tolerances are fixed constants, not parameters:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
-from .errors import DegenerateFrame, NonOrthogonal
+from .errors import NonOrthogonal
 
 __all__ = [
     "GEOM_TOL",
@@ -53,8 +54,8 @@ __all__ = [
     "reflection_matrix",
     "canonical_axis",
     "element_kind",
+    "element_kinds",
     "classify_element",
-    "frame_isometry",
 ]
 
 #: Absolute tolerance for distance comparisons on unit-scale data.
@@ -167,19 +168,16 @@ class ElementKind:
 
 def canonical_axis(v: np.ndarray) -> np.ndarray:
     """Unit vector with the sign fixed so the first component larger than
-    ``GEOM_TOL`` in absolute value is positive."""
+    ``GEOM_TOL`` in absolute value is positive; a stack of vectors (n, 3)
+    gives one axis per row."""
     v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
+    n = np.sqrt(np.vecdot(v, v))[..., None]
+    if (n == 0.0).any():
         raise ValueError("zero vector has no axis")
     v = v / n
-    for comp in v:
-        if abs(comp) > GEOM_TOL:
-            if comp < 0:
-                v = -v
-            break
+    first = np.argmax(np.abs(v) > GEOM_TOL, axis=-1)[..., None]
     # squash -0.0 for printable determinism
-    return v + 0.0
+    return np.where(np.take_along_axis(v, first, -1) < 0, -v, v) + 0.0
 
 
 def rotation_matrix(axis, angle: float) -> np.ndarray:
@@ -204,24 +202,25 @@ def rotoreflection_matrix(axis, angle: float) -> np.ndarray:
     return reflection_matrix(axis) @ rotation_matrix(axis, angle)
 
 
-def _axis(r: np.ndarray, half_turn: bool) -> np.ndarray:
-    """Unit axis of a proper rotation r other than I, in closed form.
+def _axis(r: np.ndarray, half_turn: np.ndarray) -> np.ndarray:
+    """Unit axes of a stack of proper rotations r (n, 3, 3) other than I,
+    in closed form.
 
     Rotation by theta about a: the antisymmetric part of r is
     2 sin(theta) a; for a half-turn (sin = 0) r + I = 2 a a^T instead, so
     its largest column is parallel to a.
     """
-    if half_turn:
-        s = r + np.eye(3)
-        v = s[:, int(np.argmax((s * s).sum(axis=0)))]
-    else:
-        v = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    s = r + np.eye(3)
+    col = np.argmax((s * s).sum(axis=1), axis=1)
+    v = np.stack([r[:, 2, 1] - r[:, 1, 2], r[:, 0, 2] - r[:, 2, 0],
+                  r[:, 1, 0] - r[:, 0, 1]], axis=1)
+    v[half_turn] = s[np.arange(len(s)), :, col][half_turn]
     return canonical_axis(v)
 
 
-def element_kind(q: np.ndarray, order: Optional[int]) -> ElementKind:
-    """Symmetry element of an orthogonal map of known ``order`` (None: no
-    finite order found).
+def element_kinds(qs: np.ndarray, orders) -> List[ElementKind]:
+    """Symmetry elements of a stack of orthogonal maps (n, 3, 3) of known
+    ``orders`` (None: no finite order found), read in one pass.
 
     Proper or improper is the sign of the determinant.  A proper map of
     order 1 is the identity, any other a rotation about the axis of q.  An
@@ -229,18 +228,32 @@ def element_kind(q: np.ndarray, order: Optional[int]) -> ElementKind:
     reflection); any other is a rotoreflection.  An improper q is -1 times
     a proper rotation about the same axis, so its axis is that of -q.
     """
-    q = np.asarray(q, dtype=float)
-    if np.linalg.det(q) > 0.0:
-        if order == 1:
-            return ElementKind("identity")
-        kind = "rotation" if order else "generic_rotation"
-        return ElementKind(kind, order, _axis(q, order == 2))
-    if order == 2:
-        if np.trace(q) < -1.0:
-            return ElementKind("inversion")
-        return ElementKind("reflection", axis=_axis(-q, True))
-    kind = "rotoreflection" if order else "generic_rotoreflection"
-    return ElementKind(kind, order, _axis(-q, False))
+    qs = np.asarray(qs, dtype=float).reshape(-1, 3, 3)
+    order = np.array([k or 0 for k in orders], dtype=int)
+    proper = np.linalg.det(qs) > 0.0
+    inversion = ~proper & (order == 2) & (np.trace(qs, axis1=1, axis2=2) < -1.0)
+    axial = ~(proper & (order == 1)) & ~inversion
+    axes = np.zeros((len(qs), 3))
+    axes[axial] = _axis(np.where(proper[:, None, None], qs, -qs)[axial],
+                        order[axial] == 2)
+    kinds = []
+    for p, k, inv, ax in zip(proper, order.tolist(), inversion, axes):
+        if p and k == 1:
+            kinds.append(ElementKind("identity"))
+        elif inv:
+            kinds.append(ElementKind("inversion"))
+        elif not p and k == 2:
+            kinds.append(ElementKind("reflection", axis=ax))
+        else:
+            name = "rotation" if p else "rotoreflection"
+            kinds.append(ElementKind(name if k else "generic_" + name, k or None, ax))
+    return kinds
+
+
+def element_kind(q: np.ndarray, order: Optional[int]) -> ElementKind:
+    """Symmetry element of one orthogonal map of known ``order``: the
+    stack-of-one case of :func:`element_kinds`."""
+    return element_kinds(q, [order])[0]
 
 
 def classify_element(q: np.ndarray) -> ElementKind:
@@ -262,52 +275,26 @@ def classify_element(q: np.ndarray) -> ElementKind:
 
 
 def _complete_basis(vectors) -> np.ndarray:
-    """Columns: the k = 1, 2 or 3 independent ``vectors`` completed to a
-    basis (k = 1: add a perpendicular of the same length; k <= 2: add the
-    cross product of the first two), so congruent k-tuples complete to
-    congruent bases."""
-    cols = list(vectors)
-    if len(cols) == 1:
-        v = cols[0]
-        p = np.cross(v, np.eye(3)[int(np.argmin(np.abs(v)))])
-        cols.append(p * (np.linalg.norm(v) / np.linalg.norm(p)))
-    if len(cols) == 2:
-        cols.append(np.cross(cols[0], cols[1]))
-    return np.column_stack(cols)
+    """Bases (n, 3, 3) whose columns are the k = 1, 2 or 3 independent
+    vectors of each tuple of a stack (n, k, 3), completed (k = 1: add a
+    perpendicular of the same length; k <= 2: add the cross product of
+    the first two), so congruent k-tuples complete to congruent bases."""
+    v = np.asarray(vectors, dtype=float)
+    if v.shape[1] == 1:
+        u = v[:, 0]
+        p = np.cross(u, np.eye(3)[np.argmin(np.abs(u), axis=1)])
+        p *= (np.sqrt(np.vecdot(u, u)) / np.sqrt(np.vecdot(p, p)))[:, None]
+        v = np.concatenate([v, p[:, None]], axis=1)
+    if v.shape[1] == 2:
+        v = np.concatenate([v, np.cross(v[:, 0], v[:, 1])[:, None]], axis=1)
+    return np.swapaxes(v, 1, 2)
 
 
-def _frame_map(images, frame_inv: np.ndarray, gate: float) -> Optional[np.ndarray]:
-    """q = G F^-1 for the completed ``images`` G and the inverse of a
-    completed frame F, snapped onto O(3); None unless q is orthogonal
-    within ``gate`` (i.e. the tuples are congruent)."""
+def _frame_map(images, frame_inv: np.ndarray, gate: float) -> np.ndarray:
+    """The maps q = G F^-1 (m, 3, 3) for a stack of k-tuples ``images``
+    (n, k, 3), each completed to a basis G, and the inverse of a completed
+    frame F, snapped onto O(3): those orthogonal within ``gate`` (i.e. the
+    congruent tuples), in stack order."""
     q = _complete_basis(images) @ frame_inv
-    if float(np.abs(q.T @ q - np.eye(3)).max()) > gate:
-        return None
-    return nearest_orthogonal(q)
-
-
-def frame_isometry(src, dst) -> Optional[Isometry]:
-    """Unique isometry mapping one point quadruple onto another.
-
-    ``src`` and ``dst`` are sequences of four points; the first point of
-    each is the distinguished center.  The three difference vectors of
-    ``src`` must span R^3 (|det| > 1e-9, else :class:`DegenerateFrame`).
-    Returns the isometry g with g(src[i]) = dst[i] for all i if the
-    quadruples are congruent (q orthogonal within 1e-6, points within
-    1e-8); returns None otherwise.
-    """
-    s = as_points(src)
-    d = as_points(dst)
-    if s.shape != (4, 3) or d.shape != (4, 3):
-        raise ValueError("frames must consist of exactly 4 points")
-    A = _complete_basis(s[1:] - s[0])  # columns: difference vectors of src
-    if abs(np.linalg.det(A)) <= 1e-9:
-        raise DegenerateFrame("source frame difference vectors do not span R^3")
-    q = _frame_map(d[1:] - d[0], np.linalg.inv(A), 1e-6)
-    if q is None:
-        return None
-    t = d[0] - q @ s[0]
-    iso = Isometry(q, t)
-    if float(np.abs(iso.apply(s) - d).max()) > 1e-8:
-        return None
-    return iso
+    resid = np.abs(np.swapaxes(q, 1, 2) @ q - np.eye(3)).max(axis=(1, 2))
+    return nearest_orthogonal(q[resid <= gate])

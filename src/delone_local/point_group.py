@@ -1,12 +1,13 @@
 """Cluster stabilizers, Schoenflies classification, and tower heights.
 
 The stabilizer S_x(rho) of a cluster is the finite group of orthogonal
-maps about the center that map the member set onto itself: every map the
-verified-map generator of cluster equivalence yields from the cluster to
-itself.  A :class:`PointGroup` is checked once, when it is built: the
-product table of its elements must be a group's, and each element's kind
-is read off it (order = cycle length in the table, proper or improper =
-sign of the determinant, axis in closed form: ``geometry.element_kind``).
+maps about the center that map the member set onto itself: the stack of
+verified maps that the map search of cluster equivalence returns from the
+cluster to itself.  A :class:`PointGroup` is checked once, when it is
+built: the product table of its elements must be a group's, and the kinds
+of all its elements are read off it in one pass (order = cycle length in
+the table, proper or improper = sign of the determinant, axis in closed
+form: ``geometry.element_kinds``).
 
 The Schoenflies label follows from integers alone, by the classification
 of the finite subgroups of O(3): with p = |G+| proper elements, n the
@@ -45,7 +46,7 @@ from .errors import (
     NotAGroup,
     UnrecognizedGroup,
 )
-from .geometry import ELEMENT_TOL, ElementKind, element_kind, nearest_orthogonal
+from .geometry import ELEMENT_TOL, ElementKind, element_kinds, nearest_orthogonal
 
 __all__ = [
     "SchoenfliesLabel",
@@ -219,10 +220,10 @@ def _orders(table: np.ndarray) -> np.ndarray:
 
 
 def _element_kinds(elements: Sequence[np.ndarray]) -> List[ElementKind]:
-    """Kind of each element, with its order read off the product table;
-    raises unless the elements form a group."""
+    """Kind of each element, read in one pass with its order off the
+    product table; raises unless the elements form a group."""
     m = np.asarray(elements, dtype=float).reshape(-1, 3, 3)
-    return [element_kind(q, int(n)) for q, n in zip(m, _orders(_check_group(m)))]
+    return element_kinds(m, _orders(_check_group(m)))
 
 
 def stabilizer(c: Cluster) -> PointGroup:

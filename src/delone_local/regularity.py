@@ -283,10 +283,11 @@ def _criterion(patch: PointPatch, rho0: float,
 
 def _fixing(g: PointGroup, c: Cluster) -> PointGroup:
     """The elements of g that map the cluster c (centered at g's center)
-    onto itself, checked as a group when built."""
-    offsets = c.offsets
+    onto itself, all verified in one pass and checked as a group when
+    built."""
+    elements = np.array(g.elements)
     return PointGroup(center=c.center.copy(), elements=tuple(
-        q for q in g.elements if _carries(c, offsets, q)))
+        elements[_carries(c, c.offsets, elements)]))
 
 
 @dataclass(frozen=True)

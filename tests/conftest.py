@@ -17,7 +17,9 @@ from scipy.spatial import QhullError, Voronoi
 import delone_local as dl
 from delone_local.delone_core import _GRID_H, _grid_candidates
 from delone_local.errors import BoxTooSmall, UnrecognizedGroup
+from delone_local.equivalence import match_tolerance
 from delone_local.geometry import (
+    GEOM_TOL,
     ElementKind,
     canonical_axis,
     check_orthogonal,
@@ -25,7 +27,7 @@ from delone_local.geometry import (
     reflection_matrix,
     rotation_matrix,
 )
-from delone_local.point_group import SchoenfliesLabel
+from delone_local.point_group import SchoenfliesLabel, _check_group, _orders
 
 SQRT3 = np.sqrt(3.0)
 
@@ -116,6 +118,129 @@ def cluster_classes_oracle(patch, rho):
             reps.append(cl)
         assignment[tuple(c)] = found
     return assignment, [tuple(rep.center) for rep in reps]
+
+
+# --- verified-map oracles -----------------------------------------------------
+# The map search and the element reader as they were before they ran on
+# stacks: a recursive generator over frame images that solves, gates, snaps
+# and verifies one map at a time, and a classifier called once per group
+# element.  Kept unchanged, with their own single-map frame solver and axis
+# code, as the reference the stacked ``_maps`` and ``PointGroup.kinds``
+# must reproduce bit for bit and in order.
+
+
+def _complete_basis_oracle(vectors):
+    cols = list(vectors)
+    if len(cols) == 1:
+        v = cols[0]
+        p = np.cross(v, np.eye(3)[int(np.argmin(np.abs(v)))])
+        cols.append(p * (np.linalg.norm(v) / np.linalg.norm(p)))
+    if len(cols) == 2:
+        cols.append(np.cross(cols[0], cols[1]))
+    return np.column_stack(cols)
+
+
+def _frame_map_oracle(images, frame_inv, gate):
+    q = _complete_basis_oracle(images) @ frame_inv
+    if float(np.abs(q.T @ q - np.eye(3)).max()) > gate:
+        return None
+    return nearest_orthogonal(q)
+
+
+def _carries_oracle(a, offsets, q):
+    tree = a.offset_tree
+    if len(offsets) != tree.n:
+        return False
+    d, idx = tree.query(offsets @ q)
+    return (float(d.max()) <= match_tolerance(a.radius)
+            and len(np.unique(idx)) == tree.n)
+
+
+def maps_oracle(a, b):
+    """Each orthogonal q with q(a.offsets) = b.offsets, as a list in
+    lexicographic order of the k-tuples of b's offsets that a's frame
+    goes to, found by recursion over the tuples."""
+    frame = a.frame
+    if frame is None:
+        return []
+    frame_inv = np.linalg.inv(_complete_basis_oracle(frame))
+    mtol = match_tolerance(a.radius)
+    norm_tol = 4.0 * mtol
+    dot_tol = 40.0 * max(1.0, a.radius) * mtol
+    targets = b.offsets
+    tnorms = np.linalg.norm(targets, axis=1)
+    gram = frame @ frame.T
+    cands = [targets[(np.abs(tnorms - fn) <= norm_tol) & (tnorms > 1e-12)]
+             for fn in np.linalg.norm(frame, axis=1)]
+
+    def extend(images):
+        i = len(images)
+        if i == len(frame):
+            q = _frame_map_oracle(images, frame_inv, 1e-5)
+            if q is not None and _carries_oracle(a, targets, q):
+                yield q
+            return
+        ok = cands[i]
+        for j, g in enumerate(images):
+            ok = ok[np.abs(ok @ g - gram[j, i]) <= dot_tol]
+        for g in ok:
+            yield from extend(images + [g])
+
+    return list(extend([]))
+
+
+def _canonical_axis_oracle(v):
+    v = np.asarray(v, dtype=float)
+    v = v / float(np.linalg.norm(v))
+    for comp in v:
+        if abs(comp) > GEOM_TOL:
+            if comp < 0:
+                v = -v
+            break
+    return v + 0.0
+
+
+def _axis_oracle(r, half_turn):
+    if half_turn:
+        s = r + np.eye(3)
+        v = s[:, int(np.argmax((s * s).sum(axis=0)))]
+    else:
+        v = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    return _canonical_axis_oracle(v)
+
+
+def element_kind_oracle(q, order):
+    """Kind of one orthogonal map of known order (None: no finite order)."""
+    q = np.asarray(q, dtype=float)
+    if np.linalg.det(q) > 0.0:
+        if order == 1:
+            return ElementKind("identity")
+        kind = "rotation" if order else "generic_rotation"
+        return ElementKind(kind, order, _axis_oracle(q, order == 2))
+    if order == 2:
+        if np.trace(q) < -1.0:
+            return ElementKind("inversion")
+        return ElementKind("reflection", axis=_axis_oracle(-q, True))
+    kind = "rotoreflection" if order else "generic_rotoreflection"
+    return ElementKind(kind, order, _axis_oracle(-q, False))
+
+
+def element_kinds_oracle(elements):
+    """Kind of each group element, one classifier call per element, with
+    the orders read off the library's product table."""
+    m = np.asarray(elements, dtype=float).reshape(-1, 3, 3)
+    orders = _orders(_check_group(m))
+    return [element_kind_oracle(q, int(n)) for q, n in zip(m, orders)]
+
+
+def same_kinds(got, want):
+    """Whether two kind sequences agree exactly: kind, order and the axis
+    bits (both None, or array_equal)."""
+    return len(got) == len(want) and all(
+        g.kind == w.kind and g.order == w.order
+        and (g.axis is None) == (w.axis is None)
+        and (g.axis is None or np.array_equal(g.axis, w.axis))
+        for g, w in zip(got, want))
 
 
 def covering_radius_oracle(patch):

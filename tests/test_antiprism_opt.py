@@ -386,6 +386,22 @@ class TestOptimizeLemma2:
         r2 = optimize_lemma2(OptBudget(eps=5e-7))
         assert abs(r1.best_value - r2.best_value) < 1e-3
 
+    @pytest.mark.parametrize("n", [5, 10, 20, 48, 50])
+    def test_grid_trig_from_u_values(self, n, monkeypatch):
+        # the grid takes cos and sin of the n values of u, broadcast; its
+        # values equal those of the trig taken over the whole (n, n, n)
+        # u grid, bit for bit
+        seen = []
+        refine = antiprism_opt._refine
+        monkeypatch.setattr(antiprism_opt, "_refine",
+                            lambda *args: seen.append(args) or refine(*args))
+        optimize_lemma2(OptBudget(grid_lemma2=n))
+        (_, _, vals, (Ag, Bg, Ug), _, _), = seen
+        assert vals.shape == (n, n, n)
+        want = antiprism_opt._lemma2_value(Ag, Bg, Ag * np.cos(Ug),
+                                           Ag * np.sin(Ug), np.sqrt)
+        assert np.array_equal(vals, want)
+
 
 class TestReferenceConfiguration:
     def test_stabilizer_of_vertex_star(self):

@@ -14,6 +14,7 @@ from conftest import (
     LATTICES,
     cluster_classes_oracle,
     jittered_cubic,
+    maps_oracle,
     rotated_lattice,
 )
 
@@ -167,6 +168,94 @@ class TestClusterIsometry:
         assert float(d.max()) < 1e-9
 
 
+class TestCarries:
+    """Stacked map verification: one KD query, then per row the distance
+    test and the one-to-one test."""
+
+    # each offset of B lies within 1e-8 of one of A's, but two of them
+    # share the nearest one, (0, 1, 0): not one-to-one
+    A = Cluster(center=[0, 0, 0], radius=1.0,
+                members=[[0, 0, 0], [1, 0, 0], [1, 0, 1e-8], [0, 1, 0]])
+    B = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 1e-8]])
+
+    def test_centers_against_one_map(self):
+        a = self.A
+        got = equivalence._carries(a, np.stack([a.offsets, self.B,
+                                                a.offsets[::-1]]), np.eye(3))
+        assert got.tolist() == [True, False, True]
+
+    def test_maps_against_one_offset_set(self):
+        a = self.A
+        qs = np.stack([np.eye(3), np.diag([1.0, 1.0, -1.0]),
+                       rotation_matrix([0, 0, 1], np.pi / 2), np.eye(3)])
+        assert equivalence._carries(a, a.offsets, qs).tolist() == [
+            True, False, False, True]
+        assert equivalence._carries(a, self.B, qs).tolist() == [False] * 4
+
+    def test_member_count_differs(self):
+        a = self.A
+        assert equivalence._carries(
+            a, a.offsets[1:], np.eye(3)[None]).tolist() == [False]
+        assert equivalence._carries(
+            a, np.stack([a.offsets[1:]] * 2), np.eye(3)).tolist() == [False] * 2
+
+
+class TestMapsOracle:
+    """The stacked map search against the recursive generator it
+    replaced: every verified map, bit for bit and in the same order, and
+    ``cluster_isometry`` takes the first."""
+
+    @staticmethod
+    def assert_same(a, b):
+        want = maps_oracle(a, b)
+        got = equivalence._maps(a, b)
+        assert got.shape == (len(want), 3, 3)
+        assert all(np.array_equal(q, w) for q, w in zip(got, want))
+        g = cluster_isometry(a, b)
+        assert (g is None) == (not want)
+        if want:
+            assert np.array_equal(g.q, want[0])
+        return len(want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", LATTICES)
+    def test_rotated_lattices(self, name, seed):
+        _, R = LATTICES[name]
+        patch = rotated_lattice(name, seed, 6.0 if name == "c4v" else 4.5)
+        _, (i, j) = patch.tree.query([0.0, 0.0, 0.0], k=2)
+        for rho in (1.0, 1.5, 2 * R, 4 * R):
+            a, b = (dl.cluster(patch, patch.points[k], rho) for k in (i, j))
+            assert self.assert_same(a, b) > 0  # every lattice point alike
+
+    def test_jittered(self):
+        patch = jittered_cubic(4, 0)
+        _, (i, j) = patch.tree.query([[0.0, 0.0, 0.0], [1.6, 0.0, 0.0]])
+        for rho in (2.5, 2.9):
+            a, b = (dl.cluster(patch, patch.points[k], rho) for k in (i, j))
+            assert self.assert_same(a, a) == 1
+            assert self.assert_same(a, b) == 0
+
+    @pytest.mark.parametrize("rho", [1.0, 2.0, 3.0])
+    def test_collinear_and_planar(self, rho):
+        rng = np.random.default_rng(5)
+        iso = Isometry(rotation_matrix([1.0, -2.0, 0.5], 0.7)
+                       @ np.diag([1.0, -1.0, 1.0]), [0.4, 1.1, -2.0])
+        line = Cluster(center=[0, 0, 0], radius=rho,
+                       members=[[0, 0, z] for z in range(-int(rho), int(rho) + 1)])
+        e1, e2 = np.array([1.0, 0.0, 0.0]), np.array([0.5, SQRT3 / 2, 0.0])
+        pts = np.array([i * e1 + j * e2 for i in range(-4, 5)
+                        for j in range(-4, 5)])
+        plane = Cluster(center=[0, 0, 0], radius=rho,
+                        members=pts[np.linalg.norm(pts, axis=1) <= rho + 1e-9])
+        for a, dim in ((line, 1), (plane, 2)):
+            assert a.affine_dimension() == dim
+            b = transported(a, iso)
+            assert self.assert_same(a, a) > 1
+            assert self.assert_same(a, b) > 1
+            c = transported(a, random_isometry(rng))
+            assert self.assert_same(b, c) > 1
+
+
 class TestClusterClasses:
     def test_z3_single_class_at_2R(self, z3_patch):
         dec = cluster_classes(z3_patch, SQRT3)
@@ -236,6 +325,17 @@ class TestClusterClasses:
         c4v = dl.c4v_example([-6] * 3, [6] * 3)
         dec = cluster_classes(c4v, 2 * np.sqrt(1.5))
         assert dec.N == 1 and len(dec.assignment) == 196
+        assert calls == [1]
+
+    def test_one_frame_search_c4v_4R(self, monkeypatch):
+        # at 4R the c4v layers still need one frame search in all
+        calls = []
+        maps = equivalence._maps
+        monkeypatch.setattr(equivalence, "_maps",
+                            lambda a, b: calls.append(1) or maps(a, b))
+        c4v = dl.c4v_example([-6] * 3, [6] * 3)
+        dec = cluster_classes(c4v, 4 * np.sqrt(1.5))
+        assert dec.N == 1 and len(dec.assignment) > 1
         assert calls == [1]
 
     def test_assignment_covers_all_usable_centers(self, z3_patch):

@@ -1,4 +1,4 @@
-"""Element classification and frame-isometry recovery."""
+"""Element classification and the stacked frame solver."""
 import importlib
 import pkgutil
 import re
@@ -10,17 +10,20 @@ from hypothesis import strategies as st
 
 import delone_local
 from delone_local import geometry
-from delone_local.errors import DegenerateFrame, NonOrthogonal
+from delone_local.errors import NonOrthogonal
 from delone_local.geometry import (
     Isometry,
+    _complete_basis,
+    _frame_map,
     canonical_axis,
     classify_element,
-    frame_isometry,
     nearest_orthogonal,
     reflection_matrix,
     rotation_matrix,
     rotoreflection_matrix,
 )
+
+from conftest import element_kind_oracle, same_kinds
 
 S8_MATRIX = np.array([
     [np.cos(np.pi / 4), -np.sin(np.pi / 4), 0.0],
@@ -71,6 +74,16 @@ class TestClassifyElement:
         k = classify_element(rotation_matrix([0, 0, 1], 1.0))  # 1 rad: irrational
         assert k.kind == "generic_rotation"
 
+    def test_generic_elements_match_single_map_reader(self):
+        # no finite order: the stack-of-one reader gives what the
+        # per-element one gave, axis bits included
+        for q, kind in ((rotation_matrix([1, 2, -3], 1.0), "generic_rotation"),
+                        (rotoreflection_matrix([-2, 1, 1], 1.0),
+                         "generic_rotoreflection")):
+            k = classify_element(q)
+            assert k.kind == kind and k.order is None
+            assert same_kinds([k], [element_kind_oracle(q, None)])
+
     def test_rotoreflection_even_orders(self):
         for n in (4, 6, 8, 10, 12):
             k = classify_element(rotoreflection_matrix([0, 1, 1], 2 * np.pi / n))
@@ -115,52 +128,48 @@ class TestClassifyElement:
         assert np.allclose(mapped, k2.axis, atol=1e-7)
 
 
-class TestFrameIsometry:
-    FRAME = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+class TestFrameMap:
+    """The stacked frame solver: one completed frame inverse against a
+    stack of image tuples, congruent ones solved and snapped, the rest
+    gated out."""
 
-    def test_identity(self):
-        iso = frame_isometry(self.FRAME, self.FRAME)
-        assert np.allclose(iso.q, np.eye(3))
-        assert np.allclose(iso.t, 0)
+    FRAME = np.eye(3)  # the difference vectors of a point quadruple
 
-    def test_pure_translation(self):
-        dst = self.FRAME + np.array([1.0, 0, 0])
-        iso = frame_isometry(self.FRAME, dst)
-        assert np.allclose(iso.q, np.eye(3))
-        assert np.allclose(iso.t, [1, 0, 0])
+    @staticmethod
+    def solve(frame, images, gate=1e-6):
+        frame_inv = np.linalg.inv(_complete_basis(np.asarray(frame)[None])[0])
+        return _frame_map(np.asarray(images), frame_inv, gate)
 
-    def test_recovers_rotation(self):
+    def test_identity_and_rotation(self):
         q = rotation_matrix([0, 0, 1], np.pi / 2)
-        dst = self.FRAME @ q.T
-        iso = frame_isometry(self.FRAME, dst)
-        assert np.allclose(iso.q, q, atol=1e-9)
+        got = self.solve(self.FRAME, [self.FRAME, self.FRAME @ q.T])
+        assert got.shape == (2, 3, 3)
+        assert np.allclose(got[0], np.eye(3))
+        assert np.allclose(got[1], q, atol=1e-9)
 
     def test_random_roundtrip(self):
         rng = np.random.default_rng(42)
-        for _ in range(200):
-            src = rng.normal(size=(4, 3))
-            if abs(np.linalg.det((src[1:] - src[0]).T)) < 1e-3:
-                continue
-            q = random_orthogonal(rng)
-            t = rng.normal(size=3)
-            dst = src @ q.T + t
-            iso = frame_isometry(src, dst)
-            assert iso is not None
-            assert np.abs(iso.apply(src) - dst).max() < 1e-9
-            back = frame_isometry(dst, src)
-            comp = iso.compose(back)
+        src = rng.normal(size=(4, 3))
+        assert abs(np.linalg.det(src[1:] - src[0])) > 1e-3
+        qs = np.array([random_orthogonal(rng) for _ in range(200)])
+        ts = rng.normal(size=(200, 3))
+        dst = np.einsum("nij,kj->nki", qs, src) + ts[:, None]
+        got = self.solve(src[1:] - src[0], dst[:, 1:] - dst[:, :1])
+        assert got.shape == (200, 3, 3)
+        for q, d in zip(got, dst):
+            iso = Isometry(q, d[0] - q @ src[0])
+            assert np.abs(iso.apply(src) - d).max() < 1e-9
+            (back,) = self.solve(d[1:] - d[0], [src[1:] - src[0]])
+            comp = iso.compose(Isometry(back, src[0] - back @ d[0]))
             assert np.abs(comp.q - np.eye(3)).max() < 1e-9
             assert np.abs(comp.t).max() < 1e-8
 
-    def test_incongruent_returns_none(self):
+    def test_incongruent_gated_out(self):
         dst = self.FRAME.copy()
-        dst[3] = [0, 0, 2.0]
-        assert frame_isometry(self.FRAME, dst) is None
-
-    def test_degenerate_frame_raises(self):
-        src = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]])
-        with pytest.raises(DegenerateFrame):
-            frame_isometry(src, src)
+        dst[2] = [0, 0, 2.0]
+        got = self.solve(self.FRAME, [dst, self.FRAME, dst])
+        assert got.shape == (1, 3, 3)
+        assert np.allclose(got[0], np.eye(3))
 
 
 class TestIsometryAlgebra:

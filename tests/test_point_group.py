@@ -4,6 +4,7 @@ import pytest
 
 import delone_local as dl
 from delone_local import point_group
+from delone_local.equivalence import _maps
 from delone_local.errors import (
     DeloneError,
     GroupTooLarge,
@@ -32,15 +33,21 @@ from delone_local.point_group import (
 
 from conftest import (
     C2_X,
+    LATTICES,
     SIGMA_H,
     SIGMA_V,
     classify_element_oracle,
     closure_oracle,
     cn_gen,
     element_key,
+    element_kinds_oracle,
+    jittered_cubic,
     label_oracle,
+    maps_oracle,
     named_group_generators,
     signed_permutations,
+    rotated_lattice,
+    same_kinds,
     sn_gen,
     tower_height_oracle,
 )
@@ -158,6 +165,42 @@ class TestStabilizer:
             assert outcomes == ["Oh"] * 10
 
 
+class TestStabilizerOracle:
+    """The stacked map search and the one-pass kind reader against the
+    recursive generator and the per-element classifier they replaced:
+    the same elements, bit for bit and in the same order, and the same
+    kinds."""
+
+    @staticmethod
+    def assert_same(c):
+        want = maps_oracle(c, c)
+        if c.affine_dimension() < 3:  # a planar cluster's maps, no group
+            got = _maps(c, c)
+            assert len(got) == len(want) > 0
+            assert all(np.array_equal(q, w) for q, w in zip(got, want))
+            return
+        g = stabilizer(c)
+        assert len(g.elements) == len(want)
+        assert all(np.array_equal(q, w) for q, w in zip(g.elements, want))
+        assert same_kinds(g.kinds, element_kinds_oracle(want))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", LATTICES)
+    def test_rotated_lattices(self, name, seed):
+        _, R = LATTICES[name]
+        patch = rotated_lattice(name, seed, 6.0 if name == "c4v" else 4.5)
+        center = patch.points[patch.tree.query([0.0, 0.0, 0.0])[1]]
+        for rho in (1.0, 1.5, 2 * R, 4 * R):
+            self.assert_same(dl.cluster(patch, center, rho))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_jittered(self, seed):
+        patch = jittered_cubic(4, seed)
+        center = patch.points[patch.tree.query([0.0, 0.0, 0.0])[1]]
+        for rho in (2.5, 2.9, 5.8):
+            self.assert_same(dl.cluster(patch, center, rho))
+
+
 def axial_generators(family, n):
     """Generators of the axial family (C, S, Ch, Cv, D, Dh, Dd) at axis
     order n, principal axis z."""
@@ -250,13 +293,15 @@ class TestSchoenflies:
         # kind, order and axis from the product table (and from the
         # single-matrix power search) agree with the angle-based
         # classifier, element by element, and so does the label read off
-        # them, which also equals the decision tree's (label_oracle)
+        # them, which also equals the decision tree's (label_oracle); the
+        # one-pass kinds equal the per-element reader's exactly
         rng = np.random.default_rng(sum(map(ord, label)))
         for _ in range(3):
             u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             g = group_from_generators(
                 [u @ m @ u.T for m in named_group_generators()[label]])
             table_kinds = point_group._element_kinds(g.elements)
+            assert same_kinds(table_kinds, element_kinds_oracle(g.elements))
             for q, got in zip(g.elements, table_kinds):
                 want = classify_element_oracle(q)
                 for k in (got, classify_element(q)):
