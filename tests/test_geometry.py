@@ -140,13 +140,6 @@ class TestFrameMap:
         frame_inv = np.linalg.inv(_complete_basis(np.asarray(frame)[None])[0])
         return _frame_map(np.asarray(images), frame_inv, gate)
 
-    def test_identity_and_rotation(self):
-        q = rotation_matrix([0, 0, 1], np.pi / 2)
-        got = self.solve(self.FRAME, [self.FRAME, self.FRAME @ q.T])
-        assert got.shape == (2, 3, 3)
-        assert np.allclose(got[0], np.eye(3))
-        assert np.allclose(got[1], q, atol=1e-9)
-
     def test_random_roundtrip(self):
         rng = np.random.default_rng(42)
         src = rng.normal(size=(4, 3))
@@ -170,6 +163,22 @@ class TestFrameMap:
         got = self.solve(self.FRAME, [dst, self.FRAME, dst])
         assert got.shape == (1, 3, 3)
         assert np.allclose(got[0], np.eye(3))
+
+
+class TestFrameIsometry:
+    """Single frame pairs through the stacked solver, as stacks of one."""
+
+    def test_identity(self):
+        got = TestFrameMap.solve(TestFrameMap.FRAME, [TestFrameMap.FRAME])
+        assert got.shape == (1, 3, 3)
+        assert np.allclose(got[0], np.eye(3))
+
+    def test_recovers_rotation(self):
+        q = rotation_matrix([0, 0, 1], np.pi / 2)
+        frame = TestFrameMap.FRAME
+        got = TestFrameMap.solve(frame, [frame @ q.T])
+        assert got.shape == (1, 3, 3)
+        assert np.allclose(got[0], q, atol=1e-9)
 
 
 class TestIsometryAlgebra:
