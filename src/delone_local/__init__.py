@@ -50,9 +50,7 @@ from .point_group import (
     PointGroup,
     SchoenfliesLabel,
     group_from_generators,
-    max_rotation_order,
     omega,
-    schoenflies,
     stabilizer,
     tower_height,
 )

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -131,7 +130,6 @@ class OptBudget:
     nm_maxiter: int = 400
     eps: float = 1e-6
     pair_filter: float = 0.01
-    phi_range: Optional[Tuple[float, float]] = None
 
     def __post_init__(self) -> None:
         if min(self.grid_phi, self.grid_psi, self.grid_lemma2,
@@ -360,13 +358,6 @@ def optimize_lemma1(budget: OptBudget = OptBudget()) -> OptimizationReport:
     (x, y, z) — then refines the top seeds with Nelder-Mead.
     """
     lo, hi = PHI_MIN, PHI_MAX
-    if budget.phi_range is not None:
-        lo = max(lo, float(budget.phi_range[0]))
-        hi = min(hi, float(budget.phi_range[1]))
-        if lo > hi:
-            raise InfeasibleParams(
-                f"phi range [{budget.phi_range[0]:g}, {budget.phi_range[1]:g}] "
-                "misses the feasible interval; zero starts")
     phis = np.linspace(lo, hi, budget.grid_phi)
     psis = np.linspace(0.0, 2.0 * np.pi, budget.grid_psi, endpoint=False)
     P, S = np.meshgrid(phis, psis, indexing="ij")

@@ -57,7 +57,8 @@ class LowerDimensionalCluster(DeloneError):
 
 
 class NotAGroup(DeloneError):
-    """An element set failed the closure/inverse check."""
+    """An element set failed the group check: the identity is missing, a
+    product is missing, or the product table is not a Latin square."""
 
 
 class UnrecognizedGroup(DeloneError):

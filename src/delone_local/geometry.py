@@ -22,8 +22,6 @@ Tolerances are fixed constants, not parameters:
       their max-norm difference is at most this.
     * ``ORTHO_TOL`` = 1e-7: the orthogonality residual
       :func:`classify_element` accepts.
-    * ``MAX_ROTATION_ORDER`` = 24: the largest rotation order
-      :func:`classify_element` detects in a single matrix.
     * ``antiprism_opt.FEAS_TOL`` = 1e-9: the constraint residual the
       antiprism objectives accept.
     * Cluster matching uses ``equivalence.match_tolerance(rho)`` =
@@ -36,13 +34,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import NonOrthogonal
+from .errors import GroupTooLarge, NonOrthogonal
 
 __all__ = [
     "GEOM_TOL",
     "ELEMENT_TOL",
     "ORTHO_TOL",
-    "MAX_ROTATION_ORDER",
     "Isometry",
     "ElementKind",
     "as_point",
@@ -50,7 +47,6 @@ __all__ = [
     "nearest_orthogonal",
     "check_orthogonal",
     "rotation_matrix",
-    "rotoreflection_matrix",
     "reflection_matrix",
     "canonical_axis",
     "element_kind",
@@ -66,8 +62,6 @@ GEOM_TOL = 1e-9
 ELEMENT_TOL = 1e-6
 #: Orthogonality residual accepted by the single-matrix classifier.
 ORTHO_TOL = 1e-7
-#: Largest rotation order the single-matrix classifier will report exactly.
-MAX_ROTATION_ORDER = 24
 
 
 def as_point(p) -> np.ndarray:
@@ -95,7 +89,8 @@ def as_points(pts) -> np.ndarray:
 def nearest_orthogonal(q: np.ndarray) -> np.ndarray:
     """Project a near-orthogonal matrix onto O(3) (polar factor via SVD).
 
-    Used to stabilize long composition chains during group closure.
+    Snaps the products of each group-closure round and the solved frame
+    maps (:func:`_frame_map`) back onto O(3).
     """
     u, _, vt = np.linalg.svd(np.asarray(q, dtype=float))
     return u @ vt
@@ -124,10 +119,6 @@ class Isometry:
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
         object.__setattr__(self, "t", as_point(self.t))
-
-    @staticmethod
-    def identity() -> "Isometry":
-        return Isometry(np.eye(3), np.zeros(3))
 
     @staticmethod
     def translation(t) -> "Isometry":
@@ -196,12 +187,6 @@ def reflection_matrix(normal) -> np.ndarray:
     return np.eye(3) - 2.0 * np.outer(n, n)
 
 
-def rotoreflection_matrix(axis, angle: float) -> np.ndarray:
-    """Rotation about ``axis`` composed with reflection in the plane
-    orthogonal to it."""
-    return reflection_matrix(axis) @ rotation_matrix(axis, angle)
-
-
 def _axis(r: np.ndarray, half_turn: np.ndarray) -> np.ndarray:
     """Unit axes of a stack of proper rotations r (n, 3, 3) other than I,
     in closed form.
@@ -259,19 +244,23 @@ def element_kind(q: np.ndarray, order: Optional[int]) -> ElementKind:
 def classify_element(q: np.ndarray) -> ElementKind:
     """Classify a single orthogonal map as a symmetry element.
 
-    The order is the smallest k with q^k within ``ELEMENT_TOL`` of I,
-    searched up to ``MAX_ROTATION_ORDER`` (twice that for improper maps,
-    whose orders are even).  Raises :class:`NonOrthogonal` if the input is
-    not orthogonal within ``ORTHO_TOL``.
+    Its order is the order of its cyclic group, closed and matched by the
+    rule that builds every ``PointGroup`` (``point_group._closure_matrices``,
+    elements equal within ``ELEMENT_TOL``).  A map whose powers outgrow the
+    closure's ceiling of 2 * ``point_group.MAX_GROUP_ORDER`` = 240 elements
+    has no finite order.  Raises :class:`NonOrthogonal` if the input is not
+    orthogonal within ``ORTHO_TOL``.
     """
+    # point_group imports geometry (directly and through delone_core and
+    # equivalence), so its closure is imported here, not at module level
+    from .point_group import _closure_matrices
+
     q = check_orthogonal(q, ORTHO_TOL)
-    cap = MAX_ROTATION_ORDER * (1 if np.linalg.det(q) > 0.0 else 2)
-    p = q
-    for k in range(1, cap + 1):
-        if float(np.abs(p - np.eye(3)).max()) <= ELEMENT_TOL:
-            return element_kind(q, k)
-        p = p @ q
-    return element_kind(q, None)
+    try:
+        order = len(_closure_matrices([q]))
+    except GroupTooLarge:
+        order = None
+    return element_kind(q, order)
 
 
 def _complete_basis(vectors) -> np.ndarray:

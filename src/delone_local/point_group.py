@@ -52,13 +52,10 @@ __all__ = [
     "SchoenfliesLabel",
     "PointGroup",
     "stabilizer",
-    "schoenflies",
     "schoenflies_from_matrices",
     "group_from_generators",
     "omega",
     "tower_height",
-    "tower_height_from_matrices",
-    "max_rotation_order",
 ]
 
 #: Largest group order the group check accepts (Ih, the largest polyhedral
@@ -244,11 +241,6 @@ def stabilizer(c: Cluster) -> PointGroup:
 
 # --- Schoenflies classification --------------------------------------------
 
-def schoenflies(g: PointGroup) -> SchoenfliesLabel:
-    """Schoenflies label of a point group, read off when it was built."""
-    return g.label
-
-
 def schoenflies_from_matrices(elements: Sequence[np.ndarray]) -> SchoenfliesLabel:
     """Schoenflies label of a finite subgroup of O(3) given its elements,
     checked to form a group (:class:`NotAGroup`, :class:`GroupTooLarge`)."""
@@ -307,12 +299,12 @@ def omega(n: int) -> int:
     return count
 
 
-def tower_height_from_matrices(elements: Sequence[np.ndarray]) -> int:
+def tower_height(g: PointGroup) -> int:
     """Maximal length of a chain of strictly nested subgroups from the
     group down to the trivial group, both ends included.
 
-    The element set is checked to be a group of order at most
-    MAX_GROUP_ORDER; the height is then omega(|G|) + 1:
+    ``g`` was checked to be a group of order at most MAX_GROUP_ORDER when
+    it was built; the height is omega(|G|) + 1:
 
     - Upper bound: each strict step H > K of a chain has index
       [H : K] >= 2, and the indices of the steps multiply to |G|, so a
@@ -324,17 +316,4 @@ def tower_height_from_matrices(elements: Sequence[np.ndarray]) -> int:
     - Ih = I x C2 attains it through Ih > I followed by the chain of I
       (omega(120) = 5).
     """
-    _check_group(elements)
-    return omega(len(elements)) + 1
-
-
-def tower_height(g: PointGroup) -> int:
-    """Tower height omega(|G|) + 1; see tower_height_from_matrices."""
     return omega(g.order) + 1
-
-
-def max_rotation_order(c: Cluster) -> int:
-    """Maximal order of a (proper) rotation in the cluster's stabilizer;
-    1 if the stabilizer contains no nontrivial rotation."""
-    return max((k.order for k in stabilizer(c).kinds if k.kind == "rotation"),
-               default=1)

@@ -567,6 +567,12 @@ def sn_gen(n):
     return np.diag([1.0, 1.0, -1.0]) @ rotation_matrix([0, 0, 1], 2 * np.pi / n)
 
 
+def rotoreflection_matrix(axis, angle):
+    """Rotation about ``axis`` composed with reflection in the plane
+    orthogonal to it."""
+    return reflection_matrix(axis) @ rotation_matrix(axis, angle)
+
+
 SIGMA_H = np.diag([1.0, 1.0, -1.0])
 SIGMA_V = np.diag([1.0, -1.0, 1.0])
 C2_X = np.diag([1.0, -1.0, -1.0])

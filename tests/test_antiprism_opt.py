@@ -349,15 +349,6 @@ class TestOptimizeLemma1:
         fine = optimize_lemma1(OptBudget(grid_phi=160, grid_psi=160))
         assert abs(coarse.best_value - fine.best_value) < 1e-3
 
-    def test_empty_phi_window(self):
-        with pytest.raises(InfeasibleParams):
-            optimize_lemma1(OptBudget(phi_range=(0.0, PHI_MIN / 2)))
-
-    def test_restricted_window_caps_value(self):
-        rep = optimize_lemma1(OptBudget(grid_phi=60, grid_psi=60,
-                                        phi_range=(PHI_MIN, PHI_MIN + 0.05)))
-        assert rep.best_value <= 1.0 + 1e-9
-
 
 class TestBudgetExhausted:
     @pytest.mark.parametrize("optimize", [optimize_lemma1, optimize_lemma2])

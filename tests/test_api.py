@@ -1,6 +1,8 @@
 """The public API: every exported name resolves, and so does every
 function the benchmark's span tracer wraps (``perfbench/spans.py``); one
-traced cycle of two benchmark workloads runs and checks out."""
+traced cycle of two benchmark workloads runs and checks out; no module
+imports a name it never uses."""
+import ast
 import importlib
 import pkgutil
 import sys
@@ -52,3 +54,30 @@ def test_traced_cycle(workload, tmp_path):
         totals = spans.layer_totals(tracer.spans, len(ops))
         assert totals["point_group.stabilizer.calls"] == 1.0
         assert totals["point_group.tower_height.calls"] == 1.0
+
+
+def unused_imports(path):
+    """(line, name) of each name a module imports and never reads as an
+    expression name (``__future__`` features aside)."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+CHECKED = sorted(p for p in (ROOT / "src" / "delone_local").glob("*.py")
+                 if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # __init__ is left out: its imports are the package's re-exports
+    assert unused_imports(path) == []

@@ -20,10 +20,9 @@ from delone_local.geometry import (
     nearest_orthogonal,
     reflection_matrix,
     rotation_matrix,
-    rotoreflection_matrix,
 )
 
-from conftest import element_kind_oracle, same_kinds
+from conftest import element_kind_oracle, rotoreflection_matrix, same_kinds
 
 S8_MATRIX = np.array([
     [np.cos(np.pi / 4), -np.sin(np.pi / 4), 0.0],
@@ -74,6 +73,13 @@ class TestClassifyElement:
         k = classify_element(rotation_matrix([0, 0, 1], 1.0))  # 1 rad: irrational
         assert k.kind == "generic_rotation"
 
+    @pytest.mark.parametrize("n", [25, 60, 120])
+    def test_high_rotation_orders(self, n):
+        # the order of the cyclic group is finite up to the closure's
+        # ceiling of 240 elements
+        k = classify_element(rotation_matrix([1, 2, 3], 2 * np.pi / n))
+        assert (k.kind, k.order) == ("rotation", n)
+
     def test_generic_elements_match_single_map_reader(self):
         # no finite order: the stack-of-one reader gives what the
         # per-element one gave, axis bits included
@@ -85,7 +91,7 @@ class TestClassifyElement:
             assert same_kinds([k], [element_kind_oracle(q, None)])
 
     def test_rotoreflection_even_orders(self):
-        for n in (4, 6, 8, 10, 12):
+        for n in (4, 6, 8, 10, 12, 60):
             k = classify_element(rotoreflection_matrix([0, 1, 1], 2 * np.pi / n))
             assert k.kind == "rotoreflection"
             assert k.order == n

@@ -20,10 +20,11 @@ from delone_local.delone_core import Cluster
 from delone_local.equivalence import cluster_classes, cluster_isometry
 from delone_local.geometry import Isometry
 from delone_local.point_group import (
+    PointGroup,
     _closure_matrices,
     omega,
     stabilizer,
-    tower_height_from_matrices,
+    tower_height,
 )
 
 from conftest import (
@@ -149,5 +150,5 @@ class TestTowerBound:
             if key not in cache:
                 assert key == {element_key(m) for m in closure_oracle(gens)}
                 cache[key] = tower_height_oracle(elements)
-            assert tower_height_from_matrices(elements) == cache[key] \
-                == omega(len(elements)) + 1
+            g = PointGroup(np.zeros(3), tuple(elements))
+            assert tower_height(g) == cache[key] == omega(len(elements)) + 1
