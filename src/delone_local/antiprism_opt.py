@@ -19,10 +19,10 @@ onto the feasible region, strict inequalities shrunk by ``eps``).
 Everything is deterministic: identical reports across runs.
 
 Problem 1's P_x and P_y come from one builder, ``_vertex_pairs``, whose
-arithmetic reads the same on floats and on arrays: one array kernel
-serves the grid (a phi row per call) and the refinement, and
-``lemma1_objective`` runs the builder on floats with the same
-(dx^2 + dz^2) + dy^2 sum, so they agree bit for bit.  The refinement runs
+arithmetic reads the same on floats and on arrays: one array kernel,
+``_lemma1_values``, serves the grid (a phi row per call), the refinement
+and ``lemma1_objective`` (on length-1 arrays), and ``p_y_vertices`` runs
+the builder on floats, so they agree bit for bit.  The refinement runs
 all starts in lockstep (``_nelder_mead``), and each ends where scipy's
 per-start Nelder-Mead, the tests' oracle, ends.
 """
@@ -196,13 +196,12 @@ def _vertex_pairs(a, b, x, y, z):
     return px, py
 
 
-def _checked_pairs(p: Lemma1Params):
+def _check(p: Lemma1Params) -> None:
     if p.b == 0.0:
         raise ZeroDivisionError("b = 0: antiprism bases coincide")
     if p.feasibility_residual() > FEAS_TOL:
         raise InfeasibleParams(
             f"constraint residual {p.feasibility_residual():.3e} > {FEAS_TOL:g}")
-    return _vertex_pairs(p.a, p.b, p.x, p.y, p.z)
 
 
 def p_y_vertices(p: Lemma1Params) -> np.ndarray:
@@ -212,38 +211,26 @@ def p_y_vertices(p: Lemma1Params) -> np.ndarray:
     Raises InfeasibleParams for infeasible p and ZeroDivisionError when
     b = 0.
     """
-    return np.array(_checked_pairs(p)[1])
-
-
-def _min_pair_distance(px, py, pair_filter: float) -> float:
-    """Minimal distance between a vertex of px and one of py at least
-    pair_filter apart (inf if none), on float components."""
-    best = math.inf
-    for ux, uy, uz in px:
-        for vx, vy, vz in py:
-            dx, dy, dz = ux - vx, uy - vy, uz - vz
-            d = math.sqrt((dx * dx + dz * dz) + dy * dy)
-            if pair_filter <= d < best:
-                best = d
-    return best
+    _check(p)
+    return np.array(_vertex_pairs(p.a, p.b, p.x, p.y, p.z)[1])
 
 
 def lemma1_objective(p: Lemma1Params, pair_filter: float = 0.01) -> float:
     """Minimal distance between vertices of P_x and P_y at least
     ``pair_filter`` apart (the problem-1 objective)."""
-    return _min_pair_distance(*_checked_pairs(p), pair_filter)
+    _check(p)
+    return float(_lemma1_values(
+        *np.array([[p.a], [p.b], [p.x], [p.y], [p.z]]), pair_filter)[0])
 
 
-def _lemma1_value_from_angles(phi: np.ndarray, psi: np.ndarray,
-                              pair_filter: float) -> np.ndarray:
-    """The problem-1 objective over equal-length 1-d angle arrays: all 64
-    vertex pairs at once, with the summation order of
-    ``_min_pair_distance`` (``fmin`` skips a NaN distance, as the filter
-    there does)."""
-    v = np.empty((2, 3, 8, len(phi)))  # (P_x or P_y, component, vertex)
-    for i, pts in enumerate(_vertex_pairs(*_angle_params(phi, psi))):
-        for j, (x, y, z) in enumerate(pts):
-            v[i, 0, j], v[i, 1, j], v[i, 2, j] = x, y, z
+def _lemma1_values(a, b, x, y, z, pair_filter: float) -> np.ndarray:
+    """The problem-1 objective over equal-length 1-d parameter arrays: all
+    64 vertex pairs at once, each distance summed as (dx^2 + dz^2) + dy^2
+    (inf where no pair passes the filter; ``fmin`` skips a NaN distance)."""
+    v = np.empty((2, 3, 8, len(a)))  # (P_x or P_y, component, vertex)
+    for i, pts in enumerate(_vertex_pairs(a, b, x, y, z)):
+        for j, (vx, vy, vz) in enumerate(pts):
+            v[i, 0, j], v[i, 1, j], v[i, 2, j] = vx, vy, vz
     dx, dy, dz = v[0][:, :, None] - v[1][:, None]  # each (8, 8, m)
     d = np.sqrt((dx * dx + dz * dz) + dy * dy)
     d[d < pair_filter] = np.inf
@@ -361,14 +348,14 @@ def optimize_lemma1(budget: OptBudget = OptBudget()) -> OptimizationReport:
     phis = np.linspace(lo, hi, budget.grid_phi)
     psis = np.linspace(0.0, 2.0 * np.pi, budget.grid_psi, endpoint=False)
     P, S = np.meshgrid(phis, psis, indexing="ij")
-    vals = np.array([_lemma1_value_from_angles(p, s, budget.pair_filter)
+    vals = np.array([_lemma1_values(*_angle_params(p, s), budget.pair_filter)
                      for p, s in zip(P, S)])
 
     def clamp(v):
         return np.minimum(np.maximum(v[..., 0], lo), hi), v[..., 1]
 
     def f(v):
-        return _lemma1_value_from_angles(*clamp(v), budget.pair_filter)
+        return _lemma1_values(*_angle_params(*clamp(v)), budget.pair_filter)
 
     return _refine(f, clamp, vals, (P, S), budget, Lemma1Params.from_angles)
 
@@ -381,14 +368,13 @@ def lemma2_objective(p: Lemma2Params) -> float:
     return float(_lemma2_value(p.a, p.b, p.x, p.y))
 
 
-def _lemma2_value(a, b, x, y, sqrt=math.sqrt):
-    """The problem-2 objective on floats; pass ``sqrt=np.sqrt`` for
-    arrays."""
+def _lemma2_value(a, b, x, y):
+    """The problem-2 objective on floats or equal-shape arrays."""
     h = 1.0 - 2.0 * b  # z-offset from z=(a,0,b) to the base plane z = 1-b
     ax, ay = a - x, a - y
-    d1 = sqrt(ax * ax + y * y + h * h)
-    d2 = sqrt(ay * ay + x * x + h * h)
-    return d1 + d2 - 1.0 - sqrt(a * a + b * b)
+    d1 = np.sqrt(ax * ax + y * y + h * h)
+    d2 = np.sqrt(ay * ay + x * x + h * h)
+    return d1 + d2 - 1.0 - np.sqrt(a * a + b * b)
 
 
 def _lemma2_clamp(v: np.ndarray, eps: float):
@@ -428,11 +414,11 @@ def optimize_lemma2(budget: OptBudget = OptBudget()) -> OptimizationReport:
     Ug = np.broadcast_to(us[None, None, :], (n, n, n))
     X = Ag * np.cos(us)  # u takes n values: n trig calls, broadcast
     Y = Ag * np.sin(us)
-    vals = _lemma2_value(Ag, Bg, X, Y, np.sqrt)
+    vals = _lemma2_value(Ag, Bg, X, Y)
 
     def f(v):
         a, b, u = _lemma2_clamp(v, eps)
-        return _lemma2_value(a, b, a * np.cos(u), a * np.sin(u), np.sqrt)
+        return _lemma2_value(a, b, a * np.cos(u), a * np.sin(u))
 
     def params(a, b, u):
         return Lemma2Params(a, b, float(a * np.cos(u)), float(a * np.sin(u)))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import ceil, floor
 from typing import Tuple
 
 import numpy as np
@@ -111,10 +110,7 @@ def _validate_box(box_lo, box_hi) -> Tuple[np.ndarray, np.ndarray]:
 def cubic_lattice(box_lo, box_hi) -> PointPatch:
     """All integer points in the closed box."""
     lo, hi = _validate_box(box_lo, box_hi)
-    axes = [np.arange(ceil(l - GEOM_TOL), floor(h + GEOM_TOL) + 1)
-            for l, h in zip(lo, hi)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    return PointPatch(_order_zyx(pts.astype(float)), lo, hi)
+    return PointPatch(_order_zyx(_lattice_points(np.eye(3), lo, hi)), lo, hi)
 
 
 def _lattice_points(basis: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -157,12 +153,9 @@ def c4v_example(box_lo, box_hi) -> PointPatch:
     is sqrt(3/2) (deep hole at half-integer x, y on a removed layer).
     """
     lo, hi = _validate_box(box_lo, box_hi)
-    axes = [np.arange(ceil(l - GEOM_TOL), floor(h + GEOM_TOL) + 1)
-            for l, h in zip(lo, hi)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    pts = _lattice_points(np.eye(3), lo, hi)
     pts = pts[pts[:, 2] % 3 != 0]
-    return PointPatch(_order_zyx(pts.astype(float)), lo, hi,
-                      declared_R=float(np.sqrt(1.5)))
+    return PointPatch(_order_zyx(pts), lo, hi, declared_R=float(np.sqrt(1.5)))
 
 
 def antiprism_points(a: float, b: float) -> np.ndarray:

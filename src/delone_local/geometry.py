@@ -2,11 +2,13 @@
 
 Provides the building blocks used everywhere else in the package:
 orthogonal-matrix hygiene (orthogonality checks, nearest-orthogonal
-projection), the symmetry element kind of an orthogonal map (identity,
-inversion, rotation, reflection, rotoreflection) read off its order, the
-sign of its determinant and a closed-form axis (a whole stack of maps in
-one pass), and the orthogonal maps that carry a frame onto a stack of
-congruent k-tuples.
+projection), the one rule for when two maps are the same group element
+(``_match``, within ``ELEMENT_TOL``) and the closure of a set of maps
+under products that it drives, the symmetry element kind of an orthogonal
+map (identity, inversion, rotation, reflection, rotoreflection) read off
+its order, the sign of its determinant and a closed-form axis (a whole
+stack of maps in one pass), and the orthogonal maps that carry a frame
+onto a stack of congruent k-tuples.
 
 Conventions:
     * Points and vectors are numpy arrays of shape (3,), dtype float64.
@@ -30,9 +32,10 @@ Tolerances are fixed constants, not parameters:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import GroupTooLarge, NonOrthogonal
 
@@ -49,7 +52,6 @@ __all__ = [
     "rotation_matrix",
     "reflection_matrix",
     "canonical_axis",
-    "element_kind",
     "element_kinds",
     "classify_element",
 ]
@@ -62,6 +64,9 @@ GEOM_TOL = 1e-9
 ELEMENT_TOL = 1e-6
 #: Orthogonality residual accepted by the single-matrix classifier.
 ORTHO_TOL = 1e-7
+#: Largest group order the group check accepts (Ih, the largest polyhedral
+#: group, has order 120).
+MAX_GROUP_ORDER = 120
 
 
 def as_point(p) -> np.ndarray:
@@ -94,6 +99,40 @@ def nearest_orthogonal(q: np.ndarray) -> np.ndarray:
     """
     u, _, vt = np.linalg.svd(np.asarray(q, dtype=float))
     return u @ vt
+
+
+def _match(elements, queries) -> np.ndarray:
+    """Index of the element within ELEMENT_TOL (max-norm) of each query
+    matrix, or -1 where there is none."""
+    tree = cKDTree(np.asarray(elements, dtype=float).reshape(-1, 9))
+    d, idx = tree.query(np.asarray(queries, dtype=float).reshape(-1, 9),
+                        p=np.inf, distance_upper_bound=ELEMENT_TOL)
+    return np.where(np.isfinite(d), idx, -1)
+
+
+def _closure_matrices(mats: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Close a set of orthogonal maps under products (finite-group closure).
+
+    Each round multiplies the new elements on the right by the generators
+    only, in one batch.  The result holds the identity and the generators
+    and is closed under right multiplication by them, so, being finite, it
+    is the whole group they generate.
+    """
+    elems = np.eye(3)[None]
+    batch = gens = np.asarray(mats, dtype=float).reshape(-1, 3, 3)
+    while len(batch):
+        new = batch[_match(elems, batch) < 0]
+        if len(new):
+            twins = cKDTree(new.reshape(-1, 9)).query_pairs(
+                ELEMENT_TOL, p=np.inf, output_type="ndarray")
+            new = np.delete(new, twins[:, 1], axis=0)
+        elems = np.concatenate([elems, new])
+        if len(elems) > 2 * MAX_GROUP_ORDER:
+            raise GroupTooLarge(
+                f"closure exceeded {2 * MAX_GROUP_ORDER} elements")
+        batch = nearest_orthogonal(
+            np.einsum("iab,jbc->ijac", new, gens).reshape(-1, 3, 3))
+    return list(elems)
 
 
 def check_orthogonal(q: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
@@ -145,7 +184,7 @@ class ElementKind:
     ``kind`` is one of ``identity``, ``inversion``, ``rotation``,
     ``reflection``, ``rotoreflection``, ``generic_rotation``,
     ``generic_rotoreflection``; it follows from the element's order and
-    the sign of its determinant (see :func:`element_kind`).  For rotations
+    the sign of its determinant (see :func:`element_kinds`).  For rotations
     and rotoreflections ``order`` is the element order (the smallest k
     with q^k = I; an improper element has even order, so S_n here always
     has even n >= 4).  ``axis`` is the rotation axis or mirror normal with
@@ -235,32 +274,23 @@ def element_kinds(qs: np.ndarray, orders) -> List[ElementKind]:
     return kinds
 
 
-def element_kind(q: np.ndarray, order: Optional[int]) -> ElementKind:
-    """Symmetry element of one orthogonal map of known ``order``: the
-    stack-of-one case of :func:`element_kinds`."""
-    return element_kinds(q, [order])[0]
-
-
 def classify_element(q: np.ndarray) -> ElementKind:
     """Classify a single orthogonal map as a symmetry element.
 
     Its order is the order of its cyclic group, closed and matched by the
-    rule that builds every ``PointGroup`` (``point_group._closure_matrices``,
-    elements equal within ``ELEMENT_TOL``).  A map whose powers outgrow the
-    closure's ceiling of 2 * ``point_group.MAX_GROUP_ORDER`` = 240 elements
-    has no finite order.  Raises :class:`NonOrthogonal` if the input is not
+    rule that builds every ``PointGroup`` (:func:`_closure_matrices`,
+    elements equal within ``ELEMENT_TOL``), and its kind is the
+    stack-of-one case of :func:`element_kinds`.  A map whose powers outgrow
+    the closure's ceiling of 2 * ``MAX_GROUP_ORDER`` = 240 elements has no
+    finite order.  Raises :class:`NonOrthogonal` if the input is not
     orthogonal within ``ORTHO_TOL``.
     """
-    # point_group imports geometry (directly and through delone_core and
-    # equivalence), so its closure is imported here, not at module level
-    from .point_group import _closure_matrices
-
     q = check_orthogonal(q, ORTHO_TOL)
     try:
         order = len(_closure_matrices([q]))
     except GroupTooLarge:
         order = None
-    return element_kind(q, order)
+    return element_kinds(q, [order])[0]
 
 
 def _complete_basis(vectors) -> np.ndarray:

@@ -24,7 +24,8 @@ and any other count raises :class:`UnrecognizedGroup`.  No axis is read
 and no angle is compared against a tolerance.
 
 Group elements are compared in one way only: stacked as 9-vectors in a
-KD-tree and matched within ``geometry.ELEMENT_TOL`` (max-norm).
+KD-tree and matched within ``geometry.ELEMENT_TOL`` (max-norm), by
+``geometry._match``, which also drives ``geometry._closure_matrices``.
 
 Order-theoretic helpers: ``omega`` (prime factors with multiplicity) and
 ``tower_height`` (longest chain of strictly nested subgroups), which for
@@ -36,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .delone_core import Cluster
 from .equivalence import _maps
@@ -46,7 +46,8 @@ from .errors import (
     NotAGroup,
     UnrecognizedGroup,
 )
-from .geometry import ELEMENT_TOL, ElementKind, element_kinds, nearest_orthogonal
+from .geometry import (MAX_GROUP_ORDER, ElementKind, _closure_matrices,
+                       _match, element_kinds)
 
 __all__ = [
     "SchoenfliesLabel",
@@ -57,11 +58,6 @@ __all__ = [
     "omega",
     "tower_height",
 ]
-
-#: Largest group order the group check accepts (Ih, the largest polyhedral
-#: group, has order 120).
-MAX_GROUP_ORDER = 120
-
 
 @dataclass(frozen=True)
 class SchoenfliesLabel:
@@ -135,40 +131,6 @@ class PointGroup:
 
     def __hash__(self) -> int:
         return hash(self.order)
-
-
-def _match(elements, queries) -> np.ndarray:
-    """Index of the element within ELEMENT_TOL (max-norm) of each query
-    matrix, or -1 where there is none."""
-    tree = cKDTree(np.asarray(elements, dtype=float).reshape(-1, 9))
-    d, idx = tree.query(np.asarray(queries, dtype=float).reshape(-1, 9),
-                        p=np.inf, distance_upper_bound=ELEMENT_TOL)
-    return np.where(np.isfinite(d), idx, -1)
-
-
-def _closure_matrices(mats: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Close a set of orthogonal maps under products (finite-group closure).
-
-    Each round multiplies the new elements on the right by every element
-    known so far, in one batch.  The generators are known from the first
-    round on, so the result is closed under right multiplication by them
-    and, being finite, is the whole group they generate.
-    """
-    elems = np.eye(3)[None]
-    batch = np.asarray(mats, dtype=float).reshape(-1, 3, 3)
-    while len(batch):
-        new = batch[_match(elems, batch) < 0]
-        if len(new):
-            twins = cKDTree(new.reshape(-1, 9)).query_pairs(
-                ELEMENT_TOL, p=np.inf, output_type="ndarray")
-            new = np.delete(new, twins[:, 1], axis=0)
-        elems = np.concatenate([elems, new])
-        if len(elems) > 2 * MAX_GROUP_ORDER:
-            raise GroupTooLarge(
-                f"closure exceeded {2 * MAX_GROUP_ORDER} elements")
-        batch = nearest_orthogonal(
-            np.einsum("iab,jbc->ijac", new, elems).reshape(-1, 3, 3))
-    return list(elems)
 
 
 def group_from_generators(generators: Sequence[np.ndarray],

@@ -1,8 +1,8 @@
 """Regularity criteria and the per-group regularity-radius bounds table.
 
 Implements the local criterion (single 2R-extension test: N(rho0 + 2R) = 1
-and S_x0(rho0) = S_x0(rho0 + 2R) imply regularity; the larger group is
-filtered down from the smaller one), the tower bound
+and S_x0(rho0) = S_x0(rho0 + 2R) imply regularity; the equality is one
+verification of S_x0(rho0) on the larger cluster), the tower bound
 2(Omega + 2) R derived from subgroup-chain heights, the step bound
 2 sin(pi/n) that forbids rotation orders above 6, and the published table
 mapping each admissible 2R-cluster group to its best known bound.
@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .delone_core import Cluster, PointPatch, cluster
+from .delone_core import PointPatch, cluster
 from .equivalence import _carries, cluster_classes
 from .errors import MarginViolation, NoUsableCenters, UnknownLabel
 from .point_group import PointGroup, omega, stabilizer
@@ -242,7 +242,8 @@ def local_criterion(patch: PointPatch, rho0: float, R: float) -> CriterionVerdic
     of its elements that also map the (rho0 + 2R)-cluster onto itself,
     verified at that radius's match tolerance.  This is exact: for
     rho' > rho, C_x(rho) = C_x(rho') ∩ B(x, rho), and an isometry fixing x
-    preserves every ball about x, so S_x(rho') ⊆ S_x(rho).
+    preserves every ball about x, so S_x(rho') ⊆ S_x(rho): the groups are
+    equal iff every element of S_x0(rho0) passes.
 
     The verdict certifies the criterion's hypotheses on the patch; margin
     violations (box too small for rho0 + 2R) raise rather than truncate.
@@ -255,7 +256,9 @@ def _criterion(patch: PointPatch, rho0: float,
     """:func:`local_criterion`'s verdict and S_x0(rho0), or None for the
     group when N(rho0 + 2R) > 1 (no center is singled out then).
 
-    Raises ValueError for R < 0, where rho0 + 2R < rho0 and the filter
+    S_x0(rho0 + 2R) is built as a group only for the witness, when some
+    element of S_x0(rho0) fails on the (rho0 + 2R)-cluster.  Raises
+    ValueError for R < 0, where rho0 + 2R < rho0 and the passing elements
     would no longer give S_x0(rho0 + 2R)."""
     if R < 0:
         raise ValueError("covering radius must be non-negative")
@@ -269,25 +272,18 @@ def _criterion(patch: PointPatch, rho0: float,
     big = dec.class_representatives[0]
     x0 = big.center
     g_small = stabilizer(cluster(patch, x0, rho0))
-    g_big = _fixing(g_small, big)
-    equal = g_small == g_big
+    elements = np.array(g_small.elements)
+    keep = _carries(big, big.offsets, elements)
+    equal = bool(keep.all())
     witness = None
     if not equal:
+        g_big = PointGroup(center=x0.copy(), elements=tuple(elements[keep]))
         witness = (f"stabilizer at rho0 = {rho0:g} has order {g_small.order} "
                    f"({g_small.label}) but at rho0 + 2R = {rho_big:g} "
                    f"order {g_big.order} ({g_big.label}) at center "
                    f"{x0.tolist()}")
     return CriterionVerdict(regular=equal, rho0=float(rho0), n_classes=1,
                             groups_equal=equal, witness=witness), g_small
-
-
-def _fixing(g: PointGroup, c: Cluster) -> PointGroup:
-    """The elements of g that map the cluster c (centered at g's center)
-    onto itself, all verified in one pass and checked as a group when
-    built."""
-    elements = np.array(g.elements)
-    return PointGroup(center=c.center.copy(), elements=tuple(
-        elements[_carries(c, c.offsets, elements)]))
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,15 @@ def jittered_cubic(m, seed, spacing=1.6, amplitude=0.15):
     return dl.PointPatch(pts, (-h,) * 3, (h,) * 3)
 
 
+def z3_missing_site():
+    """Z^3 on the sites -3..3 without (2, 1, 0), trusted on the box +-3.5:
+    the hole lies inside the (1.5 + sqrt3)-ball at the origin but outside
+    its 1.5-ball."""
+    pts = [[x, y, z] for x in range(-3, 4) for y in range(-3, 4)
+           for z in range(-3, 4) if (x, y, z) != (2, 1, 0)]
+    return dl.PointPatch(pts, [-3.5] * 3, [3.5] * 3)
+
+
 def cluster_classes_oracle(patch, rho):
     """The class loop as it was before extraction was batched: one
     ``cluster`` call per usable center in lexicographic order, compared

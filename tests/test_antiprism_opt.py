@@ -12,7 +12,8 @@ from delone_local.antiprism_opt import (
     Lemma1Params,
     Lemma2Params,
     OptBudget,
-    _lemma1_value_from_angles,
+    _angle_params,
+    _lemma1_values,
     _nelder_mead,
     _top,
     _vertex_pairs,
@@ -160,8 +161,8 @@ class TestObjectives:
 
 def lemma1_kernel(phi, psi, pair_filter=0.01):
     """The array kernel at one angle pair, as a float."""
-    return float(_lemma1_value_from_angles(np.array([phi]), np.array([psi]),
-                                           pair_filter)[0])
+    params = _angle_params(np.array([phi]), np.array([psi]))
+    return float(_lemma1_values(*params, pair_filter)[0])
 
 
 class TestKernelsMatchOracle:
@@ -178,7 +179,7 @@ class TestKernelsMatchOracle:
         psis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
         P, S = np.meshgrid(phis, psis, indexing="ij")
         for pf in (0.01, 0.3):
-            got = np.array([_lemma1_value_from_angles(p, s, pf)
+            got = np.array([_lemma1_values(*_angle_params(p, s), pf)
                             for p, s in zip(P, S)])
             assert np.array_equal(got, lemma1_values_oracle(P, S, pf))
 
@@ -390,7 +391,7 @@ class TestOptimizeLemma2:
         (_, _, vals, (Ag, Bg, Ug), _, _), = seen
         assert vals.shape == (n, n, n)
         want = antiprism_opt._lemma2_value(Ag, Bg, Ag * np.cos(Ug),
-                                           Ag * np.sin(Ug), np.sqrt)
+                                           Ag * np.sin(Ug))
         assert np.array_equal(vals, want)
 
 

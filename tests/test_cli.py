@@ -318,3 +318,14 @@ class TestGoldenOutputs:
         path = golden_patch(name, tmp_path, capsys)
         want = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
         assert golden_report(capsys, path) == want
+
+    def test_optimize_byte_identical(self, capsys):
+        # both antiprism optimizers at the default budget; any change to
+        # their kernels or to the lockstep Nelder-Mead must keep these bytes
+        parts = []
+        for which in ("lemma1", "lemma2"):
+            code, out, err = run(capsys, "optimize", which)
+            head = f"== optimize {which} -> {code} {err.strip()}".rstrip()
+            parts.append(f"{head}\n{out}")
+        want = (GOLDEN / "optimize.txt").read_text(encoding="utf-8")
+        assert "".join(parts) == want

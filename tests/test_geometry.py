@@ -73,6 +73,18 @@ class TestClassifyElement:
         k = classify_element(rotation_matrix([0, 0, 1], 1.0))  # 1 rad: irrational
         assert k.kind == "generic_rotation"
 
+    def test_closure_multiplies_by_generators_only(self, monkeypatch):
+        # each element the closure finds is multiplied by the one
+        # generator, not by every element found: up to the 240-element
+        # ceiling, about one product per element gets snapped onto O(3)
+        snapped = []
+        snap = geometry.nearest_orthogonal
+        monkeypatch.setattr(geometry, "nearest_orthogonal",
+                            lambda q: snapped.append(len(q)) or snap(q))
+        k = classify_element(rotation_matrix([0, 0, 1], 1.0))
+        assert k.kind == "generic_rotation"
+        assert 0 < sum(snapped) <= 241
+
     @pytest.mark.parametrize("n", [25, 60, 120])
     def test_high_rotation_orders(self, n):
         # the order of the cyclic group is finite up to the closure's

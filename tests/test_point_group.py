@@ -27,6 +27,7 @@ from delone_local.point_group import (
     stabilizer,
     tower_height,
 )
+from delone_local.regularity import local_criterion
 
 from conftest import (
     C2_X,
@@ -47,6 +48,7 @@ from conftest import (
     same_kinds,
     sn_gen,
     tower_height_oracle,
+    z3_missing_site,
 )
 
 SQRT3 = np.sqrt(3.0)
@@ -432,6 +434,21 @@ class TestCheckedOnce:
         assert tower_height(g) == 6
         assert str(g.label) == "Oh"
         assert len(calls) == 1
+
+    def test_criterion_checks_one_group(self, monkeypatch):
+        # a regular verdict checks S(rho0) alone: S(rho0 + 2R) is only
+        # built, and checked, for the witness of a failure
+        calls = []
+        check = point_group._check_group
+        monkeypatch.setattr(point_group, "_check_group",
+                            lambda m: calls.append(1) or check(m))
+        z3 = dl.cubic_lattice([-4] * 3, [4] * 3)
+        assert local_criterion(z3, SQRT3, SQRT3 / 2).regular
+        assert len(calls) == 1
+        calls.clear()
+        v = local_criterion(z3_missing_site(), 1.5, SQRT3 / 2)
+        assert not v.regular and v.witness is not None
+        assert len(calls) == 2
 
     def test_label_follows_elements(self):
         # no label can be passed in, so none can disagree with the elements

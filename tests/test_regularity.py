@@ -4,6 +4,7 @@ import pytest
 
 import delone_local as dl
 from delone_local import regularity
+from delone_local.equivalence import _carries
 from delone_local.errors import MarginViolation, UnknownLabel
 from delone_local.point_group import PointGroup, stabilizer
 from delone_local.regularity import (
@@ -19,18 +20,9 @@ from delone_local.regularity import (
     tower_formula_mismatches,
 )
 
-from conftest import LATTICES, STOCK_PATCHES
+from conftest import LATTICES, STOCK_PATCHES, z3_missing_site
 
 SQRT3 = np.sqrt(3.0)
-
-
-def z3_missing_site():
-    """Z^3 on the sites -3..3 without (2, 1, 0), trusted on the box +-3.5:
-    the hole lies inside the (1.5 + sqrt3)-ball at the origin but outside
-    its 1.5-ball."""
-    pts = [[x, y, z] for x in range(-3, 4) for y in range(-3, 4)
-           for z in range(-3, 4) if (x, y, z) != (2, 1, 0)]
-    return dl.PointPatch(pts, [-3.5] * 3, [3.5] * 3)
 
 
 class TestStepBound:
@@ -197,8 +189,9 @@ class TestLocalCriterion:
         patch, rho_big = build(), rho0 + 2 * R
         x0 = patch.usable_centers(rho_big)[0]
         big = dl.cluster(patch, x0, rho_big)
-        filtered = regularity._fixing(
-            stabilizer(dl.cluster(patch, x0, rho0)), big)
+        small = np.array(stabilizer(dl.cluster(patch, x0, rho0)).elements)
+        keep = _carries(big, big.offsets, small)
+        filtered = PointGroup(x0, tuple(small[keep]))
         want = stabilizer(big)
         assert filtered == want
         assert filtered.label == want.label
