@@ -53,6 +53,8 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 #: Feasibility tolerance for the equality/inequality constraints.
 FEAS_TOL = 1e-9
+#: Number of best grid seeds that Nelder-Mead refines.
+REFINE_TOP = 24
 
 # Feasible (a, b) = (cos phi, sin phi) with a, b > 0: a^2 >= b^2 gives
 # phi <= pi/4, and a^2 (1 - sqrt2) + 3 b^2 >= 0 gives
@@ -121,19 +123,19 @@ class Lemma2Params:
 
 @dataclass(frozen=True)
 class OptBudget:
-    """Deterministic search budget for the antiprism optimizers."""
+    """Deterministic search budget for the antiprism optimizers; the
+    number of grid seeds refined is the constant ``REFINE_TOP``."""
 
     grid_phi: int = 200
     grid_psi: int = 200
     grid_lemma2: int = 48
-    refine_top: int = 24
     nm_maxiter: int = 400
     eps: float = 1e-6
     pair_filter: float = 0.01
 
     def __post_init__(self) -> None:
         if min(self.grid_phi, self.grid_psi, self.grid_lemma2,
-               self.refine_top, self.nm_maxiter) < 1:
+               self.nm_maxiter) < 1:
             raise ValueError("budget counts must be positive")
         if not (self.eps > 0 and self.pair_filter > 0):
             raise ValueError("eps and pair_filter must be positive")
@@ -307,12 +309,12 @@ def _top(keys: np.ndarray, k: int) -> np.ndarray:
 
 def _refine(f, clamp, vals, grids, budget: OptBudget, params
             ) -> OptimizationReport:
-    """Refine the ``refine_top`` best grid seeds with lockstep
+    """Refine the ``REFINE_TOP`` best grid seeds with lockstep
     Nelder-Mead on ``-f`` (``f`` maps (m, N) arrays of raw coordinates to
     m values), scan the starts in seed order and report the best point
     found, clamped and mapped to its parameters by ``params``."""
     flat = vals.ravel()
-    top = _top(-flat, budget.refine_top)
+    top = _top(-flat, REFINE_TOP)
     seeds = np.stack([g[np.unravel_index(top, vals.shape)] for g in grids],
                      axis=1)
     best_val = float(flat[top[0]])

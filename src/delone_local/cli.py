@@ -10,6 +10,10 @@ Subcommands:
     optimize       run the antiprism optimizations (lemma1 | lemma2)
     shtogrin-bound print the step bound 2 sin(pi/n)
 
+``generate`` takes flags only: --kind (required), --box (every kind but
+antiprism), --lambda and --mu (default 1), --t-z (hex_bilattice), and
+--a and --b (antiprism; default sqrt(3)/2 and 1/2).
+
 Radii may be given numerically or symbolically as a multiple of R
 ("2R", "10R", ...), resolved against check-local's --R flag, else the
 declared R of the input file, else the computed patch covering radius.
@@ -23,7 +27,7 @@ import argparse
 import functools
 import re
 import sys
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,17 +47,6 @@ class CliError(DeloneError):
     """Domain error raised directly by CLI validation."""
 
 
-def _parse_radius(text: str) -> Tuple[Optional[float], Optional[float]]:
-    """Parse a radius flag; returns (numeric, multiple_of_R) — one is None."""
-    m = re.fullmatch(r"([0-9]+(?:\.[0-9]+)?)R", text.strip())
-    if m:
-        return None, float(m.group(1))
-    try:
-        return float(text), None
-    except ValueError:
-        raise CliError(f"bad radius {text!r}") from None
-
-
 def _resolve_R(patch: PointPatch, flag: Optional[float] = None) -> Tuple[float, str]:
     """R and its provenance: the --R flag, else the file's declared R,
     else the computed covering radius."""
@@ -64,23 +57,16 @@ def _resolve_R(patch: PointPatch, flag: Optional[float] = None) -> Tuple[float, 
     return covering_radius(patch), "computed"
 
 
-def _resolve_radius(text: str, patch: PointPatch,
-                    flag: Optional[float] = None) -> Tuple[float, float, str]:
-    """Returns (rho, R, R_provenance), for commands that print R."""
-    numeric, mult = _parse_radius(text)
-    R, prov = _resolve_R(patch, flag)
-    if numeric is not None:
-        return numeric, R, prov
-    return mult * R, R, prov
-
-
-def _radius(text: str, patch: PointPatch) -> float:
-    """rho, for commands that do not print R: R is resolved only to
-    multiply a "kR" radius."""
-    numeric, mult = _parse_radius(text)
-    if numeric is not None:
-        return numeric
-    return mult * _resolve_R(patch)[0]
+def _radius(text: str, get_R: Callable[[], float]) -> float:
+    """rho from a radius flag: a number, or a multiple "kR" of R, which
+    ``get_R`` gives and is called for only then."""
+    m = re.fullmatch(r"([0-9]+(?:\.[0-9]+)?)R", text.strip())
+    if m:
+        return float(m.group(1)) * get_R()
+    try:
+        return float(text)
+    except ValueError:
+        raise CliError(f"bad radius {text!r}") from None
 
 
 def _load_checked(path: str) -> PointPatch:
@@ -103,66 +89,24 @@ def _out(args, text: str) -> None:
 
 # --- subcommand implementations --------------------------------------------
 
-def _read_config(path: str) -> dict:
-    cfg = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CliError(f"config line {lineno}: expected key = value")
-            key, val = (part.strip() for part in line.split("=", 1))
-            cfg[key] = val
-    return cfg
-
-
 def _cmd_generate(args) -> int:
-    cfg = _read_config(args.config) if args.config else {}
-
-    def pick(flag_value, key, cast, default=None):
-        if flag_value is not None:
-            return flag_value
-        if key in cfg:
-            return cast(cfg[key])
-        return default
-
-    kind = pick(args.kind, "kind", str)
-    if kind not in ("cubic", "hex", "hex_bilattice", "c4v", "antiprism"):
-        raise CliError(f"unknown generator kind {kind!r}")
-    box = args.box
-    if box is None:
-        if "box_lo" in cfg and "box_hi" in cfg:
-            los = [float(v) for v in cfg["box_lo"].split()]
-            his = [float(v) for v in cfg["box_hi"].split()]
-            if len(los) == 1:
-                los = los * 3
-            if len(his) == 1:
-                his = his * 3
-            box = los + his
-    lam = pick(args.lam, "lambda", float, 1.0)
-    mu = pick(args.mu, "mu", float, 1.0)
-    t_z = pick(args.t_z, "t_z", float, None)
-    a = pick(args.a, "a", float, float(np.sqrt(0.75)))
-    b = pick(args.b, "b", float, 0.5)
-
-    if kind == "antiprism":
-        patch = generators.antiprism_patch(a, b)
+    if args.kind == "antiprism":
+        patch = generators.antiprism_patch(args.a, args.b)
     else:
-        if box is None:
-            raise CliError("generator needs --box (or box_lo/box_hi in config)")
-        lo, hi = box[:3], box[3:]
-        if kind == "cubic":
+        if args.box is None:
+            raise CliError("generator needs --box")
+        lo, hi = args.box[:3], args.box[3:]
+        if args.kind == "cubic":
             patch = generators.cubic_lattice(lo, hi)
-        elif kind == "hex":
+        elif args.kind == "hex":
             patch = generators.hex_lattice(
-                generators.HexLatticeSpec(lam=lam, mu=mu), lo, hi)
-        elif kind == "hex_bilattice":
-            if t_z is None:
-                raise CliError("hex_bilattice needs --t-z (or t_z in config)")
+                generators.HexLatticeSpec(lam=args.lam, mu=args.mu), lo, hi)
+        elif args.kind == "hex_bilattice":
+            if args.t_z is None:
+                raise CliError("hex_bilattice needs --t-z")
             spec = generators.BiLatticeSpec(
-                hex=generators.HexLatticeSpec(lam=lam, mu=mu),
-                t=(0.0, 0.0, t_z))
+                hex=generators.HexLatticeSpec(lam=args.lam, mu=args.mu),
+                t=(0.0, 0.0, args.t_z))
             patch = generators.hex_bilattice(spec, lo, hi)
         else:  # c4v
             patch = generators.c4v_example(lo, hi)
@@ -174,7 +118,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     patch = _load_checked(args.path)
-    rho, R, prov = _resolve_radius(args.rho, patch)
+    R, prov = _resolve_R(patch)
+    rho = _radius(args.rho, lambda: R)
     lines = [f"R = {_fmt(R)} ({prov})", f"rho = {_fmt(rho)}"]
     report = regularity.classify_scenario(patch, rho / 2.0)
     lines.append(f"N(rho) = {report.n_classes}")
@@ -198,7 +143,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_classes(args) -> int:
     patch = _load_checked(args.path)
-    rho = _radius(args.rho, patch)
+    rho = _radius(args.rho, lambda: _resolve_R(patch)[0])
     dec = cluster_classes(patch, rho)
     lines = [f"rho = {_fmt(rho)}", f"N = {dec.N}"]
     counts = [0] * dec.N
@@ -215,7 +160,7 @@ def _cmd_classes(args) -> int:
 
 def _cmd_group(args) -> int:
     patch = _load_checked(args.path)
-    rho = _radius(args.rho, patch)
+    rho = _radius(args.rho, lambda: _resolve_R(patch)[0])
     c = cluster(patch, args.center, rho)
     g = point_group.stabilizer(c)
     lines = [
@@ -232,7 +177,8 @@ def _cmd_group(args) -> int:
 
 def _cmd_check_local(args) -> int:
     patch = _load_checked(args.path)
-    rho0, R, prov = _resolve_radius(args.rho0, patch, args.R)
+    R, prov = _resolve_R(patch, args.R)
+    rho0 = _radius(args.rho0, lambda: R)
     verdict = regularity.local_criterion(patch, rho0, R)
     lines = [
         f"R = {_fmt(R)} ({prov})",
@@ -298,16 +244,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a stock point set")
-    p.add_argument("--kind", choices=["cubic", "hex", "hex_bilattice",
-                                      "c4v", "antiprism"])
-    p.add_argument("--config", help="key = value config file")
+    p.add_argument("--kind", required=True, choices=[
+        "cubic", "hex", "hex_bilattice", "c4v", "antiprism"])
     p.add_argument("--box", type=float, nargs=6,
                    metavar=("LOX", "LOY", "LOZ", "HIX", "HIY", "HIZ"))
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--mu", type=float)
+    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--t-z", dest="t_z", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
+    p.add_argument("--a", type=float, default=float(np.sqrt(0.75)))
+    p.add_argument("--b", type=float, default=0.5)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_generate)
 

@@ -349,8 +349,7 @@ def load_patch(path) -> PointPatch:
     box by more than ``geom_tol`` raises :class:`ParseError`: the patch
     would no longer be the set's intersection with its box.
     """
-    pts = []
-    linenos = []
+    rows = []  # (line number, data line)
     box = None
     declared_R = None
     with open(path, "r", encoding="utf-8") as f:
@@ -376,17 +375,22 @@ def load_patch(path) -> PointPatch:
                     except ValueError:
                         raise ParseError(f"line {lineno}: bad R header") from None
                 continue
+            rows.append((lineno, line))
+    if not rows:
+        raise ParseError("no points in file")
+    try:
+        points = np.loadtxt([line for _, line in rows], comments=None, ndmin=2)
+    except ValueError:
+        points = None
+    if points is None or points.shape[1] != 3:
+        for lineno, line in rows:  # the first bad line, by the same parser
             fields = line.split()
             if len(fields) != 3:
                 raise ParseError(f"line {lineno}: expected 3 coordinates, got {len(fields)}")
             try:
-                pts.append([float(v) for v in fields])
+                np.loadtxt(fields, comments=None)
             except ValueError:
                 raise ParseError(f"line {lineno}: bad coordinate") from None
-            linenos.append(lineno)
-    if not pts:
-        raise ParseError("no points in file")
-    points = np.array(pts, dtype=float)
     if box is None:
         lo = points.min(axis=0)
         hi = points.max(axis=0)
@@ -398,6 +402,6 @@ def load_patch(path) -> PointPatch:
     outside = np.flatnonzero(~patch.ball_inside_box(points, 0.0))
     if len(outside):
         i = outside[0]
-        raise ParseError(f"line {linenos[i]}: point {points[i].tolist()} "
+        raise ParseError(f"line {rows[i][0]}: point {points[i].tolist()} "
                          "lies outside the box")
     return patch

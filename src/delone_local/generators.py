@@ -58,11 +58,6 @@ class HexLatticeSpec:
         ])
 
     @property
-    def gram(self) -> np.ndarray:
-        b = self.basis
-        return b @ b.T
-
-    @property
     def min_distance(self) -> float:
         """Minimal interpoint distance of the infinite lattice."""
         return float(np.sqrt(min(self.lam, self.mu)))

@@ -23,7 +23,7 @@ Tolerances are fixed constants, not parameters:
     * ``ELEMENT_TOL`` = 1e-6: two orthogonal maps are the same element iff
       their max-norm difference is at most this.
     * ``ORTHO_TOL`` = 1e-7: the orthogonality residual
-      :func:`classify_element` accepts.
+      :func:`check_orthogonal` accepts (so :func:`classify_element`).
     * ``antiprism_opt.FEAS_TOL`` = 1e-9: the constraint residual the
       antiprism objectives accept.
     * Cluster matching uses ``equivalence.match_tolerance(rho)`` =
@@ -62,7 +62,7 @@ GEOM_TOL = 1e-9
 #: difference is below this (far below the minimal separation of distinct
 #: elements in groups of order <= 120).
 ELEMENT_TOL = 1e-6
-#: Orthogonality residual accepted by the single-matrix classifier.
+#: Orthogonality residual accepted by :func:`check_orthogonal`.
 ORTHO_TOL = 1e-7
 #: Largest group order the group check accepts (Ih, the largest polyhedral
 #: group, has order 120).
@@ -135,16 +135,18 @@ def _closure_matrices(mats: Sequence[np.ndarray]) -> List[np.ndarray]:
     return list(elems)
 
 
-def check_orthogonal(q: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
-    """Validate orthogonality; returns the matrix as float64 or raises."""
+def check_orthogonal(q: np.ndarray) -> np.ndarray:
+    """Validate orthogonality within ``ORTHO_TOL``; returns the matrix as
+    float64 or raises :class:`NonOrthogonal`."""
     q = np.asarray(q, dtype=float)
     if q.shape != (3, 3):
         raise NonOrthogonal(f"expected a 3x3 matrix, got shape {q.shape}")
     if not np.all(np.isfinite(q)):
         raise NonOrthogonal("matrix has non-finite entries")
     resid = float(np.abs(q.T @ q - np.eye(3)).max())
-    if resid > tol:
-        raise NonOrthogonal(f"orthogonality residual {resid:.3e} exceeds tol {tol:.3e}")
+    if resid > ORTHO_TOL:
+        raise NonOrthogonal(
+            f"orthogonality residual {resid:.3e} exceeds tol {ORTHO_TOL:.3e}")
     return q
 
 
@@ -285,7 +287,7 @@ def classify_element(q: np.ndarray) -> ElementKind:
     finite order.  Raises :class:`NonOrthogonal` if the input is not
     orthogonal within ``ORTHO_TOL``.
     """
-    q = check_orthogonal(q, ORTHO_TOL)
+    q = check_orthogonal(q)
     try:
         order = len(_closure_matrices([q]))
     except GroupTooLarge:

@@ -133,10 +133,10 @@ class PointGroup:
         return hash(self.order)
 
 
-def group_from_generators(generators: Sequence[np.ndarray],
-                          center=(0.0, 0.0, 0.0)) -> PointGroup:
-    """Build a PointGroup as the closure of generator matrices."""
-    return PointGroup(center=np.asarray(center, dtype=float),
+def group_from_generators(generators: Sequence[np.ndarray]) -> PointGroup:
+    """Build a PointGroup about the origin as the closure of generator
+    matrices."""
+    return PointGroup(center=np.zeros(3),
                       elements=tuple(_closure_matrices(generators)))
 
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import io
 import csv
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional
 
 import numpy as np
 
@@ -223,7 +223,8 @@ class CriterionVerdict:
     """Outcome of the local criterion at rho0 on a patch.
 
     regular is True iff n_classes = 1 and the rho0- and (rho0 + 2R)-
-    stabilizers at the reference center coincide.
+    stabilizers at the reference center coincide.  group is S_x0(rho0),
+    or None when N(rho0 + 2R) > 1 (no center is singled out then).
     """
 
     regular: bool
@@ -231,6 +232,7 @@ class CriterionVerdict:
     n_classes: int
     groups_equal: bool
     witness: Optional[str] = None
+    group: Optional[PointGroup] = field(default=None, compare=False, repr=False)
 
 
 def local_criterion(patch: PointPatch, rho0: float, R: float) -> CriterionVerdict:
@@ -243,23 +245,14 @@ def local_criterion(patch: PointPatch, rho0: float, R: float) -> CriterionVerdic
     verified at that radius's match tolerance.  This is exact: for
     rho' > rho, C_x(rho) = C_x(rho') ∩ B(x, rho), and an isometry fixing x
     preserves every ball about x, so S_x(rho') ⊆ S_x(rho): the groups are
-    equal iff every element of S_x0(rho0) passes.
+    equal iff every element of S_x0(rho0) passes.  S_x0(rho0 + 2R) is
+    built as a group only for the witness, when some element fails.
 
     The verdict certifies the criterion's hypotheses on the patch; margin
     violations (box too small for rho0 + 2R) raise rather than truncate.
+    Raises ValueError for R < 0, where rho0 + 2R < rho0 and the passing
+    elements would no longer give S_x0(rho0 + 2R).
     """
-    return _criterion(patch, rho0, R)[0]
-
-
-def _criterion(patch: PointPatch, rho0: float,
-               R: float) -> Tuple[CriterionVerdict, Optional[PointGroup]]:
-    """:func:`local_criterion`'s verdict and S_x0(rho0), or None for the
-    group when N(rho0 + 2R) > 1 (no center is singled out then).
-
-    S_x0(rho0 + 2R) is built as a group only for the witness, when some
-    element of S_x0(rho0) fails on the (rho0 + 2R)-cluster.  Raises
-    ValueError for R < 0, where rho0 + 2R < rho0 and the passing elements
-    would no longer give S_x0(rho0 + 2R)."""
     if R < 0:
         raise ValueError("covering radius must be non-negative")
     rho_big = float(rho0) + 2.0 * float(R)
@@ -268,7 +261,7 @@ def _criterion(patch: PointPatch, rho0: float,
         return CriterionVerdict(
             regular=False, rho0=float(rho0), n_classes=dec.N,
             groups_equal=False,
-            witness=f"N({rho_big:g}) = {dec.N} > 1; clusters not all equivalent"), None
+            witness=f"N({rho_big:g}) = {dec.N} > 1; clusters not all equivalent")
     big = dec.class_representatives[0]
     x0 = big.center
     g_small = stabilizer(cluster(patch, x0, rho0))
@@ -283,7 +276,7 @@ def _criterion(patch: PointPatch, rho0: float,
                    f"order {g_big.order} ({g_big.label}) at center "
                    f"{x0.tolist()}")
     return CriterionVerdict(regular=equal, rho0=float(rho0), n_classes=1,
-                            groups_equal=equal, witness=witness), g_small
+                            groups_equal=equal, witness=witness, group=g_small)
 
 
 @dataclass(frozen=True)
@@ -312,15 +305,16 @@ def classify_scenario(patch: PointPatch, R: float) -> ScenarioReport:
     """
     rho = 2.0 * float(R)
     dec = cluster_classes(patch, rho)
-    verdict = g = None
+    verdict = None
     margin_note = None
     try:
-        verdict, g = _criterion(patch, rho, R)
+        verdict = local_criterion(patch, rho, R)
     except (MarginViolation, NoUsableCenters):
         margin_note = f"box too small for the criterion at rho0 = {rho:g}"
     label = order = bound_row = None
     note = None
     if dec.N == 1:
+        g = verdict.group if verdict is not None else None
         if g is None:
             g = stabilizer(dec.class_representatives[0])
         label = str(g.label)

@@ -414,7 +414,7 @@ def classify_element_oracle(q, angle_tol=1e-9, max_rotation_order=24):
     2 pi k / n within ``angle_tol``; the axis is an eigenvector from
     ``np.linalg.eig``.  Shares no order or axis code with the library.
     """
-    q = check_orthogonal(q, 1e-7)
+    q = check_orthogonal(q)
     q = nearest_orthogonal(q)
     det = float(np.linalg.det(q))
     proper = det > 0.0

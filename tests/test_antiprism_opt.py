@@ -351,6 +351,14 @@ class TestOptimizeLemma1:
         assert abs(coarse.best_value - fine.best_value) < 1e-3
 
 
+class TestBudget:
+    def test_refine_top_is_a_constant(self):
+        # one value is in use, so it is not a budget field
+        with pytest.raises(TypeError):
+            OptBudget(refine_top=24)
+        assert antiprism_opt.REFINE_TOP == 24
+
+
 class TestBudgetExhausted:
     @pytest.mark.parametrize("optimize", [optimize_lemma1, optimize_lemma2])
     def test_one_nelder_mead_step_converges_nowhere(self, optimize):

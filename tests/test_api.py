@@ -50,10 +50,13 @@ def test_traced_cycle(workload, tmp_path):
     finally:
         tracer.remove()
     assert reasons == [None] * len(ops)
+    totals = spans.layer_totals(tracer.spans, len(ops))
     if workload == "groups":
-        totals = spans.layer_totals(tracer.spans, len(ops))
         assert totals["point_group.stabilizer.calls"] == 1.0
         assert totals["point_group.tower_height.calls"] == 1.0
+    if workload == "analyze_regular":
+        # classify_scenario reaches the criterion through its public name
+        assert totals["regularity.local_criterion.calls"] == 1.0
 
 
 def unused_imports(path):

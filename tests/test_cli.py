@@ -37,19 +37,34 @@ class TestGenerate:
         assert "wrote 125 points" in out
         assert path.exists()
 
-    def test_config_file(self, tmp_path, capsys):
-        cfg = tmp_path / "gen.cfg"
-        cfg.write_text("kind = hex\nlambda = 1.0\nmu = 4.0\n"
-                       "box_lo = -3\nbox_hi = 3\n")
-        path = tmp_path / "hex.xyz"
-        code, out, err = run(capsys, "generate", "--config", str(cfg),
-                             "-o", str(path))
-        assert code == 0
-        assert path.exists()
-
     def test_unknown_kind(self, capsys):
         code, out, err = run(capsys, "generate", "--kind", "fcc")
         assert code == 2  # argparse usage error
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--box", "-2", "-2", "-2", "2", "2", "2"],
+        ["--config", "gen.cfg"],
+        ["--kind", "cubic", "--box", "-2", "-2", "-2", "2", "2", "2",
+         "--config", "gen.cfg"],
+    ], ids=lambda argv: " ".join(argv) or "bare")
+    def test_flags_only_and_kind_required(self, argv, capsys):
+        # parameters come from flags alone, and --kind has no default
+        code, out, err = run(capsys, "generate", *argv)
+        assert (code, out) == (2, "")
+        assert "usage:" in err
+
+    @pytest.mark.parametrize("flags, defaults", [
+        (("--kind", "hex", "--box", "-3", "-3", "-3", "3", "3", "3"),
+         ("--lambda", "1", "--mu", "1")),
+        (("--kind", "antiprism"), ("--a", "0.8660254037844386", "--b", "0.5")),
+    ], ids=["hex", "antiprism"])
+    def test_defaults(self, flags, defaults, tmp_path, capsys):
+        bare, explicit = tmp_path / "bare.xyz", tmp_path / "explicit.xyz"
+        assert run(capsys, "generate", *flags, "-o", str(bare))[0] == 0
+        assert run(capsys, "generate", *flags, *defaults,
+                   "-o", str(explicit))[0] == 0
+        assert bare.read_bytes() == explicit.read_bytes()
 
     def test_missing_box(self, capsys):
         code, out, err = run(capsys, "generate", "--kind", "cubic")

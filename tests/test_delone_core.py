@@ -252,6 +252,21 @@ class TestFileFormat:
         with pytest.raises(ParseError, match="line 2"):
             load_patch(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("1 2 3 4\n5 6\n", "line 1: expected 3 coordinates, got 4"),
+        ("0 0 0\n1 2 3 # x\n", "line 2: expected 3 coordinates, got 5"),
+        ("0 0\n1 0\n2 0\n", "line 1: expected 3 coordinates, got 2"),
+        ("".join(f"{i} 0 0\n" for i in range(100)) + "100 0 zero\n",
+         "line 101: bad coordinate"),
+    ], ids=["4-then-2", "trailing-comment", "2-columns", "bad-after-100"])
+    def test_bad_data_line_named(self, tmp_path, text, message):
+        # the data lines are parsed as one array; a failure names its line
+        path = tmp_path / "bad.xyz"
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            load_patch(path)
+        assert str(info.value) == message
+
     def test_point_outside_box(self, tmp_path):
         # the patch must be the set's intersection with its box; a point
         # outside it made `analyze` blame a lower-dimensional cluster

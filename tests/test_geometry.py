@@ -16,6 +16,7 @@ from delone_local.geometry import (
     _complete_basis,
     _frame_map,
     canonical_axis,
+    check_orthogonal,
     classify_element,
     nearest_orthogonal,
     reflection_matrix,
@@ -120,6 +121,15 @@ class TestClassifyElement:
     def test_non_orthogonal_rejected(self):
         with pytest.raises(NonOrthogonal):
             classify_element(np.eye(3) * 2.0)
+
+    def test_orthogonality_checked_at_ortho_tol(self):
+        # q^T q - I has largest entry q[0, 1]; ORTHO_TOL = 1e-7 is the bound
+        q = np.eye(3)
+        q[0, 1] = 5e-8
+        check_orthogonal(q)
+        q[0, 1] = 5e-7
+        with pytest.raises(NonOrthogonal):
+            check_orthogonal(q)
 
     def test_product_of_reflections_is_rotation(self):
         # mirrors at dihedral angle theta compose to a rotation by 2 theta

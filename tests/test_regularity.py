@@ -1,4 +1,6 @@
 """Regularity criteria, the tower and step bounds, and the bounds table."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,13 @@ class TestLocalCriterion:
         assert v.groups_equal
         assert v.witness is None
 
+    def test_verdict_carries_rho0_group(self, z3_patch):
+        # S_x0(rho0) rides on the verdict, outside its equality and repr
+        v = local_criterion(z3_patch, SQRT3, SQRT3 / 2)
+        assert (str(v.group.label), v.group.order) == ("Oh", 48)
+        assert v == dataclasses.replace(v, group=None)
+        assert "group=" not in repr(v)
+
     def test_z3_small_rho0(self, z3_patch):
         v = local_criterion(z3_patch, 1.0, SQRT3 / 2)
         assert v.regular
@@ -165,6 +174,7 @@ class TestLocalCriterion:
         assert not v.regular
         assert v.n_classes > 1
         assert "not all equivalent" in v.witness
+        assert v.group is None
 
     def test_groups_differ_with_witness(self):
         # N(rho0 + 2R) = 1 (the origin is the only usable center), but the
