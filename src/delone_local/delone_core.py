@@ -50,7 +50,9 @@ def lex_sort(points: np.ndarray) -> np.ndarray:
 
 
 class PointPatch:
-    """Finite point set plus the axis-aligned box it is trusted on.
+    """Finite point set plus the axis-aligned box it is trusted on, which
+    holds every point within geom_tol (else :class:`MarginViolation`,
+    whose ``row`` is the index of the first point outside).
 
     Attributes:
         points: (n, 3) array of patch points.
@@ -72,6 +74,12 @@ class PointPatch:
         self.box_hi = as_point(box_hi)
         if np.any(self.box_hi <= self.box_lo):
             raise BoxTooSmall("trusted box is degenerate (hi <= lo on some axis)")
+        outside = np.flatnonzero(~self.ball_inside_box(self.points, 0.0))
+        if len(outside):
+            err = MarginViolation(f"point {self.points[outside[0]].tolist()} "
+                                  "lies outside the box")
+            err.row = int(outside[0])
+            raise err
         self.declared_R = None if declared_R is None else float(declared_R)
         self._tree = cKDTree(self.points) if len(self.points) else None
         if self._tree is not None:
@@ -346,8 +354,7 @@ def load_patch(path) -> PointPatch:
 
     If no "# box" header is present, the bounding box of the points
     (padded by nothing) is used as the trusted box.  A point outside the
-    box by more than ``geom_tol`` raises :class:`ParseError`: the patch
-    would no longer be the set's intersection with its box.
+    box (see :class:`PointPatch`) raises :class:`ParseError` with its line.
     """
     rows = []  # (line number, data line)
     box = None
@@ -398,10 +405,7 @@ def load_patch(path) -> PointPatch:
         span = hi - lo
         pad = np.where(span <= 0, 0.5, 0.0)
         box = (lo - pad, hi + pad)
-    patch = PointPatch(points, box[0], box[1], declared_R=declared_R)
-    outside = np.flatnonzero(~patch.ball_inside_box(points, 0.0))
-    if len(outside):
-        i = outside[0]
-        raise ParseError(f"line {rows[i][0]}: point {points[i].tolist()} "
-                         "lies outside the box")
-    return patch
+    try:
+        return PointPatch(points, box[0], box[1], declared_R=declared_R)
+    except MarginViolation as e:
+        raise ParseError(f"line {rows[e.row][0]}: {e}") from None

@@ -53,27 +53,27 @@ def _profiles_match(profiles: np.ndarray, d: np.ndarray, rho: float):
             <= 4.0 * match_tolerance(rho))
 
 
-def _carries(a: Cluster, offsets: np.ndarray, qs: np.ndarray) -> np.ndarray:
+def _carries(a: Cluster, offsets: np.ndarray, qs: np.ndarray):
     """Which rows of ``offsets @ qs`` coincide with a's cached
     :attr:`Cluster.offset_tree`, point for point: many maps (n, 3, 3)
     against one offset set (m, 3), or one map (3, 3) against many
     centers' offset stacks (n, m, 3).  One query over all n m points; a
-    row passes when its max distance is within match_tolerance(a.radius)
-    and its nearest indices are one-to-one."""
+    row passes when it has len(a) points within match_tolerance(a.radius)
+    and one-to-one nearest indices.  Returns the pass mask (n,) and those
+    indices (n, m): a passing row is the permutation its map makes."""
     moved = offsets @ qs
     n, m = moved.shape[:2]
-    if m != len(a):
-        return np.zeros(n, dtype=bool)
     d, idx = a.offset_tree.query(moved.reshape(-1, 3))
     d, idx = d.reshape(n, m), idx.reshape(n, m)
-    return ((d.max(axis=1) <= match_tolerance(a.radius))
-            & (np.diff(np.sort(idx, axis=1), axis=1) > 0).all(axis=1))
+    return ((m == len(a)) & (d.max(axis=1, initial=0.0) <= match_tolerance(a.radius))
+            & (np.diff(np.sort(idx, axis=1), axis=1) > 0).all(axis=1)), idx
 
 
-def _maps(a: Cluster, b: Cluster) -> np.ndarray:
+def _maps(a: Cluster, b: Cluster):
     """Every orthogonal q with q(a.offsets) = b.offsets, stacked (n, 3, 3)
     in lexicographic order of the k-tuples of b's offsets (norms and dot
-    products prefiltered, zero offset skipped) that a's frame goes to.
+    products prefiltered, zero offset skipped) that a's frame goes to,
+    and their index rows (n, m) from :func:`_carries`.
 
     The tuples are built level by level: a boolean mask per level holds
     the norm filter and the dot filters against the earlier images, and
@@ -83,7 +83,7 @@ def _maps(a: Cluster, b: Cluster) -> np.ndarray:
     """
     frame = a.frame
     if frame is None:
-        return np.empty((0, 3, 3))
+        return np.empty((0, 3, 3)), np.empty((0, len(a)), dtype=np.intp)
     mtol = match_tolerance(a.radius)
     norm_tol = 4.0 * mtol
     dot_tol = 40.0 * max(1.0, a.radius) * mtol
@@ -99,7 +99,8 @@ def _maps(a: Cluster, b: Cluster) -> np.ndarray:
         row, col = np.nonzero(ok)
         tuples = np.concatenate([tuples[row], cands[col, None]], axis=1)
     qs = _frame_map(tuples, a.frame_inv, 1e-5)
-    return qs[_carries(a, targets, qs)]
+    ok, idx = _carries(a, targets, qs)
+    return qs[ok], idx[ok]
 
 
 def cluster_isometry(a: Cluster, b: Cluster) -> Optional[Isometry]:
@@ -115,7 +116,7 @@ def cluster_isometry(a: Cluster, b: Cluster) -> Optional[Isometry]:
         return None
     if len(a) == 1:
         return Isometry.translation(b.center - a.center)
-    qs = _maps(a, b)
+    qs, _ = _maps(a, b)
     return Isometry(qs[0], b.center - qs[0] @ a.center) if len(qs) else None
 
 
@@ -195,12 +196,12 @@ def cluster_classes(patch: PointPatch, rho: float) -> ClusterClassDecomposition:
             & _profiles_match(profiles[p + 1:], profiles[p], rho))
         q = np.eye(3)
         while len(left):  # q is verified against the class: try it on all
-            hit = _carries(rep, offsets[left], q)
+            hit, _ = _carries(rep, offsets[left], q)
             cls[ids[left[hit]]] = cls[i]
             left = left[~hit]
             while len(left):  # frame search on the first leftover
                 j, left = ids[left[0]], left[1:]
-                qs = _maps(rep, Cluster(centers[j], rho, patch.points[balls[j]]))
+                qs, _ = _maps(rep, Cluster(centers[j], rho, patch.points[balls[j]]))
                 if len(qs):
                     cls[j], q = cls[i], qs[0]
                     break

@@ -2,7 +2,7 @@
 
 Provides the building blocks used everywhere else in the package:
 orthogonal-matrix hygiene (orthogonality checks, nearest-orthogonal
-projection), the one rule for when two maps are the same group element
+projection), the rule for when two matrices are the same group element
 (``_match``, within ``ELEMENT_TOL``) and the closure of a set of maps
 under products that it drives, the symmetry element kind of an orthogonal
 map (identity, inversion, rotation, reflection, rotoreflection) read off

@@ -23,9 +23,11 @@ largest rotation order and m reflections, the first rule that fits is
 and any other count raises :class:`UnrecognizedGroup`.  No axis is read
 and no angle is compared against a tolerance.
 
-Group elements are compared in one way only: stacked as 9-vectors in a
-KD-tree and matched within ``geometry.ELEMENT_TOL`` (max-norm), by
-``geometry._match``, which also drives ``geometry._closure_matrices``.
+A stabilizer's elements are compared as integers only: each is the
+permutation of its cluster's offsets that map verification found, keyed
+by the images of the frame offsets, and its table is composed from those.
+A group given as bare matrices (from generators, or built directly) is
+matched as 9-vectors within ``geometry.ELEMENT_TOL`` by ``geometry._match``.
 
 Order-theoretic helpers: ``omega`` (prime factors with multiplicity) and
 ``tower_height`` (longest chain of strictly nested subgroups), which for
@@ -33,7 +35,7 @@ every finite subgroup of O(3) equals ``omega(|G|) + 1``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -106,15 +108,18 @@ class SchoenfliesLabel:
 class PointGroup:
     """Finite group of orthogonal maps acting about a center point, checked
     once, when built (:class:`NotAGroup`, :class:`GroupTooLarge`); the
-    element ``kinds`` and the ``label`` are read off that check's table."""
+    element ``kinds`` and the ``label`` are read off that check's table
+    (the stabilizer passes its own checked table as ``_table``)."""
 
     center: np.ndarray
     elements: Tuple[np.ndarray, ...]
     kinds: Tuple[ElementKind, ...] = field(init=False, repr=False)
     label: SchoenfliesLabel = field(init=False)
+    _: KW_ONLY
+    _table: InitVar[Optional[np.ndarray]] = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kinds", tuple(_element_kinds(self.elements)))
+    def __post_init__(self, _table) -> None:
+        object.__setattr__(self, "kinds", tuple(_element_kinds(self.elements, _table)))
         object.__setattr__(self, "label", _label(self.kinds))
 
     @property
@@ -134,29 +139,22 @@ class PointGroup:
 
 
 def group_from_generators(generators: Sequence[np.ndarray]) -> PointGroup:
-    """Build a PointGroup about the origin as the closure of generator
-    matrices."""
-    return PointGroup(center=np.zeros(3),
-                      elements=tuple(_closure_matrices(generators)))
+    """The PointGroup about the origin that the generator matrices close to."""
+    return PointGroup(np.zeros(3), tuple(_closure_matrices(generators)))
 
 
-def _check_group(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Product table of ``mats`` (entry i, j: the index of m_i m_j);
-    raises unless ``mats`` is a group.
-
-    A finite set of maps that holds the identity, is closed under
-    products and whose table rows and columns are permutations (the
-    cancellation laws) is a group; inverses need no separate check.  A
-    row or column that is not a permutation also catches an element
-    listed twice.
-    """
-    m = np.asarray(mats, dtype=float).reshape(-1, 3, 3)
-    n = len(m)
+def _check_table(table: np.ndarray, has_identity: bool) -> np.ndarray:
+    """``table`` (entry i, j: the index of g_i g_j, or -1 where that
+    product is no element) if it is a group's; raises otherwise.  A finite
+    set of maps that holds the identity, is closed under products and
+    whose table rows and columns are permutations (the cancellation laws)
+    is a group; inverses need no separate check.  A row or column that is
+    not a permutation also catches an element listed twice."""
+    n = len(table)
     if n > MAX_GROUP_ORDER:
         raise GroupTooLarge(f"order {n} exceeds the ceiling {MAX_GROUP_ORDER}")
-    if _match(m, np.eye(3))[0] < 0:
+    if not has_identity:
         raise NotAGroup("identity missing")
-    table = _match(m, np.einsum("iab,jbc->ijac", m, m)).reshape(n, n)
     if (table < 0).any():
         raise NotAGroup("not closed under products")
     perm = np.arange(n)
@@ -164,6 +162,30 @@ def _check_group(mats: Sequence[np.ndarray]) -> np.ndarray:
             and (np.sort(table, axis=0) == perm[:, None]).all()):
         raise NotAGroup("duplicate elements: product table is not a Latin square")
     return table
+
+
+def _check_group(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Product table of the matrices ``mats``, each product matched as a
+    9-vector within ELEMENT_TOL; raises unless they form a group."""
+    m = np.asarray(mats, dtype=float).reshape(-1, 3, 3)
+    if len(m) > MAX_GROUP_ORDER:  # before the n^2 products
+        raise GroupTooLarge(f"order {len(m)} exceeds the ceiling {MAX_GROUP_ORDER}")
+    table = _match(m, np.einsum("iab,jbc->ijac", m, m)).reshape(len(m), len(m))
+    return _check_table(table, _match(m, np.eye(3))[0] >= 0)
+
+
+def _composed_table(c: Cluster, rows: np.ndarray) -> np.ndarray:
+    """Product table of maps q_i of the full-dimensional cluster c given by
+    their index rows (``equivalence._carries``: o_k q_i = o_rows[i, k]),
+    composed in integers; raises unless the maps form a group.  The frame
+    offsets f span R^3, so a map is keyed by rows[i, f] in base len(c)."""
+    f = c.offset_tree.query(c.frame)[1]
+    base = len(c) ** np.arange(len(f))
+    key = rows[:, f] @ base
+    prods = base @ rows.T[rows[:, f]]  # [i, j]: key of q_i q_j: o q_i, then q_j
+    order = np.argsort(key)
+    at = order[np.minimum(np.searchsorted(key[order], prods), len(key) - 1)]
+    return _check_table(np.where(key[at] == prods, at, -1), (key == f @ base).any())
 
 
 def _orders(table: np.ndarray) -> np.ndarray:
@@ -178,16 +200,17 @@ def _orders(table: np.ndarray) -> np.ndarray:
     return order
 
 
-def _element_kinds(elements: Sequence[np.ndarray]) -> List[ElementKind]:
-    """Kind of each element, read in one pass with its order off the
-    product table; raises unless the elements form a group."""
+def _element_kinds(elements: Sequence[np.ndarray], table=None) -> List[ElementKind]:
+    """Kind of each element, read in one pass with its order off ``table``
+    (by default the matrices' own, checked to be a group's)."""
     m = np.asarray(elements, dtype=float).reshape(-1, 3, 3)
-    return element_kinds(m, _orders(_check_group(m)))
+    return element_kinds(m, _orders(_check_group(m) if table is None else table))
 
 
 def stabilizer(c: Cluster) -> PointGroup:
     """The cluster group S_x(rho): all orthogonal maps about the center
-    mapping the member set to itself.
+    mapping the member set to itself, with the product table composed
+    from the index rows of their verification (:func:`_composed_table`).
 
     Raises :class:`LowerDimensionalCluster` for clusters whose affine
     hull has dimension < 3 (their stabilizer is infinite), and
@@ -196,9 +219,8 @@ def stabilizer(c: Cluster) -> PointGroup:
     if c.affine_dimension() < 3:
         raise LowerDimensionalCluster(
             "cluster is not full-dimensional; its stabilizer is infinite")
-    # The frame is non-degenerate, so distinct frame images give distinct
-    # maps, and the frame's own image gives the identity.
-    return PointGroup(center=c.center.copy(), elements=tuple(_maps(c, c)))
+    qs, rows = _maps(c, c)
+    return PointGroup(c.center.copy(), tuple(qs), _table=_composed_table(c, rows))
 
 
 # --- Schoenflies classification --------------------------------------------
@@ -249,16 +271,13 @@ def omega(n: int) -> int:
     n = int(n)
     if n < 1:
         raise ValueError("omega requires n >= 1")
-    count = 0
-    d = 2
+    count, d = 0, 2
     while d * d <= n:
         while n % d == 0:
             n //= d
             count += 1
         d += 1
-    if n > 1:
-        count += 1
-    return count
+    return count + (n > 1)
 
 
 def tower_height(g: PointGroup) -> int:

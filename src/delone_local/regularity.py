@@ -24,7 +24,7 @@ import numpy as np
 from .delone_core import PointPatch, cluster
 from .equivalence import _carries, cluster_classes
 from .errors import MarginViolation, NoUsableCenters, UnknownLabel
-from .point_group import PointGroup, omega, stabilizer
+from .point_group import PointGroup, _composed_table, omega, stabilizer
 
 __all__ = [
     "CriterionVerdict",
@@ -164,12 +164,8 @@ def tower_formula_mismatches() -> List[BoundTableRow]:
     The table contains exactly one such row (S10: printed 2R, formula 8R);
     we surface it rather than silently correcting it.
     """
-    out = []
-    for r in TABLE:
-        if r.reference == REF_TOWER and not r.impossible:
-            if r.bound_radius != tower_bound_radius(r.order):
-                out.append(r)
-    return out
+    return [r for r in TABLE if r.reference == REF_TOWER and not r.impossible
+            and r.bound_radius != tower_bound_radius(r.order)]
 
 
 def table_to_csv() -> str:
@@ -246,7 +242,8 @@ def local_criterion(patch: PointPatch, rho0: float, R: float) -> CriterionVerdic
     rho' > rho, C_x(rho) = C_x(rho') ∩ B(x, rho), and an isometry fixing x
     preserves every ball about x, so S_x(rho') ⊆ S_x(rho): the groups are
     equal iff every element of S_x0(rho0) passes.  S_x0(rho0 + 2R) is
-    built as a group only for the witness, when some element fails.
+    built as a group only for the witness, when some element fails, with
+    its table composed from that verification's index rows.
 
     The verdict certifies the criterion's hypotheses on the patch; margin
     violations (box too small for rho0 + 2R) raise rather than truncate.
@@ -266,11 +263,12 @@ def local_criterion(patch: PointPatch, rho0: float, R: float) -> CriterionVerdic
     x0 = big.center
     g_small = stabilizer(cluster(patch, x0, rho0))
     elements = np.array(g_small.elements)
-    keep = _carries(big, big.offsets, elements)
+    keep, rows = _carries(big, big.offsets, elements)
     equal = bool(keep.all())
     witness = None
     if not equal:
-        g_big = PointGroup(center=x0.copy(), elements=tuple(elements[keep]))
+        g_big = PointGroup(x0.copy(), tuple(elements[keep]),
+                           _table=_composed_table(big, rows[keep]))
         witness = (f"stabilizer at rho0 = {rho0:g} has order {g_small.order} "
                    f"({g_small.label}) but at rho0 + 2R = {rho_big:g} "
                    f"order {g_big.order} ({g_big.label}) at center "
@@ -305,14 +303,12 @@ def classify_scenario(patch: PointPatch, R: float) -> ScenarioReport:
     """
     rho = 2.0 * float(R)
     dec = cluster_classes(patch, rho)
-    verdict = None
-    margin_note = None
+    verdict = margin_note = None
     try:
         verdict = local_criterion(patch, rho, R)
     except (MarginViolation, NoUsableCenters):
         margin_note = f"box too small for the criterion at rho0 = {rho:g}"
-    label = order = bound_row = None
-    note = None
+    label = order = bound_row = note = None
     if dec.N == 1:
         g = verdict.group if verdict is not None else None
         if g is None:

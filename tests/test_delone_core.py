@@ -111,9 +111,10 @@ class TestCoveringRadius:
 
 
 def _noisy_z3(sigma):
+    # trusted on the box grown by 1e-6, which holds every noisy point
     p = dl.cubic_lattice([-5] * 3, [5] * 3)
     noise = np.random.default_rng(0).normal(0.0, sigma, p.points.shape)
-    return dl.PointPatch(p.points + noise, p.box_lo, p.box_hi)
+    return dl.PointPatch(p.points + noise, p.box_lo - 1e-6, p.box_hi + 1e-6)
 
 
 #: Patches on which the Delaunay circumballs must give the Voronoi scan's R.
@@ -276,6 +277,21 @@ class TestFileFormat:
             load_patch(path)
         path.write_text("# box 0 0 0 1 1 1\n0 0 0\n1.0000000005 1 1\n")
         assert len(load_patch(path)) == 2
+
+    def test_patch_checks_its_box(self):
+        # built in code, a patch holds its points to its box as a loaded
+        # one does, within geom_tol
+        with pytest.raises(MarginViolation, match="lies outside the box"):
+            dl.PointPatch([[0, 0, 0], [5, 5, 5]], [0, 0, 0], [1, 1, 1])
+        assert len(dl.PointPatch([[0, 0, 0], [1 + 5e-10, 1, 1]],
+                                 [0, 0, 0], [1, 1, 1])) == 2
+
+    def test_load_names_the_line_outside_the_box(self, tmp_path):
+        path = tmp_path / "outside.xyz"
+        path.write_text("# box 0 0 0 1 1 1\n# R 0.5\n0 0 0\n\n5 5 5\n")
+        with pytest.raises(ParseError) as info:
+            load_patch(path)
+        assert str(info.value) == "line 5: point [5.0, 5.0, 5.0] lies outside the box"
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.xyz"

@@ -1,9 +1,12 @@
 """Cluster stabilizers, Schoenflies classification, and subgroup towers."""
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import delone_local as dl
-from delone_local import point_group
+from delone_local import geometry, point_group
 from delone_local.equivalence import _maps
 from delone_local.errors import (
     DeloneError,
@@ -20,6 +23,7 @@ from delone_local.geometry import (
 )
 from delone_local.point_group import (
     PointGroup,
+    _check_group,
     SchoenfliesLabel,
     group_from_generators,
     omega,
@@ -50,6 +54,9 @@ from conftest import (
     tower_height_oracle,
     z3_missing_site,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 SQRT3 = np.sqrt(3.0)
 
@@ -147,18 +154,28 @@ class TestStabilizer:
     def test_noisy_z3_is_oh_or_raises(self, z3_patch, sigma):
         # coordinate noise far below the element tolerance: the label is
         # right or the verified maps fail the group check, never a wrong
-        # label and never an unrecognized group
+        # label and never an unrecognized group; and the matrix product
+        # table on the same elements gives the same label, or raises too
+        def outcome(make):
+            try:
+                return str(make().label)
+            except DeloneError as e:
+                return type(e).__name__
+
         outcomes = []
         for seed in range(1, 6):
             rng = np.random.default_rng(seed)
             pts = z3_patch.points + rng.normal(scale=sigma, size=z3_patch.points.shape)
-            p = dl.PointPatch(pts, z3_patch.box_lo, z3_patch.box_hi)
+            # trusted on the box grown by 1e-6, which holds every noisy point
+            p = dl.PointPatch(pts, z3_patch.box_lo - 1e-6, z3_patch.box_hi + 1e-6)
             x0 = pts[np.argmin(np.linalg.norm(pts, axis=1))]
             for rho in (1.0 + 1e-6, 1.5):
-                try:
-                    outcomes.append(str(stabilizer(dl.cluster(p, x0, rho)).label))
-                except DeloneError as e:
-                    outcomes.append(type(e).__name__)
+                c = dl.cluster(p, x0, rho)
+                got = outcome(lambda: stabilizer(c))
+                want = outcome(lambda: PointGroup(c.center, tuple(_maps(c, c)[0])))
+                assert got == want or not {got, want} & set(EXPECTED_ORDERS), \
+                    (got, want)
+                outcomes.append(got)
         assert set(outcomes) <= {"Oh", "NotAGroup"}, outcomes
         if sigma == 3e-9:
             assert outcomes == ["Oh"] * 10
@@ -168,13 +185,14 @@ class TestStabilizerOracle:
     """The stacked map search and the one-pass kind reader against the
     recursive generator and the per-element classifier they replaced:
     the same elements, bit for bit and in the same order, and the same
-    kinds."""
+    kinds; and the product table composed from the verified index rows
+    against the matrix table on the same elements."""
 
     @staticmethod
     def assert_same(c):
         want = maps_oracle(c, c)
         if c.affine_dimension() < 3:  # a planar cluster's maps, no group
-            got = _maps(c, c)
+            got, _ = _maps(c, c)
             assert len(got) == len(want) > 0
             assert all(np.array_equal(q, w) for q, w in zip(got, want))
             return
@@ -182,6 +200,7 @@ class TestStabilizerOracle:
         assert len(g.elements) == len(want)
         assert all(np.array_equal(q, w) for q, w in zip(g.elements, want))
         assert same_kinds(g.kinds, element_kinds_oracle(want))
+        assert_composed_table_is_matrix_table(c)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("name", LATTICES)
@@ -198,6 +217,76 @@ class TestStabilizerOracle:
         center = patch.points[patch.tree.query([0.0, 0.0, 0.0])[1]]
         for rho in (2.5, 2.9, 5.8):
             self.assert_same(dl.cluster(patch, center, rho))
+
+
+def assert_composed_table_is_matrix_table(c):
+    """The stabilizer's integer table equals the matrix table (products
+    matched as 9-vectors) of its elements; returns the stabilizer."""
+    g = stabilizer(c)
+    table = point_group._composed_table(c, _maps(c, c)[1])
+    assert np.array_equal(table, _check_group(np.array(g.elements)))
+    return g
+
+
+class TestComposedTable:
+    """The stabilizer's product table is composed in integers from the
+    index rows of map verification, and the criterion's witness group
+    too: no element is matched as a float."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_group_cases_match_matrix_table(self, seed):
+        # the cases of the benchmark's groups workload, built as it builds
+        # them: randomly rotated Oh, D6h, C4v and C1 clusters
+        rng = np.random.default_rng([seed, 1])
+        sources = workloads.group_sources(rng)
+        q = workloads.random_rotation(rng)
+        for case in workloads.GROUP_CASES:
+            src = sources[case.source]
+            center = q @ src.points[src.tree.query(case.center)[1]]
+            c = dl.cluster(workloads.rotated(src, q), center, case.rho)
+            g = assert_composed_table_is_matrix_table(c)
+            assert (str(g.label), g.order) == case.want[:2]
+
+    @pytest.fixture
+    def no_float_match(self, monkeypatch):
+        def no_match(*args):
+            raise AssertionError("a group element was matched as a float")
+
+        monkeypatch.setattr(point_group, "_match", no_match)
+        monkeypatch.setattr(geometry, "_match", no_match)
+
+    def test_stabilizer_matches_no_float(self, z3_patch, no_float_match):
+        g = stabilizer(dl.cluster(z3_patch, [0, 0, 0], 1.5))
+        assert (str(g.label), g.order) == ("Oh", 48)
+
+    def test_criterion_witness_matches_no_float(self, no_float_match):
+        v = local_criterion(z3_missing_site(), 1.5, SQRT3 / 2)
+        assert not v.regular
+        assert "order 48 (Oh)" in v.witness and "order 2 (S1)" in v.witness
+
+    @pytest.fixture
+    def oh(self, z3_patch):
+        """The Z^3 1-cluster, its 48 index rows and which is the identity."""
+        c = dl.cluster(z3_patch, [0, 0, 0], 1.0)
+        rows = _maps(c, c)[1]
+        return c, rows, (rows == np.arange(len(c))).all(axis=1)
+
+    def test_row_leaving_the_set_is_not_closed(self, oh):
+        c, rows, ident = oh
+        drop = np.flatnonzero(~ident)[0]
+        with pytest.raises(NotAGroup, match="closed"):
+            point_group._composed_table(c, np.delete(rows, drop, axis=0))
+
+    def test_duplicated_row_is_not_a_latin_square(self, oh):
+        c, rows, ident = oh
+        twin = rows[np.flatnonzero(~ident)[:1]]
+        with pytest.raises(NotAGroup, match="duplicate"):
+            point_group._composed_table(c, np.concatenate([rows, twin]))
+
+    def test_missing_identity(self, oh):
+        c, rows, ident = oh
+        with pytest.raises(NotAGroup, match="identity"):
+            point_group._composed_table(c, rows[~ident])
 
 
 def axial_generators(family, n):
@@ -427,9 +516,9 @@ class TestCheckedOnce:
         # `delone group`: the group check runs when the PointGroup is
         # built and never again
         calls = []
-        check = point_group._check_group
-        monkeypatch.setattr(point_group, "_check_group",
-                            lambda m: calls.append(1) or check(m))
+        check = point_group._check_table
+        monkeypatch.setattr(point_group, "_check_table",
+                            lambda t, e: calls.append(1) or check(t, e))
         g = stabilizer(dl.cluster(z3_patch, [0, 0, 0], 1.0))
         assert tower_height(g) == 6
         assert str(g.label) == "Oh"
@@ -439,9 +528,9 @@ class TestCheckedOnce:
         # a regular verdict checks S(rho0) alone: S(rho0 + 2R) is only
         # built, and checked, for the witness of a failure
         calls = []
-        check = point_group._check_group
-        monkeypatch.setattr(point_group, "_check_group",
-                            lambda m: calls.append(1) or check(m))
+        check = point_group._check_table
+        monkeypatch.setattr(point_group, "_check_table",
+                            lambda t, e: calls.append(1) or check(t, e))
         z3 = dl.cubic_lattice([-4] * 3, [4] * 3)
         assert local_criterion(z3, SQRT3, SQRT3 / 2).regular
         assert len(calls) == 1

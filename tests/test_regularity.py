@@ -200,7 +200,7 @@ class TestLocalCriterion:
         x0 = patch.usable_centers(rho_big)[0]
         big = dl.cluster(patch, x0, rho_big)
         small = np.array(stabilizer(dl.cluster(patch, x0, rho0)).elements)
-        keep = _carries(big, big.offsets, small)
+        keep, _ = _carries(big, big.offsets, small)
         filtered = PointGroup(x0, tuple(small[keep]))
         want = stabilizer(big)
         assert filtered == want
