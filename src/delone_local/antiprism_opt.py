@@ -15,7 +15,7 @@ symmetry cannot occur in a 2R-cluster group:
 Both feasible sets are low-dimensional manifolds; the optimizers seed a
 deterministic uniform grid over an explicit parameterization of the
 manifold and refine the best seeds with Nelder-Mead (parameters clamped
-onto the feasible region, strict inequalities shrunk by ``eps``).
+onto the feasible region, strict inequalities shrunk by ``LEMMA2_EPS``).
 Everything is deterministic: identical reports across runs.
 
 Problem 1's P_x and P_y come from one builder, ``_vertex_pairs``, whose
@@ -55,6 +55,10 @@ _SQRT2 = math.sqrt(2.0)
 FEAS_TOL = 1e-9
 #: Number of best grid seeds that Nelder-Mead refines.
 REFINE_TOP = 24
+#: Nelder-Mead iteration cap per start.
+NM_MAXITER = 400
+#: Margin by which problem 2's strict inequalities are shrunk.
+LEMMA2_EPS = 1e-6
 
 # Feasible (a, b) = (cos phi, sin phi) with a, b > 0: a^2 >= b^2 gives
 # phi <= pi/4, and a^2 (1 - sqrt2) + 3 b^2 >= 0 gives
@@ -124,21 +128,17 @@ class Lemma2Params:
 @dataclass(frozen=True)
 class OptBudget:
     """Deterministic search budget for the antiprism optimizers; the
-    number of grid seeds refined is the constant ``REFINE_TOP``."""
+    other settings are ``REFINE_TOP``, ``NM_MAXITER`` and ``LEMMA2_EPS``."""
 
     grid_phi: int = 200
     grid_psi: int = 200
     grid_lemma2: int = 48
-    nm_maxiter: int = 400
-    eps: float = 1e-6
     pair_filter: float = 0.01
 
     def __post_init__(self) -> None:
-        if min(self.grid_phi, self.grid_psi, self.grid_lemma2,
-               self.nm_maxiter) < 1:
-            raise ValueError("budget counts must be positive")
-        if not (self.eps > 0 and self.pair_filter > 0):
-            raise ValueError("eps and pair_filter must be positive")
+        counts = (self.grid_phi, self.grid_psi, self.grid_lemma2)
+        if min(counts) < 1 or not self.pair_filter > 0:
+            raise ValueError("budget counts and pair_filter must be positive")
 
 
 @dataclass(frozen=True)
@@ -307,8 +307,7 @@ def _top(keys: np.ndarray, k: int) -> np.ndarray:
     return cand[np.argsort(keys[cand], kind="stable")[:k]]
 
 
-def _refine(f, clamp, vals, grids, budget: OptBudget, params
-            ) -> OptimizationReport:
+def _refine(f, clamp, vals, grids, params) -> OptimizationReport:
     """Refine the ``REFINE_TOP`` best grid seeds with lockstep
     Nelder-Mead on ``-f`` (``f`` maps (m, N) arrays of raw coordinates to
     m values), scan the starts in seed order and report the best point
@@ -319,8 +318,8 @@ def _refine(f, clamp, vals, grids, budget: OptBudget, params
                      axis=1)
     best_val = float(flat[top[0]])
     best = tuple(map(float, seeds[0]))
-    xs, funs, success = _nelder_mead(lambda v: -f(v), seeds,
-                                     budget.nm_maxiter, 1e-10, 1e-12)
+    xs, funs, success = _nelder_mead(lambda v: -f(v), seeds, NM_MAXITER,
+                                     1e-10, 1e-12)
     for x, fun in zip(xs, funs):
         val = -float(fun)
         if val > best_val + 1e-15:
@@ -359,7 +358,7 @@ def optimize_lemma1(budget: OptBudget = OptBudget()) -> OptimizationReport:
     def f(v):
         return _lemma1_values(*_angle_params(*clamp(v)), budget.pair_filter)
 
-    return _refine(f, clamp, vals, (P, S), budget, Lemma1Params.from_angles)
+    return _refine(f, clamp, vals, (P, S), Lemma1Params.from_angles)
 
 
 def lemma2_objective(p: Lemma2Params) -> float:
@@ -379,10 +378,11 @@ def _lemma2_value(a, b, x, y):
     return d1 + d2 - 1.0 - np.sqrt(a * a + b * b)
 
 
-def _lemma2_clamp(v: np.ndarray, eps: float):
+def _lemma2_clamp(v: np.ndarray):
     """Project raw optimizer coordinates (a, b, u), the last axis of
-    ``v``, onto the eps-shrunk feasible region (u parameterizes
-    x = a cos u, y = a sin u)."""
+    ``v``, onto the feasible region shrunk by ``LEMMA2_EPS`` (u
+    parameterizes x = a cos u, y = a sin u)."""
+    eps = LEMMA2_EPS
     b = np.minimum(np.maximum(v[..., 1], LEMMA2_B_MIN + eps), 0.5 - eps)
     a_lo = np.sqrt(np.maximum(1.0 - b * b, b * b)) + eps
     a_hi = math.sqrt(3.0 * (_SQRT2 + 1.0)) * b
@@ -395,12 +395,12 @@ def optimize_lemma2(budget: OptBudget = OptBudget()) -> OptimizationReport:
     """Deterministic multi-start maximization of the problem-2 objective.
 
     Grid over (b, a, u) with x = a cos u, y = a sin u; the strict
-    inequalities (a^2 + b^2 > 1, 0 < b < 1/2) are shrunk by ``eps`` so the
-    seeds stay interior; Nelder-Mead refinement clamps onto the shrunk
-    region.  The supremum sits on the boundary corner (a^2 + b^2 -> 1,
+    inequalities (a^2 + b^2 > 1, 0 < b < 1/2) are shrunk by ``LEMMA2_EPS``
+    so the seeds stay interior; Nelder-Mead refinement clamps onto the
+    shrunk region.  The supremum sits on the boundary corner (a^2 + b^2 -> 1,
     b at its lower limit, u = 0), which the report's argmax makes visible.
     """
-    eps = budget.eps
+    eps = LEMMA2_EPS
     n = budget.grid_lemma2
     bs = np.linspace(LEMMA2_B_MIN + eps, 0.5 - eps, n)
     fracs = np.linspace(0.0, 1.0, n)
@@ -419,11 +419,10 @@ def optimize_lemma2(budget: OptBudget = OptBudget()) -> OptimizationReport:
     vals = _lemma2_value(Ag, Bg, X, Y)
 
     def f(v):
-        a, b, u = _lemma2_clamp(v, eps)
+        a, b, u = _lemma2_clamp(v)
         return _lemma2_value(a, b, a * np.cos(u), a * np.sin(u))
 
     def params(a, b, u):
         return Lemma2Params(a, b, float(a * np.cos(u)), float(a * np.sin(u)))
 
-    return _refine(f, lambda v: _lemma2_clamp(v, eps), vals, (Ag, Bg, Ug),
-                   budget, params)
+    return _refine(f, _lemma2_clamp, vals, (Ag, Bg, Ug), params)

@@ -2,7 +2,7 @@
 
 Subcommands:
     generate       build one of the stock point sets and write it to a file
-    analyze        N(rho), cluster-group label, table bound, criterion verdict
+    analyze        R, N(2R), 2R-cluster label, table bound, criterion at 2R
     classes        cluster-class decomposition at a radius
     group          stabilizer of the cluster at a given center
     check-local    evaluate the local criterion at rho0
@@ -14,10 +14,12 @@ Subcommands:
 antiprism), --lambda and --mu (default 1), --t-z (hex_bilattice), and
 --a and --b (antiprism; default sqrt(3)/2 and 1/2).
 
-Radii may be given numerically or symbolically as a multiple of R
-("2R", "10R", ...), resolved against check-local's --R flag, else the
-declared R of the input file, else the computed patch covering radius.
-R is computed only where a "kR" radius or a printed "R =" line needs it.
+Radii (--rho, --rho0; analyze takes none) may be given numerically or
+as a multiple of R ("2R", "10R", ...), resolved against check-local's
+--R flag, else the declared R of the input file, else the computed patch
+covering radius.  R is computed only where a "kR" radius or a printed
+"R =" line needs it; a patch with no Delaunay circumball inside its box
+(a planar one, say) has no computed R, and that is an error.
 All numeric output uses 10 significant digits; every error path prints
 one line "error: ..." to stderr and exits 1 (usage errors exit 2).
 """
@@ -119,9 +121,8 @@ def _cmd_generate(args) -> int:
 def _cmd_analyze(args) -> int:
     patch = _load_checked(args.path)
     R, prov = _resolve_R(patch)
-    rho = _radius(args.rho, lambda: R)
-    lines = [f"R = {_fmt(R)} ({prov})", f"rho = {_fmt(rho)}"]
-    report = regularity.classify_scenario(patch, rho / 2.0)
+    lines = [f"R = {_fmt(R)} ({prov})", f"rho = {_fmt(2.0 * R)}"]
+    report = regularity.classify_scenario(patch, R)
     lines.append(f"N(rho) = {report.n_classes}")
     if report.label is not None:
         lines.append(f"group = {report.label}")
@@ -258,7 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full scenario report for a point set")
     p.add_argument("path")
-    p.add_argument("--rho", default="2R")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_analyze)
 
@@ -293,7 +293,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int,
                    help="points per axis of lemma1's (phi, psi) seeding grid; "
                         "lemma2 does not use it")
-    p.add_argument("--pair-filter", dest="pair_filter", type=float)
+    p.add_argument("--pair-filter", dest="pair_filter", type=float,
+                   help="lemma1's distance below which a vertex pair is "
+                        "dropped as coincident; lemma2 does not use it")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_optimize)
 

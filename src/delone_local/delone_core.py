@@ -222,10 +222,6 @@ def packing_diameter(patch: PointPatch) -> float:
     return float(d[:, 1].min())
 
 
-#: Spacing of the grid scan ``covering_radius`` falls back to.
-_GRID_H = 0.05
-
-
 def covering_radius(patch: PointPatch) -> float:
     """Radius of the largest empty ball centered well inside the box.
 
@@ -242,36 +238,26 @@ def covering_radius(patch: PointPatch) -> float:
     out.  The winning ball is checked empty by one KD query (see
     ``_largest_fitting_ball``).
 
-    Falls back to a uniform grid scan at spacing ``_GRID_H`` if the
-    triangulation degenerates (a planar patch) or no circumball fits; the
-    fallback is accurate to ``_GRID_H * sqrt(3)``.
+    Raises :class:`BoxTooSmall` where Qhull cannot triangulate the patch
+    (a planar one, say) or no circumball fits the box.
     """
     if len(patch) < 2:
         raise TooFewPoints("covering_radius needs at least two points")
     try:
         tri = Delaunay(patch.points)
     except (QhullError, ValueError):
-        best = None
-    else:
-        eq = tri.equations
-        with np.errstate(divide="ignore", invalid="ignore"):
-            centers = eq[:, :3] / (-2.0 * tri.paraboloid_scale * eq[:, 3:4])
-        radii = np.linalg.norm(centers - patch.points[tri.simplices[:, 0]], axis=1)
-        finite = np.isfinite(radii)
-        best = _largest_fitting_ball(patch, centers[finite], radii[finite])
+        raise BoxTooSmall("covering_radius: Qhull cannot triangulate the "
+                          "patch (flat, or too few points)") from None
+    eq = tri.equations
+    with np.errstate(divide="ignore", invalid="ignore"):
+        centers = eq[:, :3] / (-2.0 * tri.paraboloid_scale * eq[:, 3:4])
+    radii = np.linalg.norm(centers - patch.points[tri.simplices[:, 0]], axis=1)
+    finite = np.isfinite(radii)
+    best = _largest_fitting_ball(patch, centers[finite], radii[finite])
     if best is None:
-        grid = _grid_candidates(patch, _GRID_H)
-        best = _largest_fitting_ball(patch, grid, patch.tree.query(grid)[0])
-    if best is None:
-        raise BoxTooSmall("no empty-ball center fits inside the trusted box")
+        raise BoxTooSmall("covering_radius: no Delaunay circumball fits "
+                          "inside the trusted box")
     return best
-
-
-def _grid_candidates(patch: PointPatch, h: float) -> np.ndarray:
-    axes = [np.arange(lo, hi + h / 2, h)
-            for lo, hi in zip(patch.box_lo, patch.box_hi)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    return grid
 
 
 def _largest_fitting_ball(patch: PointPatch, centers: np.ndarray,

@@ -15,7 +15,6 @@ from scipy.optimize import minimize
 from scipy.spatial import QhullError, Voronoi
 
 import delone_local as dl
-from delone_local.delone_core import _GRID_H, _grid_candidates
 from delone_local.errors import BoxTooSmall, UnrecognizedGroup
 from delone_local.equivalence import match_tolerance
 from delone_local.geometry import (
@@ -110,6 +109,15 @@ def z3_missing_site():
     pts = [[x, y, z] for x in range(-3, 4) for y in range(-3, 4)
            for z in range(-3, 4) if (x, y, z) != (2, 1, 0)]
     return dl.PointPatch(pts, [-3.5] * 3, [3.5] * 3)
+
+
+def z2_layers():
+    """Unit square layers |x|, |y| <= 4, stacked with the gaps 1, 1.2, 1,
+    1.3 repeating (13 layers): not regular, and its covering radius is
+    sqrt(1/2 + 0.65^2) = 0.9605, a deep hole in the 1.3 gap."""
+    zs = np.cumsum([0.0, *[1.0, 1.2, 1.0, 1.3] * 3]) - 6.5
+    pts = [[x, y, z] for x in range(-4, 5) for y in range(-4, 5) for z in zs]
+    return dl.PointPatch(pts, [-4, -4, zs[0]], [4, 4, zs[-1]])
 
 
 def cluster_classes_oracle(patch, rho):
@@ -256,27 +264,17 @@ def covering_radius_oracle(patch):
     """The covering radius as it was computed before the Delaunay
     circumballs: one Voronoi diagram of the patch, every vertex scored by
     its KD distance to the set, the largest score whose ball fits the
-    trusted box; the library's grid scan when no vertex fits or Qhull
-    fails."""
-    def from_candidates(cands):
-        if cands is None or len(cands) == 0:
-            return None
-        d, _ = patch.tree.query(cands)
-        inside = patch.ball_inside_box(cands, d[:, None])
-        if not np.any(inside):
-            return None
-        return float(d[inside].max())
-
+    trusted box.  Raises BoxTooSmall, as the library does, when Qhull
+    fails or no vertex fits."""
     try:
         verts = Voronoi(patch.points).vertices
     except (QhullError, ValueError):
-        verts = None
-    best = from_candidates(verts) if verts is not None else None
-    if best is None:
-        best = from_candidates(_grid_candidates(patch, _GRID_H))
-    if best is None:
+        raise BoxTooSmall("Qhull cannot build the Voronoi diagram") from None
+    d, _ = patch.tree.query(verts)
+    inside = patch.ball_inside_box(verts, d[:, None])
+    if not np.any(inside):
         raise BoxTooSmall("no empty-ball center fits inside the trusted box")
-    return best
+    return float(d[inside].max())
 
 
 def signed_permutations():

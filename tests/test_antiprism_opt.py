@@ -263,8 +263,9 @@ class TestNelderMeadOracle:
     @pytest.mark.parametrize("maxiter, converged", [(1, 0), (80, 1),
                                                     (150, 22)])
     def test_lemma1_iteration_caps(self, maxiter, converged,
-                                   recorded_refinements):
-        budget = OptBudget(grid_phi=60, grid_psi=60, nm_maxiter=maxiter)
+                                   recorded_refinements, monkeypatch):
+        monkeypatch.setattr(antiprism_opt, "NM_MAXITER", maxiter)
+        budget = OptBudget(grid_phi=60, grid_psi=60)
         if converged:
             optimize_lemma1(budget)
         else:
@@ -358,12 +359,23 @@ class TestBudget:
             OptBudget(refine_top=24)
         assert antiprism_opt.REFINE_TOP == 24
 
+    def test_nm_maxiter_is_a_constant(self):
+        with pytest.raises(TypeError):
+            OptBudget(nm_maxiter=400)
+        assert antiprism_opt.NM_MAXITER == 400
+
+    def test_eps_is_a_constant(self):
+        with pytest.raises(TypeError):
+            OptBudget(eps=1e-6)
+        assert antiprism_opt.LEMMA2_EPS == 1e-6
+
 
 class TestBudgetExhausted:
     @pytest.mark.parametrize("optimize", [optimize_lemma1, optimize_lemma2])
-    def test_one_nelder_mead_step_converges_nowhere(self, optimize):
-        budget = OptBudget(nm_maxiter=1, grid_phi=20, grid_psi=20,
-                           grid_lemma2=8)
+    def test_one_nelder_mead_step_converges_nowhere(self, optimize,
+                                                   monkeypatch):
+        monkeypatch.setattr(antiprism_opt, "NM_MAXITER", 1)
+        budget = OptBudget(grid_phi=20, grid_psi=20, grid_lemma2=8)
         with pytest.raises(BudgetExhausted, match="no Nelder-Mead start"):
             optimize(budget)
 
@@ -381,9 +393,11 @@ class TestOptimizeLemma2:
         assert p.a * p.a + p.b * p.b == pytest.approx(1.0, abs=1e-3)
         assert p.b == pytest.approx(LEMMA2_B_MIN, abs=1e-3)
 
-    def test_eps_stability(self):
-        r1 = optimize_lemma2(OptBudget(eps=1e-6))
-        r2 = optimize_lemma2(OptBudget(eps=5e-7))
+    def test_eps_stability(self, monkeypatch):
+        monkeypatch.setattr(antiprism_opt, "LEMMA2_EPS", 1e-6)
+        r1 = optimize_lemma2()
+        monkeypatch.setattr(antiprism_opt, "LEMMA2_EPS", 5e-7)
+        r2 = optimize_lemma2()
         assert abs(r1.best_value - r2.best_value) < 1e-3
 
     @pytest.mark.parametrize("n", [5, 10, 20, 48, 50])
@@ -396,7 +410,7 @@ class TestOptimizeLemma2:
         monkeypatch.setattr(antiprism_opt, "_refine",
                             lambda *args: seen.append(args) or refine(*args))
         optimize_lemma2(OptBudget(grid_lemma2=n))
-        (_, _, vals, (Ag, Bg, Ug), _, _), = seen
+        (_, _, vals, (Ag, Bg, Ug), _), = seen
         assert vals.shape == (n, n, n)
         want = antiprism_opt._lemma2_value(Ag, Bg, Ag * np.cos(Ug),
                                            Ag * np.sin(Ug))

@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, output format, and exit codes."""
+import argparse
 from pathlib import Path
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from delone_local.cli import _build_parser, main
 from delone_local.delone_core import save_patch
 
-from conftest import jittered_cubic
+from conftest import jittered_cubic, z2_layers
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -98,10 +99,16 @@ class TestAnalyze:
         assert code == 2  # argparse usage error: tolerances are constants
         assert out == ""
 
-    def test_symbolic_radius(self, c4v_file, capsys):
-        code, out, err = run(capsys, "analyze", str(c4v_file), "--rho", "2R")
-        assert code == 0
-        assert "rho = 2.449489742" in out
+    def test_no_radius_flag(self, c4v_file, capsys):
+        # analyze reports at 2R: its table bound is for 2R-cluster groups
+        # and its criterion takes the R it prints, so no radius is a flag
+        for rho in ("2R", "3R", "-2"):
+            code, out, err = run(capsys, "analyze", str(c4v_file), "--rho", rho)
+            assert (code, out) == (2, "")
+            assert "unrecognized arguments: --rho" in err
+        code, out, err = run(capsys, "analyze", str(c4v_file))
+        assert (code, err) == (0, "")
+        assert "rho = 2.449489742\n" in out
 
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "analyze", "/nonexistent.xyz")
@@ -143,6 +150,21 @@ class TestClassesAndGroup:
         assert code == 1
         assert err == "error: covering_radius needs at least two points\n"
 
+    def test_uncomputable_R_is_an_error(self, tmp_path, capsys):
+        # no Delaunay circumball fits cubic +-1, and a planar patch has
+        # none; a grid scan printed R to 10 digits from the box alone
+        cubic, planar = tmp_path / "c1.xyz", tmp_path / "planar.xyz"
+        run(capsys, "generate", "--kind", "cubic", "--box", *_box(1),
+            "-o", str(cubic))
+        planar.write_text("# box -3 -3 -0.5 3 3 0.5\n" + "".join(
+            f"{x} {y} 0\n" for x in range(-3, 4) for y in range(-3, 4)))
+        for path, cause in ((cubic, "no Delaunay circumball fits"),
+                            (planar, "cannot triangulate")):
+            code, out, err = run(capsys, "classes", str(path), "--rho", "1R")
+            assert (code, out) == (1, "")
+            assert err.startswith("error: covering_radius: ")
+            assert cause in err and err.count("\n") == 1
+
     def test_group_bad_center(self, c4v_file, capsys):
         code, out, err = run(capsys, "group", str(c4v_file),
                              "--center", "0.5", "0", "1", "--rho", "1.5")
@@ -174,6 +196,24 @@ class TestCheckLocal:
                              "--rho0", "2R", "--R", "1.0")
         assert (code, err) == (0, "")
         assert out.startswith("R = 1 (flag)\nrho0 = 2\n")
+
+    def test_R_below_packing_radius(self, tmp_path, capsys):
+        # no covering radius is below 1/2; R = 0 made this non-regular set
+        # print "regular = true"
+        path, header = tmp_path / "layers.xyz", tmp_path / "layers_R0.xyz"
+        save_patch(z2_layers(), path)
+        header.write_text("# R 0\n" + path.read_text())
+        for target, flags in ((path, ["--R", "0"]), (path, ["--R", "1e-9"]),
+                              (header, [])):
+            code, out, err = run(capsys, "check-local", str(target),
+                                 "--rho0", "1", *flags)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: covering radius ")
+            assert err.endswith(" is below the packing radius 1/2\n")
+        code, out, err = run(capsys, "check-local", str(path), "--rho0", "1")
+        assert (code, err) == (0, "")
+        assert out.startswith("R = 0.9604686356 (computed)\n")
+        assert "regular = false\n" in out
 
     def test_negative_R(self, c4v_file, capsys):
         code, out, err = run(capsys, "check-local", str(c4v_file),
@@ -237,7 +277,6 @@ class TestBadArguments:
     # each of these raised a ValueError out of main with a traceback
     @pytest.mark.parametrize("argv", [
         ["group", "{c4v}", "--center", "0", "0", "1", "--rho", "-1"],
-        ["analyze", "{c4v}", "--rho", "-2"],
         ["check-local", "{c4v}", "--rho0", "-1"],
         ["shtogrin-bound", "--n", "1"],
         ["optimize", "lemma1", "--grid", "0"],
@@ -259,6 +298,32 @@ class TestBadArguments:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+#: Each subcommand's flags.  A removed setting (``--tol``, ``--config``,
+#: ``analyze --rho``) must not come back unseen.
+FLAGS = {
+    "generate": {"--kind", "--box", "--lambda", "--mu", "--t-z", "--a",
+                 "--b", "-o", "--output"},
+    "analyze": {"-o", "--output"},
+    "classes": {"--rho", "-o", "--output"},
+    "group": {"--center", "--rho", "-o", "--output"},
+    "check-local": {"--rho0", "--R", "-o", "--output"},
+    "bounds-table": {"--format", "-o", "--output"},
+    "optimize": {"--grid", "--pair-filter", "-o", "--output"},
+    "shtogrin-bound": {"--n"},
+}
+
+
+def test_flag_sets_pinned():
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert {s for a in parser._actions for s in a.option_strings} == {
+        "-h", "--help"}
+    got = {name: {s for a in p._actions for s in a.option_strings} - {
+        "-h", "--help"} for name, p in sub.choices.items()}
+    assert got == FLAGS
 
 
 class TestParserReuse:

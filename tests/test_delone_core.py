@@ -4,12 +4,12 @@ import pytest
 
 import delone_local as dl
 from delone_local.delone_core import (
-    _GRID_H,
     _largest_fitting_ball,
     load_patch,
     save_patch,
 )
 from delone_local.errors import (
+    BoxTooSmall,
     CenterNotInPatch,
     MarginViolation,
     ParseError,
@@ -141,19 +141,26 @@ class TestCoveringRadiusOracle:
         p = ORACLE_PATCHES[name]()
         assert abs(dl.covering_radius(p) - covering_radius_oracle(p)) <= 1e-12
 
-    def test_planar_patch_takes_grid(self):
-        # Qhull cannot triangulate a flat patch; the grid scan answers
+    def test_planar_patch_raises(self):
+        # Qhull cannot triangulate a flat patch; a grid scan over its box
+        # gave R = 0.5, which comes from the box alone
         pts = [[x, y, 0.0] for x in range(-3, 4) for y in range(-3, 4)]
         p = dl.PointPatch(pts, [-3, -3, -0.5], [3, 3, 0.5])
-        R = dl.covering_radius(p)
-        assert R == pytest.approx(0.5, abs=_GRID_H * SQRT3)
-        assert R == covering_radius_oracle(p)
+        with pytest.raises(BoxTooSmall, match="cannot triangulate"):
+            dl.covering_radius(p)
+        with pytest.raises(BoxTooSmall):
+            covering_radius_oracle(p)
 
-    def test_no_circumball_fits_takes_grid(self):
+    def test_no_circumball_fits_raises(self):
         # every Delaunay cell of Z^3 on [-1, 1]^3 has radius sqrt(3)/2 and
-        # a center 1/2 from the box faces
+        # a center 1/2 from the box faces.  A grid scan gave 0.606, though
+        # the ball about (t, t, t), t = 1/(1 + sqrt 3), of radius 0.634
+        # fits the box
         p = dl.cubic_lattice([-1] * 3, [1] * 3)
-        assert dl.covering_radius(p) == covering_radius_oracle(p) == 0.6062177826491092
+        with pytest.raises(BoxTooSmall, match="no Delaunay circumball fits"):
+            dl.covering_radius(p)
+        with pytest.raises(BoxTooSmall):
+            covering_radius_oracle(p)
 
     def test_inflated_winner_is_rescored(self):
         # (0.2, 0, 0) claims 1.9 but lies 0.2 from the origin; (1.5, .5, .5)

@@ -22,7 +22,7 @@ from delone_local.regularity import (
     tower_formula_mismatches,
 )
 
-from conftest import LATTICES, STOCK_PATCHES, z3_missing_site
+from conftest import LATTICES, STOCK_PATCHES, z2_layers, z3_missing_site
 
 SQRT3 = np.sqrt(3.0)
 
@@ -210,6 +210,22 @@ class TestLocalCriterion:
         # S(rho0 + 2R) is filtered from S(rho0), which needs R >= 0
         with pytest.raises(ValueError, match="non-negative"):
             local_criterion(z3_patch, 2.0, -0.25)
+
+    @pytest.mark.parametrize("R", [0.0, 1e-9, 0.4999])
+    def test_R_below_packing_radius_raises(self, R):
+        # R >= r = 1/2 for every unit-distance Delone set.  With R = 0 the
+        # two radii coincide, S(rho0) = S(rho0 + 0) trivially, and this
+        # non-regular set came out regular
+        with pytest.raises(ValueError, match="below the packing radius 1/2"):
+            local_criterion(z2_layers(), 1.0, R)
+
+    def test_layers_not_regular_at_their_R(self):
+        p = z2_layers()
+        R = dl.covering_radius(p)
+        assert R == pytest.approx(np.sqrt(0.5 + 0.65 ** 2), abs=1e-12)
+        v = local_criterion(p, 1.0, R)
+        assert not v.regular and v.n_classes == 2
+        assert local_criterion(p, 1.0, 0.5).n_classes == 2
 
     def test_box_too_small_raises(self, z3_patch_small):
         # rho0 + 2R exceeds what the box supports: no usable center has
