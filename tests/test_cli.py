@@ -99,16 +99,17 @@ class TestAnalyze:
         assert code == 2  # argparse usage error: tolerances are constants
         assert out == ""
 
-    def test_no_radius_flag(self, c4v_file, capsys):
-        # analyze reports at 2R: its table bound is for 2R-cluster groups
-        # and its criterion takes the R it prints, so no radius is a flag
+    def test_symbolic_radius(self, c4v_file, capsys):
+        # analyze reports at the symbolic radius 2R: its table bound is for
+        # 2R-cluster groups and its criterion takes the R it prints, so no
+        # radius is a flag
+        code, out, err = run(capsys, "analyze", str(c4v_file))
+        assert (code, err) == (0, "")
+        assert "rho = 2.449489742\n" in out
         for rho in ("2R", "3R", "-2"):
             code, out, err = run(capsys, "analyze", str(c4v_file), "--rho", rho)
             assert (code, out) == (2, "")
             assert "unrecognized arguments: --rho" in err
-        code, out, err = run(capsys, "analyze", str(c4v_file))
-        assert (code, err) == (0, "")
-        assert "rho = 2.449489742\n" in out
 
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "analyze", "/nonexistent.xyz")
