@@ -12,15 +12,20 @@ one pass (``_carries``).  :func:`cluster_isometry` takes the first map, and
 :func:`delone_local.point_group.stabilizer` all of ``_maps(c, c)``.
 
 :func:`cluster_classes` extracts every cluster with one batched ball query
-and sweeps the centers representative first: each class verifies all its
-candidate centers against one linear part at a time (the identity to begin
-with), so that the frame search of ``_maps`` runs only for the first
-center of each new orientation.
+and settles first, without building a ``Cluster``, every center whose
+profile sum (the sum of its sorted center distances) has no neighbour
+within the profile window of its member-count group: no partner can pass
+the profile test, so it founds its own class.  It sweeps the rest
+representative first: each class verifies all its candidate centers
+against one linear part at a time (the identity to begin with), so that
+the frame search of ``_maps`` runs only for the first center of each new
+orientation.  Representatives are built on first access.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,13 +49,42 @@ def match_tolerance(rho: float) -> float:
     return 1e-7 * max(1.0, float(rho))
 
 
+def _profile_tolerance(rho: float) -> float:
+    """Max-norm distance, 4 match_tolerance(rho), within which the sorted
+    center distances of two equivalent rho-clusters lie: the bound of the
+    profile test, of its sum prefilter and of the frame search's norm
+    filter."""
+    return 4.0 * match_tolerance(rho)
+
+
 def _profiles_match(profiles: np.ndarray, d: np.ndarray, rho: float):
     """Which of ``profiles`` (sorted center distances of clusters with as
     many members as ``d``; one profile or a stack of rows) lie within
-    4 match_tolerance(rho) of ``d`` in max norm: the distance test every
-    pair of equivalent rho-clusters passes."""
+    :func:`_profile_tolerance` of ``d`` in max norm: the distance test
+    every pair of equivalent rho-clusters passes."""
     return (np.abs(profiles - d).max(axis=-1, initial=0.0)
-            <= 4.0 * match_tolerance(rho))
+            <= _profile_tolerance(rho))
+
+
+def _profile_partners(profiles: np.ndarray, rho: float) -> np.ndarray:
+    """Which rows of ``profiles`` (n, m), with nonnegative entries, may
+    have another row that :func:`_profiles_match` accepts.
+
+    Rows within t = _profile_tolerance(rho) in max norm have sums within
+    m t, so a row whose sum has no neighbour that close in sorted order
+    has no partner.  The window is widened by 4 eps (t + the largest sum)
+    per entry, more than the rounding of the sums, their gaps and the
+    window itself, so no pair the profile test accepts is ruled out."""
+    n, m = profiles.shape
+    s = profiles.sum(axis=1)
+    order = np.argsort(s)
+    t = _profile_tolerance(rho)
+    eps = np.finfo(float).eps
+    close = np.diff(s[order]) <= m * (t + 4.0 * eps * (t + s.max()))
+    near = np.zeros(n, dtype=bool)
+    near[order[1:]] = close
+    near[order[:-1]] |= close
+    return near
 
 
 def _carries(a: Cluster, offsets: np.ndarray, qs: np.ndarray):
@@ -84,9 +118,8 @@ def _maps(a: Cluster, b: Cluster):
     frame = a.frame
     if frame is None:
         return np.empty((0, 3, 3)), np.empty((0, len(a)), dtype=np.intp)
-    mtol = match_tolerance(a.radius)
-    norm_tol = 4.0 * mtol
-    dot_tol = 40.0 * max(1.0, a.radius) * mtol
+    norm_tol = _profile_tolerance(a.radius)
+    dot_tol = 40.0 * max(1.0, a.radius) * match_tolerance(a.radius)
     targets = b.offsets
     tnorms = np.linalg.norm(targets, axis=1)
     gram = frame @ frame.T
@@ -120,17 +153,38 @@ def cluster_isometry(a: Cluster, b: Cluster) -> Optional[Isometry]:
     return Isometry(qs[0], b.center - qs[0] @ a.center) if len(qs) else None
 
 
+class _Representatives(Sequence):
+    """The representatives of a :class:`ClusterClassDecomposition`: a
+    read-only sequence of clusters, each built on first access and kept,
+    so that ``reps[i] is reps[i]``."""
+
+    def __init__(self, build: Callable[[int], Cluster],
+                 built: List[Optional[Cluster]]):
+        self._build, self._built = build, built
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(len(self))[k]]
+        k = range(len(self))[k]  # IndexError out of range, as a list
+        if self._built[k] is None:
+            self._built[k] = self._build(k)
+        return self._built[k]
+
+
 @dataclass(frozen=True)
 class ClusterClassDecomposition:
     """Partition of all usable-center rho-clusters into equivalence classes.
 
     ``assignment`` maps each usable center (as a coordinate tuple) to its
     class index; ``class_representatives[i]`` is the cluster at the
-    lexicographically smallest center of class i.
+    lexicographically smallest center of class i, built on first access.
     """
 
     rho: float
-    class_representatives: List[Cluster]
+    class_representatives: Sequence[Cluster]
     assignment: Dict[Tuple[float, float, float], int]
 
     @property
@@ -150,20 +204,25 @@ def cluster_classes(patch: PointPatch, rho: float) -> ClusterClassDecomposition:
     so the center lookup and margin check of
     :func:`delone_local.delone_core.cluster` hold by construction.  The
     centers are grouped by member count, with their offsets stacked and
-    their distance profiles sorted in one call per group.
+    their distance profiles sorted in one call per group.  A center that
+    :func:`_profile_partners` rules out has no partner in its group: it
+    founds its own class at once.
 
-    A representative-first sweep then builds the classes: each new
-    representative is the first unassigned center in lexicographic
-    order.  Of the later unassigned centers of its member count, those
-    that pass the profile test of :func:`cluster_isometry` are verified
-    against its identity part in one :func:`_carries` call.  Of those
-    left over, the first runs the frame search of ``_maps``; a map found
-    that way joins the class with that center and is tried on the rest
-    at once, and a center whose search fails stays unassigned for a
-    later class.  So every center joins the first class that has a
-    verified map to it, as in :func:`cluster_isometry` against each
-    representative in turn, and a ``Cluster`` is built only for a
-    representative or a frame search.
+    A representative-first sweep over the other centers of each group
+    then builds the classes: each new representative is the first
+    unassigned center in lexicographic order.  Of the later unassigned
+    centers of its group, those that pass the profile test of
+    :func:`cluster_isometry` are verified against its identity part in
+    one :func:`_carries` call.  Of those left over, the first runs the
+    frame search of ``_maps``; a map found that way joins the class with
+    that center and is tried on the rest at once, and a center whose
+    search fails stays unassigned for a later class.  So every center
+    joins the first class that has a verified map to it, as in
+    :func:`cluster_isometry` against each representative in turn.  The
+    class ids are the ranks of the representatives' indices, and a
+    ``Cluster`` is built only for a representative or a frame search:
+    here only when a candidate is left to verify, otherwise on first
+    access to ``class_representatives``.
     """
     if rho < 0:
         raise ValueError("cluster radius must be non-negative")
@@ -174,39 +233,45 @@ def cluster_classes(patch: PointPatch, rho: float) -> ClusterClassDecomposition:
     rho = float(rho)
     balls = patch.tree.query_ball_point(centers, rho + patch.geom_tol)
     counts = np.array([len(idx) for idx in balls])
-    groups = {}  # member count -> (center indices, offset stack, profiles)
+
+    def make(i):
+        return Cluster(centers[i], rho, patch.points[balls[i]])
+
+    rep = np.arange(len(centers))  # each center's representative index
+    built: Dict[int, Cluster] = {}
     for m in np.unique(counts):
         ids = np.flatnonzero(counts == m)
         offsets = (patch.points[np.concatenate(balls[ids])].reshape(-1, m, 3)
                    - centers[ids, None])
-        groups[m] = (ids, offsets,
-                     np.sort(np.linalg.norm(offsets, axis=2), axis=1))
-    cls = np.full(len(centers), -1)
-    reps: List[Cluster] = []
-    for i in range(len(centers)):
-        if cls[i] >= 0:
-            continue
-        cls[i] = len(reps)
-        rep = Cluster(centers[i], rho, patch.points[balls[i]])
-        reps.append(rep)
-        ids, offsets, profiles = groups[counts[i]]
-        p = np.searchsorted(ids, i)
-        left = p + 1 + np.flatnonzero(
-            (cls[ids[p + 1:]] < 0)
-            & _profiles_match(profiles[p + 1:], profiles[p], rho))
-        q = np.eye(3)
-        while len(left):  # q is verified against the class: try it on all
-            hit, _ = _carries(rep, offsets[left], q)
-            cls[ids[left[hit]]] = cls[i]
-            left = left[~hit]
-            while len(left):  # frame search on the first leftover
-                j, left = ids[left[0]], left[1:]
-                qs, _ = _maps(rep, Cluster(centers[j], rho, patch.points[balls[j]]))
-                if len(qs):
-                    cls[j], q = cls[i], qs[0]
-                    break
+        profiles = np.sort(np.linalg.norm(offsets, axis=2), axis=1)
+        keep = _profile_partners(profiles, rho)
+        ids, offsets, profiles = ids[keep], offsets[keep], profiles[keep]
+        for p, i in enumerate(ids):
+            if rep[i] != i:
+                continue
+            later = ids[p + 1:]
+            left = p + 1 + np.flatnonzero(
+                (rep[later] == later)
+                & _profiles_match(profiles[p + 1:], profiles[p], rho))
+            if not len(left):
+                continue
+            built[i] = a = make(i)
+            q = np.eye(3)
+            while len(left):  # q is verified against the class: try it on all
+                hit, _ = _carries(a, offsets[left], q)
+                rep[ids[left[hit]]] = i
+                left = left[~hit]
+                while len(left):  # frame search on the first leftover
+                    j, left = ids[left[0]], left[1:]
+                    qs, _ = _maps(a, make(j))
+                    if len(qs):
+                        rep[j], q = i, qs[0]
+                        break
+    reps = np.flatnonzero(rep == np.arange(len(centers)))
     return ClusterClassDecomposition(
         rho=rho,
-        class_representatives=reps,
-        assignment={tuple(c): k for c, k in zip(centers, cls.tolist())},
+        class_representatives=_Representatives(
+            lambda k: make(reps[k]), [built.get(i) for i in reps.tolist()]),
+        assignment=dict(zip(map(tuple, centers.tolist()),
+                            np.searchsorted(reps, rep).tolist())),
     )

@@ -27,7 +27,8 @@ Tolerances are fixed constants, not parameters:
     * ``antiprism_opt.FEAS_TOL`` = 1e-9: the constraint residual the
       antiprism objectives accept.
     * Cluster matching uses ``equivalence.match_tolerance(rho)`` =
-      1e-7 max(1, rho).
+      1e-7 max(1, rho); the profile test on sorted center distances
+      uses ``equivalence._profile_tolerance(rho)`` = 4 match_tolerance(rho).
 """
 from __future__ import annotations
 

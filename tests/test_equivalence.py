@@ -1,12 +1,20 @@
 """Cluster equivalence and the cluster-counting function."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import delone_local as dl
 from delone_local import equivalence
-from delone_local.delone_core import Cluster
-from delone_local.equivalence import cluster_classes, cluster_isometry
+from delone_local.delone_core import Cluster, load_patch, save_patch
+from delone_local.equivalence import (
+    _profile_partners,
+    _profile_tolerance,
+    _profiles_match,
+    cluster_classes,
+    cluster_isometry,
+)
 from delone_local.errors import NoUsableCenters, RadiusMismatch
 from delone_local.geometry import Isometry, classify_element, rotation_matrix
 
@@ -342,6 +350,31 @@ class TestClusterClasses:
         assert dec.N == 1 and len(dec.assignment) > 1
         assert calls == [1]
 
+    @pytest.mark.parametrize("rho", [2.9, 5.8])  # 2R and 4R, R near 1.45
+    def test_generic_builds_no_cluster(self, rho, monkeypatch):
+        # every jittered profile sum stands alone in its member-count
+        # group, so no center is verified and no Cluster is built until
+        # a representative is read
+        calls, built = [], []
+        maps = equivalence._maps
+        monkeypatch.setattr(equivalence, "_maps",
+                            lambda a, b: calls.append(1) or maps(a, b))
+        monkeypatch.setattr(equivalence, "Cluster",
+                            lambda *a: built.append(1) or Cluster(*a))
+        patch = jittered_cubic(5, 0)
+        dec = cluster_classes(patch, rho)
+        assert dec.N == len(dec.assignment) > 3
+        assert calls == [] and built == []
+        reps = dec.class_representatives
+        assert reps[0] is reps[0] and len(built) == 1
+        assert reps[-1] is reps[dec.N - 1] and len(built) == 2
+        assert np.array_equal(reps[0].center, patch.usable_centers(rho)[0])
+        with pytest.raises(IndexError):
+            reps[dec.N]
+        assert [r.center.tolist() for r in reps] == [
+            list(c) for c in sorted(dec.assignment, key=dec.assignment.get)]
+        assert len(built) == dec.N and reps[1:3] == [reps[1], reps[2]]
+
     def test_assignment_covers_all_usable_centers(self, z3_patch):
         dec = cluster_classes(z3_patch, 1.5)
         assert len(dec.assignment) == len(z3_patch.usable_centers(1.5))
@@ -385,6 +418,35 @@ class TestClassLoopOracle:
         for rho in (2.9, 5.8):  # 2R and 4R, with R near 1.45
             self.assert_same(patch, rho)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_jittered_file_round_trip(self, seed, tmp_path):
+        # coordinates rounded to the file's ten significant digits
+        path = tmp_path / "jitter.xyz"
+        save_patch(jittered_cubic(4, seed), path)
+        patch = load_patch(path)
+        for rho in (2.9, 5.8):
+            self.assert_same(patch, rho)
+
+    @pytest.mark.parametrize("rho", [1.6, 2.2])
+    def test_periodic_with_displaced_site(self, rho):
+        # the same three jittered sites in every cubic cell of edge 2, and
+        # one site moved off its lattice: translation classes and the
+        # singletons around the moved site share member-count groups
+        rng = np.random.default_rng(7)
+        basis = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+        basis += rng.uniform(-0.2, 0.2, size=basis.shape)
+        cells = 2.0 * np.array([[x, y, z] for x in range(-4, 4)
+                                for y in range(-4, 4) for z in range(-4, 4)])
+        pts = (cells[:, None] + basis).reshape(-1, 3)
+        pts = pts[np.all(np.abs(pts) <= 5.5, axis=1)]
+        pts[np.argmin(np.linalg.norm(pts, axis=1))] += [0.05, -0.03, 0.02]
+        patch = dl.PointPatch(pts, [-5.5] * 3, [5.5] * 3)
+        self.assert_same(patch, rho)
+        dec = cluster_classes(patch, rho)
+        sizes = np.bincount(list(dec.assignment.values()))
+        members = np.array([len(r) for r in dec.class_representatives])
+        assert set(members[sizes == 1]) & set(members[sizes > 1])
+
     @pytest.mark.parametrize("rho", [1.0, 1.5, 2.0, 2.5])
     def test_z3_with_hole(self, rho):
         # the hole seen from centers in every direction: classes of equal
@@ -396,3 +458,44 @@ class TestClassLoopOracle:
     def test_negative_radius(self, z3_patch):
         with pytest.raises(ValueError, match="non-negative"):
             cluster_classes(z3_patch, -1.0)
+
+
+class TestProfilePrefilter:
+    """The profile-sum prefilter of the class loop rules out only rows
+    that the profile test would reject against every other row."""
+
+    @given(m=st.integers(1, 400), rho=st.floats(0.0, 60.0),
+           seed=st.integers(0, 2**32 - 1), exact=st.booleans(),
+           extra=st.integers(0, 6))
+    @example(m=1, rho=0.0, seed=0, exact=True, extra=0)
+    @example(m=400, rho=60.0, seed=1, exact=True, extra=3)
+    @settings(max_examples=300, deadline=None)
+    def test_never_separates_a_matching_pair(self, m, rho, seed, exact, extra):
+        rng = np.random.default_rng(seed)
+        t = _profile_tolerance(rho)
+        a = np.sort(rng.uniform(0.0, rho + 1.0, size=m))
+        a[0] = 0.0  # the center's own distance
+        sign = np.where(a < t, 1.0, rng.choice([-1.0, 1.0], size=m))
+        b = a + sign * (t if exact else rng.uniform(0.0, t, size=m))
+        while not _profiles_match(b, a, rho):  # back off by ulps to the bound
+            b = np.where(np.abs(b - a) > t, np.nextafter(b, a), b)
+        rows = np.vstack([a, b, np.sort(rng.uniform(0.0, rho + 1.0,
+                                                    size=(extra, m)), axis=1)])
+        order = rng.permutation(len(rows))
+        near = _profile_partners(rows[order], rho)
+        assert near[np.argsort(order)[:2]].all()
+
+    @pytest.mark.parametrize("m", [1, 50, 400])
+    def test_exact_bound_from_zero(self, m):
+        # every entry differs by exactly t, so the sums by m t
+        t = _profile_tolerance(3.0)
+        rows = np.array([np.zeros(m), np.full(m, t)])
+        assert _profiles_match(rows[1], rows[0], 3.0)
+        assert _profile_partners(rows, 3.0).all()
+
+    def test_rules_out_a_sum_gap(self):
+        a = np.linspace(0.0, 3.0, 40)
+        t = _profile_tolerance(3.0)
+        assert not _profile_partners(np.array([a, a + 2 * t]), 3.0).any()
+        assert _profile_partners(np.array([a, a + 2 * t, a]), 3.0).tolist() == [
+            True, False, True]
