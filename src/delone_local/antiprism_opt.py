@@ -246,25 +246,28 @@ def _nelder_mead(f, x0: np.ndarray, maxiter: int, xatol: float,
     values: each row's x, fun and success equal ``minimize``'s on that
     row alone.  An iteration calls ``f`` on the reflections, on each
     row's expansion or contraction, and on the shrinking rows' vertices;
-    sorts use numpy's default ``argsort``, as scipy's, so ties agree."""
+    sorts use numpy's default ``argsort``, as scipy's, so ties agree.
+    The simplices of the rows still running stay compacted in ``s`` and
+    ``fs`` (``run`` holds their rows); a row is written out once, when it
+    converges or the iterations run out."""
     m, n = x0.shape
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    s = np.repeat(x0[:, None, :], n + 1, axis=1)
     k = np.arange(n)
-    sim[:, k + 1, k] = np.where(x0 != 0, 1.05 * x0, 0.00025)
-    fsim = f(sim.reshape(-1, n)).reshape(m, n + 1)
-    order = np.argsort(fsim, axis=1)
-    sim = np.take_along_axis(sim, order[:, :, None], axis=1)
-    fsim = np.take_along_axis(fsim, order, axis=1)
+    s[:, k + 1, k] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    fs = f(s.reshape(-1, n)).reshape(m, n + 1)
+    s, fs = _sort_simplices(s, fs)
+    xs, funs = np.empty((m, n)), np.empty(m)
     success = np.zeros(m, dtype=bool)
+    run = np.arange(m)
     for _ in range(1, maxiter):
-        run = np.flatnonzero(~success)
-        s, fs = sim[run], fsim[run]
         done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol)
                 & (np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol))
-        success[run[done]] = True
-        run, s, fs = run[~done], s[~done], fs[~done]
-        if len(run) == 0:
-            break
+        if done.any():
+            success[run[done]] = True
+            xs[run[done]], funs[run[done]] = s[done, 0], fs[done].min(axis=1)
+            run, s, fs = run[~done], s[~done], fs[~done]
+            if len(run) == 0:
+                break
         xbar = np.add.reduce(s[:, :-1], 1) / n
         worst = s[:, -1]
         xr = 2 * xbar - worst
@@ -290,10 +293,16 @@ def _nelder_mead(f, x0: np.ndarray, maxiter: int, xatol: float,
             best = s[shrink, :1]
             s[shrink, 1:] = best + 0.5 * (s[shrink, 1:] - best)
             fs[shrink, 1:] = f(s[shrink, 1:].reshape(-1, n)).reshape(-1, n)
-        order = np.argsort(fs, axis=1)
-        sim[run] = np.take_along_axis(s, order[:, :, None], axis=1)
-        fsim[run] = np.take_along_axis(fs, order, axis=1)
-    return sim[:, 0], np.min(fsim, axis=1), success
+        s, fs = _sort_simplices(s, fs)
+    xs[run], funs[run] = s[:, 0], fs.min(axis=1)
+    return xs, funs, success
+
+
+def _sort_simplices(s: np.ndarray, fs: np.ndarray):
+    """Each simplex's vertices and values in order of increasing value."""
+    order = np.argsort(fs, axis=1)
+    rows = np.arange(len(fs))[:, None]
+    return s[rows, order], fs[rows, order]
 
 
 def _top(keys: np.ndarray, k: int) -> np.ndarray:

@@ -29,6 +29,12 @@ from .errors import (
 )
 from .geometry import GEOM_TOL, _complete_basis, as_point, as_points
 
+#: Qhull's joggle (``QJ``) in ``covering_radius``, relative to the largest
+#: box-centered coordinate (at least 1): 50 times Qhull's roundoff (Qhull
+#: rejects a joggle below that), and far below the 1e-12 to which R is
+#: checked.
+JOGGLE_TOL = 1e-13
+
 __all__ = [
     "PointPatch",
     "Cluster",
@@ -226,38 +232,96 @@ def covering_radius(patch: PointPatch) -> float:
     """Radius of the largest empty ball centered well inside the box.
 
     The maximizing center is sought among the circumcenters of the
-    Delaunay cells of the patch, restricted to cells whose circumball lies
-    inside the trusted box.  Those circumcenters are the Voronoi vertices
-    (the only local maxima of the distance-to-set function away from the
-    boundary), and a Delaunay cell's circumball is empty, so its radius is
-    the distance from the center to the set.  Each center is read off its
-    cell's lifted-facet hyperplane rather than solved per tetrahedron:
-    Qhull splits a merged cospherical cell (every lattice has them) into
-    tetrahedra, some flat, that all keep the merged cell's hyperplane.  A
-    hyperplane that is vertical in the lift has no center; its cell drops
-    out.  The winning ball is checked empty by one KD query (see
-    ``_largest_fitting_ball``).
+    Delaunay cells of the patch whose circumball lies inside the trusted
+    box: those are the Voronoi vertices (the only local maxima of the
+    distance-to-set function away from the boundary), and a Delaunay
+    cell's circumball is empty, so its radius is the distance from its
+    center to the set.  Each center is solved in closed form from the
+    patch points (``_circumcenters``); flat cells drop out.
+
+    The cells come from Qhull's triangulation of the box-centered points
+    joggled by ``JOGGLE_TOL`` times their largest coordinate (at least 1),
+    so a lattice's cospherical cells are split, not merged.  The winning
+    ball stands if one KD query finds no point inside it by more than that
+    joggle.  On a patch that is cospherical only up to noise, Qhull
+    retries each joggle that meets a precision error with a larger one,
+    the joggled cells are not the patch's, and the check fails; the cells
+    then come from Qhull's default, merging triangulation, checked as
+    ``_largest_fitting_ball`` does.  Qhull's joggle is seeded, so R is the
+    same in every run.
 
     Raises :class:`BoxTooSmall` where Qhull cannot triangulate the patch
     (a planar one, say) or no circumball fits the box.
     """
     if len(patch) < 2:
         raise TooFewPoints("covering_radius needs at least two points")
-    try:
-        tri = Delaunay(patch.points)
-    except (QhullError, ValueError):
+    pts = patch.points - 0.5 * (patch.box_lo + patch.box_hi)
+    joggle = JOGGLE_TOL * max(1.0, float(np.abs(pts).max()))
+    centers, radii = _circumballs(patch, pts, f"QJ{joggle!r}")
+    i = _largest_fitting(patch, centers, radii)
+    if i is not None and patch.tree.query(centers[i])[0] >= radii[i] - joggle:
+        return float(radii[i])
+    centers, radii = _circumballs(patch, pts, None)
+    if len(radii) == 0:
         raise BoxTooSmall("covering_radius: Qhull cannot triangulate the "
-                          "patch (flat, or too few points)") from None
-    eq = tri.equations
-    with np.errstate(divide="ignore", invalid="ignore"):
-        centers = eq[:, :3] / (-2.0 * tri.paraboloid_scale * eq[:, 3:4])
-    radii = np.linalg.norm(centers - patch.points[tri.simplices[:, 0]], axis=1)
-    finite = np.isfinite(radii)
-    best = _largest_fitting_ball(patch, centers[finite], radii[finite])
+                          "patch (flat, or too few points)")
+    best = _largest_fitting_ball(patch, centers, radii)
     if best is None:
         raise BoxTooSmall("covering_radius: no Delaunay circumball fits "
                           "inside the trusted box")
     return best
+
+
+def _circumballs(patch: PointPatch, pts: np.ndarray, qhull_options):
+    """Circumcenters and radii of the solid cells of Qhull's Delaunay
+    triangulation of ``pts`` (the patch points moved by one vector) under
+    ``qhull_options``; none where Qhull fails."""
+    try:
+        simplices = Delaunay(pts, qhull_options=qhull_options).simplices
+    except (QhullError, ValueError):
+        simplices = np.empty((0, 4), dtype=np.intp)
+    centers, radii = _circumcenters(patch.points, simplices)
+    solid = np.isfinite(radii)
+    return centers[solid], radii[solid]
+
+
+def _circumcenters(points: np.ndarray, simplices: np.ndarray):
+    """Circumcenters and circumradii of the tetrahedra ``points[simplices]``.
+
+    With the edges u, v, w from the first vertex p, the center is
+    p + (|u|^2 v x w + |v|^2 w x u + |w|^2 u x v) / (2 u . v x w).  A flat
+    tetrahedron (zero determinant) gets a radius that is not finite.
+    Vectors are triples of coordinate arrays, one entry per tetrahedron.
+    """
+    coords = points.T.copy()
+    p = [c[simplices[:, 0]] for c in coords]
+    u, v, w = ([c[simplices[:, k]] - pc for c, pc in zip(coords, p)]
+               for k in (1, 2, 3))
+    vw, wu, uv = _cross(v, w), _cross(w, u), _cross(u, v)
+    su, sv, sw = _dot(u, u), _dot(v, v), _dot(w, w)
+    det2 = 2.0 * _dot(u, vw)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        offsets = [(su * a + sv * b + sw * c) / det2
+                   for a, b, c in zip(vw, wu, uv)]
+    centers = np.stack([pc + o for pc, o in zip(p, offsets)], axis=1)
+    return centers, np.sqrt(_dot(offsets, offsets))
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _largest_fitting(patch: PointPatch, centers: np.ndarray,
+                     radii: np.ndarray) -> Optional[int]:
+    """Index of the largest ball B(centers[i], radii[i]) that lies in the
+    trusted box, or None if none does."""
+    inside = np.flatnonzero(patch.ball_inside_box(centers, radii[:, None]))
+    return inside[np.argmax(radii[inside])] if len(inside) else None
 
 
 def _largest_fitting_ball(patch: PointPatch, centers: np.ndarray,
@@ -270,10 +334,9 @@ def _largest_fitting_ball(patch: PointPatch, centers: np.ndarray,
     empty balls, and every center is scored by its distance to the set
     instead.
     """
-    inside = np.flatnonzero(patch.ball_inside_box(centers, radii[:, None]))
-    if len(inside) == 0:
+    i = _largest_fitting(patch, centers, radii)
+    if i is None:
         return None
-    i = inside[np.argmax(radii[inside])]
     if patch.tree.query(centers[i])[0] >= radii[i] - patch.geom_tol:
         return float(radii[i])
     return _largest_fitting_ball(patch, centers, patch.tree.query(centers)[0])

@@ -26,6 +26,9 @@ Tolerances are fixed constants, not parameters:
       :func:`check_orthogonal` accepts (so :func:`classify_element`).
     * ``antiprism_opt.FEAS_TOL`` = 1e-9: the constraint residual the
       antiprism objectives accept.
+    * ``delone_core.JOGGLE_TOL`` = 1e-13: Qhull's joggle in
+      ``covering_radius``, relative to the largest box-centered coordinate
+      (at least 1); the joggled winner must be empty within the joggle.
     * Cluster matching uses ``equivalence.match_tolerance(rho)`` =
       1e-7 max(1, rho); the profile test on sorted center distances
       uses ``equivalence._profile_tolerance(rho)`` = 4 match_tolerance(rho).

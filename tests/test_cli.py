@@ -94,6 +94,17 @@ class TestAnalyze:
         assert "table_bound = 10R" in out
         assert "local_criterion = regular" in out
 
+    def test_shifted_cubic_prints_exact_R(self, tmp_path, capsys):
+        # cubic +-4 moved by +1000: the lifted hyperplanes printed
+        # R = 0.8660254043 and rho = 1.732050809
+        path = tmp_path / "shifted.xyz"
+        run(capsys, "generate", "--kind", "cubic", "--box", "996", "996",
+            "996", "1004", "1004", "1004", "-o", str(path))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, err) == (0, "")
+        assert out.startswith("R = 0.8660254038 (computed)\n"
+                              "rho = 1.732050808\n")
+
     def test_no_tolerance_flag(self, c4v_file, capsys):
         code, out, err = run(capsys, "--tol", "1e-6", "analyze", str(c4v_file))
         assert code == 2  # argparse usage error: tolerances are constants

@@ -1,8 +1,13 @@
 """Patch parameters, clusters, shells, and the point-set file format."""
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import delone_local as dl
+from delone_local import delone_core
 from delone_local.delone_core import (
     _largest_fitting_ball,
     load_patch,
@@ -117,6 +122,21 @@ def _noisy_z3(sigma):
     return dl.PointPatch(p.points + noise, p.box_lo - 1e-6, p.box_hi + 1e-6)
 
 
+def _rotated_noisy_z3(sigma, seed):
+    # Z^3 on +-6 under a seeded rotation, with seeded noise: cospherical up
+    # to sigma.  Trusted on the box grown by 1e-6, which holds every point
+    p = rotated_lattice("z3", seed, 6.0)
+    noise = np.random.default_rng(seed).normal(0.0, sigma, p.points.shape)
+    return dl.PointPatch(p.points + noise, p.box_lo - 1e-6, p.box_hi + 1e-6)
+
+
+def _shifted_z3(shift):
+    # Z^3 on +-4 moved by (shift, shift, shift), box and all.  Read off the
+    # lifted hyperplanes, R was 5e-10 off at shift 1000 (|x|^2 ~ 3e6)
+    p = dl.cubic_lattice([-4] * 3, [4] * 3)
+    return dl.PointPatch(p.points + shift, p.box_lo + shift, p.box_hi + shift)
+
+
 #: Patches on which the Delaunay circumballs must give the Voronoi scan's R.
 ORACLE_PATCHES = {
     **{f"stock_{name}_{h}": (lambda b=LATTICES[name][0], h=h: b([-h] * 3, [h] * 3))
@@ -128,8 +148,12 @@ ORACLE_PATCHES = {
        for name in LATTICES for seed in range(3)},
     "z3_noise_1e-14": lambda: _noisy_z3(1e-14),
     "z3_noise_1e-9": lambda: _noisy_z3(1e-9),
+    **{f"rotated_z3_noise_{sigma:g}_{seed}": (
+        lambda sigma=sigma, seed=seed: _rotated_noisy_z3(sigma, seed))
+       for sigma in (1e-10, 1e-9, 1e-8) for seed in range(4)},
     "hex_mu16": lambda: dl.hex_lattice(dl.HexLatticeSpec(1, 16),
                                        [-6, -6, -10], [6, 6, 10]),
+    "z3_shifted_1000": lambda: _shifted_z3(1000.0),
 }
 
 
@@ -140,6 +164,49 @@ class TestCoveringRadiusOracle:
     def test_matches_voronoi_scan(self, name):
         p = ORACLE_PATCHES[name]()
         assert abs(dl.covering_radius(p) - covering_radius_oracle(p)) <= 1e-12
+
+    @pytest.mark.parametrize("name, merged", [
+        ("stock_z3_4", False), ("jittered_0", False),
+        ("rotated_z3_noise_1e-10_0", True)])
+    def test_triangulations(self, name, merged, monkeypatch):
+        # a lattice and a jittered patch are decided on the joggled cells;
+        # a patch cospherical up to 1e-10 noise fails the joggled winner's
+        # check and is decided on Qhull's merging triangulation
+        calls = []
+        real = delone_core.Delaunay
+
+        def record(pts, qhull_options):
+            calls.append(qhull_options)
+            return real(pts, qhull_options=qhull_options)
+
+        monkeypatch.setattr(delone_core, "Delaunay", record)
+        dl.covering_radius(ORACLE_PATCHES[name]())
+        assert calls[0].startswith("QJ")
+        assert calls[1:] == ([None] if merged else [])
+
+    def test_four_points(self):
+        # too few for Qhull's joggled lift; the merged triangulation's
+        # point at infinity still gives the one cell
+        p = dl.PointPatch(np.eye(3).tolist() + [[0, 0, 0]], [-3] * 3, [3] * 3)
+        assert dl.covering_radius(p) == pytest.approx(SQRT3 / 2, abs=1e-15)
+
+    def test_same_bits_in_fresh_processes(self):
+        # Qhull's joggle is seeded: R is bit-identical across processes, on
+        # the joggled route and on the merged one
+        script = (
+            "import sys; sys.path[:0] = sys.argv[1:3]\n"
+            "import delone_local as dl\n"
+            "from conftest import jittered_cubic\n"
+            "from test_delone_core import _rotated_noisy_z3\n"
+            "for p in (dl.cubic_lattice([-4] * 3, [4] * 3),\n"
+            "          jittered_cubic(4, 0), _rotated_noisy_z3(1e-10, 0)):\n"
+            "    print(repr(dl.covering_radius(p)))\n")
+        paths = [str(Path(dl.__file__).parents[1]), str(Path(__file__).parent)]
+        runs = [subprocess.run([sys.executable, "-c", script, *paths],
+                               capture_output=True, text=True, check=True).stdout
+                for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert len(runs[0].split()) == 3
 
     def test_planar_patch_raises(self):
         # Qhull cannot triangulate a flat patch; a grid scan over its box
