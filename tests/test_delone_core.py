@@ -1,15 +1,21 @@
 """Patch parameters, clusters, shells, and the point-set file format."""
+import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import QhullError
 
 import delone_local as dl
 from delone_local import delone_core
 from delone_local.delone_core import (
     _largest_fitting_ball,
+    _slabs,
     load_patch,
     save_patch,
 )
@@ -157,6 +163,11 @@ ORACLE_PATCHES = {
 }
 
 
+#: (patch, whether the merging triangulation decides R)
+TRIANGULATION_CASES = [("stock_z3_4", False), ("jittered_0", False),
+                       ("rotated_z3_noise_1e-10_0", True)]
+
+
 class TestCoveringRadiusOracle:
     """Delaunay circumballs against the Voronoi-vertex scan they replace."""
 
@@ -165,13 +176,8 @@ class TestCoveringRadiusOracle:
         p = ORACLE_PATCHES[name]()
         assert abs(dl.covering_radius(p) - covering_radius_oracle(p)) <= 1e-12
 
-    @pytest.mark.parametrize("name, merged", [
-        ("stock_z3_4", False), ("jittered_0", False),
-        ("rotated_z3_noise_1e-10_0", True)])
-    def test_triangulations(self, name, merged, monkeypatch):
-        # a lattice and a jittered patch are decided on the joggled cells;
-        # a patch cospherical up to 1e-10 noise fails the joggled winner's
-        # check and is decided on Qhull's merging triangulation
+    @staticmethod
+    def _triangulations(name, cpus, monkeypatch):
         calls = []
         real = delone_core.Delaunay
 
@@ -180,7 +186,27 @@ class TestCoveringRadiusOracle:
             return real(pts, qhull_options=qhull_options)
 
         monkeypatch.setattr(delone_core, "Delaunay", record)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
         dl.covering_radius(ORACLE_PATCHES[name]())
+        return calls
+
+    @pytest.mark.parametrize("name, merged", TRIANGULATION_CASES)
+    def test_triangulations(self, name, merged, monkeypatch):
+        # a lattice and a jittered patch are decided on the joggled cells;
+        # a patch cospherical up to 1e-10 noise fails the joggled winner's
+        # check and is decided on Qhull's merging triangulation.  Each
+        # route triangulates both slabs, and the merging calls come after
+        # every joggled one
+        calls = self._triangulations(name, 2, monkeypatch)
+        assert len(calls) == (4 if merged else 2)
+        assert all(c.startswith("QJ") for c in calls[:2])
+        assert calls[2:] == ([None, None] if merged else [])
+
+    @pytest.mark.parametrize("name, merged", TRIANGULATION_CASES)
+    def test_triangulations_on_one_cpu(self, name, merged, monkeypatch):
+        # one triangulation of the whole patch per route
+        calls = self._triangulations(name, 1, monkeypatch)
         assert calls[0].startswith("QJ")
         assert calls[1:] == ([None] if merged else [])
 
@@ -243,6 +269,137 @@ class TestCoveringRadiusOracle:
         p = dl.cubic_lattice([-3] * 3, [3] * 3)
         assert _largest_fitting_ball(p, np.array([[2.9, 0.0, 0.0]]),
                                      np.array([0.5])) is None
+
+
+def _one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def _cut_width(patch):
+    # w read off the lower slab's box, which ends at m + w on the cut axis
+    slabs = _slabs(patch)
+    assert slabs is not None
+    a = int(np.argmax(patch.box_hi - patch.box_lo))
+    return slabs[0][2][a] - 0.5 * (patch.box_lo[a] + patch.box_hi[a])
+
+
+def _carved(patch, center, radius):
+    # the patch without its sites within radius of center: an empty ball
+    # of about that radius about center
+    keep = np.linalg.norm(patch.points - center, axis=1) > radius
+    return dl.PointPatch(patch.points[keep], patch.box_lo, patch.box_hi)
+
+
+class TestCoveringRadiusSlabs:
+    """Two overlapping slabs on two threads against the whole patch."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    @pytest.mark.parametrize("name", ORACLE_PATCHES)
+    def test_same_R_as_one_slab(self, name, monkeypatch):
+        # each cell's bits depend on its vertex set alone, so a winning cell
+        # that both routes find gives bit-identical R.  Where the merged
+        # winner is not empty, every center is rescored by its KD distance,
+        # and those centers are whichever Qhull gave: such an R is checked
+        # against the oracle only
+        p = ORACLE_PATCHES[name]()
+        assert _slabs(p) is not None
+        real = delone_core._largest_fitting_ball
+
+        def radius():
+            calls = []
+
+            def record(*args):
+                calls.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(delone_core, "_largest_fitting_ball", record)
+            return dl.covering_radius(p), len(calls) > 1
+
+        split, rescored = radius()
+        _one_cpu(monkeypatch)
+        whole, rescored_whole = radius()
+        if not (rescored or rescored_whole):
+            assert split == whole
+
+    def test_one_slab_without_a_second_cpu(self, monkeypatch):
+        p = jittered_cubic(4, 0)
+        assert _slabs(p) is not None
+        _one_cpu(monkeypatch)
+        assert _slabs(p) is None
+
+    def test_cut_width_covers_a_carved_hole(self, monkeypatch):
+        # the hole about the middle of the cut plane has radius > 2.6, so
+        # its ball straddles the cut and fits neither slab at the width the
+        # plain patch gets, which misses R; the cut width grows past it
+        plain = jittered_cubic(5, 0)
+        p = _carved(plain, np.zeros(3), 2.6)
+        R = covering_radius_oracle(p)
+        assert _cut_width(plain) < 2.6 < _cut_width(p)
+        assert abs(dl.covering_radius(p) - R) <= 1e-12
+        w = _cut_width(plain)
+        monkeypatch.setattr(delone_core, "_cut_width", lambda *args: w)
+        assert dl.covering_radius(p) < R - 0.5
+
+    @given(seed=st.integers(0, 4),
+           y=st.floats(-3.0, 3.0), z=st.floats(-3.0, 3.0),
+           x=st.floats(-1.0, 1.0), radius=st.floats(1.5, 3.0))
+    @settings(max_examples=50, deadline=None)
+    def test_carved_hole_property(self, seed, x, y, z, radius):
+        # a hole near the cut plane x = 0 of a jittered patch: (0, y, z)
+        # lies at least radius - |x| from the set, and so does w
+        p = _carved(jittered_cubic(4, seed), np.array([x, y, z]), radius)
+        if _slabs(p) is not None:
+            assert _cut_width(p) >= radius - abs(x)
+        assert abs(dl.covering_radius(p) - covering_radius_oracle(p)) <= 1e-12
+
+    def test_nothing_fits_either_slab(self):
+        # Z^3 on a rod: both slabs triangulate, no cell fits the box's
+        # +-1 cross-section, and the cause stays "no circumball fits"
+        p = dl.cubic_lattice([-6, -1, -1], [6, 1, 1])
+        assert _slabs(p) is not None
+        with pytest.raises(BoxTooSmall, match="no Delaunay circumball fits"):
+            dl.covering_radius(p)
+
+    def test_slab_Qhull_cannot_triangulate(self, monkeypatch):
+        # where Qhull fails on a slab (fewer points than the patch), the
+        # whole patch is triangulated instead
+        p = jittered_cubic(4, 1)
+        real = delone_core.Delaunay
+
+        def fail_on_slabs(pts, qhull_options):
+            if len(pts) < len(p):
+                raise QhullError("slab")
+            return real(pts, qhull_options=qhull_options)
+
+        monkeypatch.setattr(delone_core, "Delaunay", fail_on_slabs)
+        split = dl.covering_radius(p)
+        _one_cpu(monkeypatch)
+        assert split == dl.covering_radius(p)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        # an error on the worker thread is raised by the call, as on the
+        # serial path, and the worker is joined
+        main = threading.main_thread()
+        real = delone_core.Delaunay
+
+        def fail_off_main(pts, qhull_options):
+            if threading.current_thread() is not main:
+                raise RuntimeError("worker")
+            return real(pts, qhull_options=qhull_options)
+
+        monkeypatch.setattr(delone_core, "Delaunay", fail_off_main)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker"):
+            dl.covering_radius(jittered_cubic(4, 2))
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_the_call(self):
+        before = threading.active_count()
+        dl.covering_radius(jittered_cubic(4, 3))
+        assert threading.active_count() == before
 
 
 class TestCluster:
