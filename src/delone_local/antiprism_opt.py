@@ -19,12 +19,12 @@ onto the feasible region, strict inequalities shrunk by ``LEMMA2_EPS``).
 Everything is deterministic: identical reports across runs.
 
 Problem 1's P_x and P_y come from one builder, ``_vertex_pairs``, whose
-arithmetic reads the same on floats and on arrays: one array kernel,
-``_lemma1_values``, serves the grid (a phi row per call), the refinement
-and ``lemma1_objective`` (on length-1 arrays), and ``p_y_vertices`` runs
-the builder on floats, so they agree bit for bit.  The refinement runs
-all starts in lockstep (``_nelder_mead``), and each ends where scipy's
-per-start Nelder-Mead, the tests' oracle, ends.
+stacked arithmetic reads the same on floats and on arrays: one kernel,
+``_lemma1_values``, serves the grid (blocks of whole phi rows), the
+refinement and ``lemma1_objective``, and ``p_y_vertices`` runs the
+builder on floats, so they agree bit for bit.  Problem 2's grid runs on
+broadcast axes.  The refinement runs all starts in lockstep
+(``_nelder_mead``), each ending where scipy's Nelder-Mead, the oracle, ends.
 """
 from __future__ import annotations
 
@@ -59,6 +59,11 @@ REFINE_TOP = 24
 NM_MAXITER = 400
 #: Margin by which problem 2's strict inequalities are shrunk.
 LEMMA2_EPS = 1e-6
+#: Grid points per kernel call, in whole rows: a lemma-1 point holds
+#: 4 x 64 doubles of pair temporaries, a lemma-2 point about 8, so a
+#: block's temporaries (about 2 MB) stay in cache while numpy's per-call
+#: overhead is amortized.
+LEMMA1_BLOCK, LEMMA2_BLOCK = 1000, 32768
 
 # Feasible (a, b) = (cos phi, sin phi) with a, b > 0: a^2 >= b^2 gives
 # phi <= pi/4, and a^2 (1 - sqrt2) + 3 b^2 >= 0 gives
@@ -168,33 +173,31 @@ def _angle_params(phi, psi):
     return a, b, c * a - rc * b, r * np.sin(psi), c * b + rc * a
 
 
+#: P_x's vertices as indices into the values (a, -a, s, -s, b, -b, 0).
+_PX_INDEX = np.array([(0, 6, 4), (1, 6, 4), (6, 0, 4), (6, 1, 4),
+                      (2, 2, 5), (2, 3, 5), (3, 2, 5), (3, 3, 5)])
+
+
 def _vertex_pairs(a, b, x, y, z):
-    """P_x and P_y as eight (x, y, z) component triples each.
+    """P_x and P_y as (8, 3, ...) stacks of vertices.
 
     P_x is ``generators.antiprism_points(a, b)``.  P_y has the base
-    through x = (0,0,0): x, the opposite vertex z = (a+x, y, b+z), and the
-    two endpoints of +-(yx cross yz)/(2b) placed at the base center t; the
-    other base is obtained from the quoted closed-form expression.  Only
-    + - * / are used, so the components are floats or equal-shape arrays
-    like the inputs (b = 0 divides by zero).
+    through x = (0,0,0): x, the opposite vertex Z = (a+x, y, b+z), and the
+    two endpoints T +- H of +-(yx cross yz)/(2b) placed at the base center
+    T = Z/2; the other base is (O +- E) +- F, from the quoted closed-form
+    expression.  Each component takes only + - * /, in the same order on
+    floats and on equal-shape arrays (b = 0 divides by zero).
     """
     s = a / _SQRT2
-    px = ((a, 0.0, b), (-a, 0.0, b), (0.0, a, b), (0.0, -a, b),
-          (s, s, -b), (s, -s, -b), (-s, s, -b), (-s, -s, -b))
-    zx, zy, zz = a + x, y, b + z
-    tx, ty, tz = zx / 2.0, zy / 2.0, zz / 2.0
-    h = 2.0 * b
-    hx, hy, hz = b * y / h, (a * z - b * x) / h, -a * y / h
-    ox, oy, oz = (3.0 * a - x) / 2.0, -y / 2.0, (3.0 * b - z) / 2.0
-    k = 2.0 * _SQRT2
-    ex, ey, ez = zx / k, zy / k, zz / k
-    fx, fy, fz = hx / _SQRT2, hy / _SQRT2, hz / _SQRT2
-    py = ((0.0, 0.0, 0.0), (zx, zy, zz),
-          (tx + hx, ty + hy, tz + hz), (tx - hx, ty - hy, tz - hz),
-          (ox + ex + fx, oy + ey + fy, oz + ez + fz),
-          (ox + ex - fx, oy + ey - fy, oz + ez - fz),
-          (ox - ex + fx, oy - ey + fy, oz - ez + fz),
-          (ox - ex - fx, oy - ey - fy, oz - ez - fz))
+    px = np.array([a, -a, s, -s, b, -b, np.zeros_like(a)])[_PX_INDEX]
+    Z = np.array([a + x, y, b + z])
+    T = Z / 2.0
+    H = np.array([b * y, a * z - b * x, -a * y]) / (2.0 * b)
+    O = np.array([3.0 * a - x, -y, 3.0 * b - z]) / 2.0
+    E, F = Z / (2.0 * _SQRT2), H / _SQRT2
+    OpE, OmE = O + E, O - E
+    py = np.array([np.zeros_like(Z), Z, T + H, T - H,
+                   OpE + F, OpE - F, OmE + F, OmE - F])
     return px, py
 
 
@@ -214,29 +217,40 @@ def p_y_vertices(p: Lemma1Params) -> np.ndarray:
     b = 0.
     """
     _check(p)
-    return np.array(_vertex_pairs(p.a, p.b, p.x, p.y, p.z)[1])
+    return _vertex_pairs(p.a, p.b, p.x, p.y, p.z)[1]
 
 
 def lemma1_objective(p: Lemma1Params, pair_filter: float = 0.01) -> float:
     """Minimal distance between vertices of P_x and P_y at least
     ``pair_filter`` apart (the problem-1 objective)."""
     _check(p)
-    return float(_lemma1_values(
-        *np.array([[p.a], [p.b], [p.x], [p.y], [p.z]]), pair_filter)[0])
+    return float(_lemma1_values(p.a, p.b, p.x, p.y, p.z, pair_filter))
+
+
+def _squared_threshold(pair_filter: float) -> float:
+    """The smallest double t >= 0 with sqrt(t) >= ``pair_filter``: sqrt
+    is correctly rounded and monotone, so sqrt(q) < pair_filter iff q < t
+    (never, for a NaN or non-positive filter)."""
+    t = pair_filter * pair_filter if pair_filter > 0.0 else 0.0
+    while math.sqrt(t) < pair_filter:
+        t = math.nextafter(t, math.inf)
+    while t > 0.0 and math.sqrt(math.nextafter(t, 0.0)) >= pair_filter:
+        t = math.nextafter(t, 0.0)
+    return t
 
 
 def _lemma1_values(a, b, x, y, z, pair_filter: float) -> np.ndarray:
-    """The problem-1 objective over equal-length 1-d parameter arrays: all
-    64 vertex pairs at once, each distance summed as (dx^2 + dz^2) + dy^2
-    (inf where no pair passes the filter; ``fmin`` skips a NaN distance)."""
-    v = np.empty((2, 3, 8, len(a)))  # (P_x or P_y, component, vertex)
-    for i, pts in enumerate(_vertex_pairs(a, b, x, y, z)):
-        for j, (vx, vy, vz) in enumerate(pts):
-            v[i, 0, j], v[i, 1, j], v[i, 2, j] = vx, vy, vz
-    dx, dy, dz = v[0][:, :, None] - v[1][:, None]  # each (8, 8, m)
-    d = np.sqrt((dx * dx + dz * dz) + dy * dy)
-    d[d < pair_filter] = np.inf
-    return np.fmin.reduce(d.reshape(64, -1), axis=0, initial=np.inf)
+    """The problem-1 objective over floats or equal-shape arrays: all 64
+    vertex pairs at once, each squared distance summed as (dx^2 + dz^2) +
+    dy^2 and filtered on ``_squared_threshold``, then one sqrt of each
+    point's minimum (inf where no pair passes; ``fmin`` skips a NaN)."""
+    px, py = _vertex_pairs(a, b, x, y, z)
+    d = px[:, None] - py[None]  # (P_x vertex, P_y vertex, component, ...)
+    d *= d
+    q = d[:, :, 0] + d[:, :, 2]
+    q += d[:, :, 1]
+    q[q < _squared_threshold(pair_filter)] = np.inf
+    return np.sqrt(np.fmin.reduce(q, axis=(0, 1), initial=np.inf))
 
 
 def _nelder_mead(f, x0: np.ndarray, maxiter: int, xatol: float,
@@ -316,6 +330,12 @@ def _top(keys: np.ndarray, k: int) -> np.ndarray:
     return cand[np.argsort(keys[cand], kind="stable")[:k]]
 
 
+def _row_blocks(rows: int, *grids):
+    """The ``grids`` in blocks of ``rows`` (at least one) leading rows."""
+    k = max(1, rows)
+    return [[g[i:i + k] for g in grids] for i in range(0, len(grids[0]), k)]
+
+
 def _refine(f, clamp, vals, grids, params) -> OptimizationReport:
     """Refine the ``REFINE_TOP`` best grid seeds with lockstep
     Nelder-Mead on ``-f`` (``f`` maps (m, N) arrays of raw coordinates to
@@ -358,8 +378,9 @@ def optimize_lemma1(budget: OptBudget = OptBudget()) -> OptimizationReport:
     phis = np.linspace(lo, hi, budget.grid_phi)
     psis = np.linspace(0.0, 2.0 * np.pi, budget.grid_psi, endpoint=False)
     P, S = np.meshgrid(phis, psis, indexing="ij")
-    vals = np.array([_lemma1_values(*_angle_params(p, s), budget.pair_filter)
-                     for p, s in zip(P, S)])
+    vals = np.concatenate([
+        _lemma1_values(*_angle_params(p, s), budget.pair_filter)
+        for p, s in _row_blocks(LEMMA1_BLOCK // len(psis), P, S)])
 
     def clamp(v):
         return np.minimum(np.maximum(v[..., 0], lo), hi), v[..., 1]
@@ -420,12 +441,10 @@ def optimize_lemma2(budget: OptBudget = OptBudget()) -> OptimizationReport:
     a_hi = np.maximum(a_hi, a_lo)
     A = a_lo[:, None] + (a_hi - a_lo)[:, None] * fracs[None, :]  # (nb, na)
 
-    Bg = np.broadcast_to(bs[:, None, None], (n, n, n))
-    Ag = np.broadcast_to(A[:, :, None], (n, n, n))
-    Ug = np.broadcast_to(us[None, None, :], (n, n, n))
-    X = Ag * np.cos(us)  # u takes n values: n trig calls, broadcast
-    Y = Ag * np.sin(us)
-    vals = _lemma2_value(Ag, Bg, X, Y)
+    a, b = A[:, :, None], bs[:, None, None]
+    c, s = np.cos(us), np.sin(us)  # u takes n values: n trig calls
+    vals = np.concatenate([_lemma2_value(ak, bk, ak * c, ak * s) for ak, bk
+                           in _row_blocks(LEMMA2_BLOCK // (n * n), a, b)])
 
     def f(v):
         a, b, u = _lemma2_clamp(v)
@@ -434,4 +453,5 @@ def optimize_lemma2(budget: OptBudget = OptBudget()) -> OptimizationReport:
     def params(a, b, u):
         return Lemma2Params(a, b, float(a * np.cos(u)), float(a * np.sin(u)))
 
-    return _refine(f, _lemma2_clamp, vals, (Ag, Bg, Ug), params)
+    grids = [np.broadcast_to(g, vals.shape) for g in (a, b, us)]
+    return _refine(f, _lemma2_clamp, vals, grids, params)

@@ -206,6 +206,41 @@ class TestKernelsMatchOracle:
             assert lemma1_kernel(PHI_MAX, 0.0, pf) == want
         assert lemma1_kernel(PHI_MAX, 0.0, 0.01) == 0.9999999999999999
 
+    @pytest.mark.parametrize("pf", [0.01, 0.3])
+    def test_optimizer_grid(self, pf, monkeypatch):
+        # the seed grid as _refine receives it, evaluated in blocks of
+        # whole phi rows, against the oracle on the whole grid; the
+        # lemma-2 grid is checked in TestOptimizeLemma2
+        seen = []
+        refine = antiprism_opt._refine
+        monkeypatch.setattr(antiprism_opt, "_refine",
+                            lambda *args: seen.append(args) or refine(*args))
+        optimize_lemma1(OptBudget(pair_filter=pf))
+        (_, _, vals, (P, S), _), = seen
+        assert vals.shape == (200, 200)
+        assert np.array_equal(vals, lemma1_values_oracle(P, S, pf))
+
+    def test_squared_filter_boundary(self):
+        # the kernel filters squared distances against the smallest double
+        # whose sqrt reaches the filter: at a filter equal to an oracle
+        # pair distance, or one ulp either side of it, and at extreme
+        # filters, it keeps and drops the pairs the oracle does
+        rng = np.random.default_rng(12)
+        for _ in range(8):
+            phi = rng.uniform(PHI_MIN, PHI_MAX)
+            psi = rng.uniform(0.0, 2 * np.pi)
+            p = Lemma1Params.from_angles(phi, psi)
+            diff = (dl.antiprism_points(p.a, p.b)[:, None]
+                    - py_vertices_oracle(p.a, p.b, p.x, p.y, p.z)[None])
+            d = np.sqrt(np.einsum("...k,...k->...", diff, diff)).ravel()
+            filters = [1e-300, 1e200]
+            for dist in np.sort(d)[::8]:
+                filters += [dist, np.nextafter(dist, np.inf),
+                            np.nextafter(dist, -np.inf)]
+            for pf in map(float, filters):
+                want = float(lemma1_values_oracle(phi, psi, pf))
+                assert lemma1_kernel(phi, psi, pf) == want, pf
+
 
 def assert_matches_oracle(f, x0, maxiter, xatol=1e-10, fatol=1e-12):
     """Every start of ``_nelder_mead`` equals scipy's ``minimize`` on it

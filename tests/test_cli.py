@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, output format, and exit codes."""
 import argparse
+import os
 from pathlib import Path
 
 import pytest
@@ -410,6 +411,20 @@ class TestGoldenOutputs:
         path = golden_patch(name, tmp_path, capsys)
         want = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
         assert golden_report(capsys, path) == want
+
+    @pytest.mark.parametrize("name", [*STOCK, "jitter4"])
+    def test_analyze_does_not_depend_on_the_cpu_count(self, name, tmp_path,
+                                                      capsys, monkeypatch):
+        # covering_radius splits its triangulation only on two or more
+        # CPUs; the printed report is the same either way
+        path = golden_patch(name, tmp_path, capsys)
+        outs = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: cpus)
+            outs.append(run(capsys, "analyze", str(path)))
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0
 
     def test_optimize_byte_identical(self, capsys):
         # both antiprism optimizers at the default budget; any change to

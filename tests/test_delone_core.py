@@ -13,6 +13,7 @@ from scipy.spatial import QhullError
 
 import delone_local as dl
 from delone_local import delone_core
+from delone_local.cli import _fmt
 from delone_local.delone_core import (
     _largest_fitting_ball,
     _slabs,
@@ -400,6 +401,17 @@ class TestCoveringRadiusSlabs:
         before = threading.active_count()
         dl.covering_radius(jittered_cubic(4, 3))
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("name", ORACLE_PATCHES)
+    def test_printed_R_does_not_depend_on_the_cpu_count(self, name,
+                                                        monkeypatch):
+        # the split and the one-slab R may differ in the last ulp or so
+        # (on the rotated and noisy lattices), never in the digits that
+        # the CLI prints
+        p = ORACLE_PATCHES[name]()
+        split = _fmt(dl.covering_radius(p))
+        _one_cpu(monkeypatch)
+        assert split == _fmt(dl.covering_radius(p))
 
 
 class TestCluster:
