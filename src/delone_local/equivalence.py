@@ -31,7 +31,7 @@ import numpy as np
 
 from .delone_core import Cluster, PointPatch
 from .errors import NoUsableCenters, RadiusMismatch
-from .geometry import GEOM_TOL, Isometry, _frame_map
+from .geometry import FRAME_TOL, GEOM_TOL, Isometry, _frame_map
 
 __all__ = [
     "ClusterClassDecomposition",
@@ -131,7 +131,7 @@ def _maps(a: Cluster, b: Cluster):
             ok &= np.abs(tuples[:, j] @ cands.T - gram[j, i]) <= dot_tol
         row, col = np.nonzero(ok)
         tuples = np.concatenate([tuples[row], cands[col, None]], axis=1)
-    qs = _frame_map(tuples, a.frame_inv, 1e-5)
+    qs = _frame_map(tuples, a.frame_inv, FRAME_TOL)
     ok, idx = _carries(a, targets, qs)
     return qs[ok], idx[ok]
 

@@ -2,13 +2,11 @@
 
 Provides the building blocks used everywhere else in the package:
 orthogonal-matrix hygiene (orthogonality checks, nearest-orthogonal
-projection), the rule for when two matrices are the same group element
-(``_match``, within ``ELEMENT_TOL``) and the closure of a set of maps
-under products that it drives, the symmetry element kind of an orthogonal
-map (identity, inversion, rotation, reflection, rotoreflection) read off
-its order, the sign of its determinant and a closed-form axis (a whole
-stack of maps in one pass), and the orthogonal maps that carry a frame
-onto a stack of congruent k-tuples.
+projection), the symmetry element kind of an orthogonal map (identity,
+inversion, rotation, reflection, rotoreflection) read off its order, the
+sign of its determinant and a closed-form axis (a whole stack of maps in
+one pass), and the orthogonal maps that carry a frame onto a stack of
+congruent k-tuples.
 
 Conventions:
     * Points and vectors are numpy arrays of shape (3,), dtype float64.
@@ -20,8 +18,8 @@ Tolerances are fixed constants, not parameters:
     * ``GEOM_TOL`` = 1e-9: absolute distance tolerance on unit-scale data
       (patch membership, center lookup, the box margin, packing checks,
       the generators' box clipping, a file's points against its box).
-    * ``ELEMENT_TOL`` = 1e-6: two orthogonal maps are the same element iff
-      their max-norm difference is at most this.
+    * ``FRAME_TOL`` = 1e-5: the orthogonality residual a solved frame map
+      q = G F^-1 may have (:func:`_frame_map`): congruent tuples pass.
     * ``ORTHO_TOL`` = 1e-7: the orthogonality residual
       :func:`check_orthogonal` accepts (so :func:`classify_element`).
     * ``antiprism_opt.FEAS_TOL`` = 1e-9: the constraint residual the
@@ -32,20 +30,21 @@ Tolerances are fixed constants, not parameters:
     * Cluster matching uses ``equivalence.match_tolerance(rho)`` =
       1e-7 max(1, rho); the profile test on sorted center distances
       uses ``equivalence._profile_tolerance(rho)`` = 4 match_tolerance(rho).
+      Two maps are the same group element iff they move a fixed motif
+      (norms 0.03 to 0.043) within match_tolerance(1) of the same points.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import GroupTooLarge, NonOrthogonal
 
 __all__ = [
     "GEOM_TOL",
-    "ELEMENT_TOL",
+    "FRAME_TOL",
     "ORTHO_TOL",
     "Isometry",
     "ElementKind",
@@ -62,15 +61,11 @@ __all__ = [
 
 #: Absolute tolerance for distance comparisons on unit-scale data.
 GEOM_TOL = 1e-9
-#: Two orthogonal maps are the same group element iff their max-norm
-#: difference is below this (far below the minimal separation of distinct
-#: elements in groups of order <= 120).
-ELEMENT_TOL = 1e-6
+#: Orthogonality residual within which a solved frame map is taken for an
+#: orthogonal one (its tuples congruent) and snapped onto O(3).
+FRAME_TOL = 1e-5
 #: Orthogonality residual accepted by :func:`check_orthogonal`.
 ORTHO_TOL = 1e-7
-#: Largest group order the group check accepts (Ih, the largest polyhedral
-#: group, has order 120).
-MAX_GROUP_ORDER = 120
 
 
 def as_point(p) -> np.ndarray:
@@ -96,47 +91,9 @@ def as_points(pts) -> np.ndarray:
 
 
 def nearest_orthogonal(q: np.ndarray) -> np.ndarray:
-    """Project a near-orthogonal matrix onto O(3) (polar factor via SVD).
-
-    Snaps the products of each group-closure round and the solved frame
-    maps (:func:`_frame_map`) back onto O(3).
-    """
+    """Project a near-orthogonal matrix onto O(3) (polar factor via SVD)."""
     u, _, vt = np.linalg.svd(np.asarray(q, dtype=float))
     return u @ vt
-
-
-def _match(elements, queries) -> np.ndarray:
-    """Index of the element within ELEMENT_TOL (max-norm) of each query
-    matrix, or -1 where there is none."""
-    tree = cKDTree(np.asarray(elements, dtype=float).reshape(-1, 9))
-    d, idx = tree.query(np.asarray(queries, dtype=float).reshape(-1, 9),
-                        p=np.inf, distance_upper_bound=ELEMENT_TOL)
-    return np.where(np.isfinite(d), idx, -1)
-
-
-def _closure_matrices(mats: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Close a set of orthogonal maps under products (finite-group closure).
-
-    Each round multiplies the new elements on the right by the generators
-    only, in one batch.  The result holds the identity and the generators
-    and is closed under right multiplication by them, so, being finite, it
-    is the whole group they generate.
-    """
-    elems = np.eye(3)[None]
-    batch = gens = np.asarray(mats, dtype=float).reshape(-1, 3, 3)
-    while len(batch):
-        new = batch[_match(elems, batch) < 0]
-        if len(new):
-            twins = cKDTree(new.reshape(-1, 9)).query_pairs(
-                ELEMENT_TOL, p=np.inf, output_type="ndarray")
-            new = np.delete(new, twins[:, 1], axis=0)
-        elems = np.concatenate([elems, new])
-        if len(elems) > 2 * MAX_GROUP_ORDER:
-            raise GroupTooLarge(
-                f"closure exceeded {2 * MAX_GROUP_ORDER} elements")
-        batch = nearest_orthogonal(
-            np.einsum("iab,jbc->ijac", new, gens).reshape(-1, 3, 3))
-    return list(elems)
 
 
 def check_orthogonal(q: np.ndarray) -> np.ndarray:
@@ -281,19 +238,15 @@ def element_kinds(qs: np.ndarray, orders) -> List[ElementKind]:
 
 
 def classify_element(q: np.ndarray) -> ElementKind:
-    """Classify a single orthogonal map as a symmetry element.
-
-    Its order is the order of its cyclic group, closed and matched by the
-    rule that builds every ``PointGroup`` (:func:`_closure_matrices`,
-    elements equal within ``ELEMENT_TOL``), and its kind is the
-    stack-of-one case of :func:`element_kinds`.  A map whose powers outgrow
-    the closure's ceiling of 2 * ``MAX_GROUP_ORDER`` = 240 elements has no
-    finite order.  Raises :class:`NonOrthogonal` if the input is not
-    orthogonal within ``ORTHO_TOL``.
-    """
+    """Classify a single orthogonal map as a symmetry element: its order is
+    that of its cyclic group, closed as every group given as matrices is
+    (``point_group._closure``; none beyond 240 elements), and its kind the
+    stack-of-one case of :func:`element_kinds`.  Raises
+    :class:`NonOrthogonal` if it is not orthogonal within ``ORTHO_TOL``."""
+    from .point_group import _closure  # point_group imports this module
     q = check_orthogonal(q)
     try:
-        order = len(_closure_matrices([q]))
+        order = len(_closure([q])[1])
     except GroupTooLarge:
         order = None
     return element_kinds(q, [order])[0]

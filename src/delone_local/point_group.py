@@ -1,13 +1,15 @@
 """Cluster stabilizers, Schoenflies classification, and tower heights.
 
-The stabilizer S_x(rho) of a cluster is the finite group of orthogonal
-maps about the center that map the member set onto itself: the stack of
-verified maps that the map search of cluster equivalence returns from the
-cluster to itself.  A :class:`PointGroup` is checked once, when it is
-built: the product table of its elements must be a group's, and the kinds
-of all its elements are read off it in one pass (order = cycle length in
-the table, proper or improper = sign of the determinant, axis in closed
-form: ``geometry.element_kinds``).
+A :class:`PointGroup` is checked once, when it is built, by its product
+table, composed in integers from the permutation each element makes of a
+cluster's offsets (``equivalence._carries``): no element is compared as a
+matrix.  The stabilizer S_x(rho) permutes its cluster, by the maps the map
+search of cluster equivalence finds from the cluster to itself; a group
+given as matrices permutes the orbit of ``_MOTIF`` under it, whose points
+are the same iff within ``equivalence.match_tolerance(1)``.  The kinds of
+all elements are read off the table in one pass (order = cycle length,
+proper or improper = sign of the determinant, axis in closed form:
+``geometry.element_kinds``).
 
 The Schoenflies label follows from integers alone, by the classification
 of the finite subgroups of O(3): with p = |G+| proper elements, n the
@@ -23,12 +25,6 @@ largest rotation order and m reflections, the first rule that fits is
 and any other count raises :class:`UnrecognizedGroup`.  No axis is read
 and no angle is compared against a tolerance.
 
-A stabilizer's elements are compared as integers only: each is the
-permutation of its cluster's offsets that map verification found, keyed
-by the images of the frame offsets, and its table is composed from those.
-A group given as bare matrices (from generators, or built directly) is
-matched as 9-vectors within ``geometry.ELEMENT_TOL`` by ``geometry._match``.
-
 Order-theoretic helpers: ``omega`` (prime factors with multiplicity) and
 ``tower_height`` (longest chain of strictly nested subgroups), which for
 every finite subgroup of O(3) equals ``omega(|G|) + 1``.
@@ -39,17 +35,17 @@ from dataclasses import KW_ONLY, InitVar, dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .delone_core import Cluster
-from .equivalence import _maps
+from .equivalence import _carries, _maps, match_tolerance
 from .errors import (
     GroupTooLarge,
     LowerDimensionalCluster,
     NotAGroup,
     UnrecognizedGroup,
 )
-from .geometry import (MAX_GROUP_ORDER, ElementKind, _closure_matrices,
-                       _match, element_kinds)
+from .geometry import FRAME_TOL, ElementKind, _frame_map, element_kinds
 
 __all__ = [
     "SchoenfliesLabel",
@@ -60,6 +56,10 @@ __all__ = [
     "omega",
     "tower_height",
 ]
+
+#: Largest group order the group check accepts (Ih, the largest polyhedral
+#: group, has order 120).
+MAX_GROUP_ORDER = 120
 
 @dataclass(frozen=True)
 class SchoenfliesLabel:
@@ -109,7 +109,7 @@ class PointGroup:
     """Finite group of orthogonal maps acting about a center point, checked
     once, when built (:class:`NotAGroup`, :class:`GroupTooLarge`); the
     element ``kinds`` and the ``label`` are read off that check's table
-    (the stabilizer passes its own checked table as ``_table``)."""
+    (a caller that composed one for its elements passes it as ``_table``)."""
 
     center: np.ndarray
     elements: Tuple[np.ndarray, ...]
@@ -127,29 +127,77 @@ class PointGroup:
         return len(self.elements)
 
     def __eq__(self, other) -> bool:
-        """Equal element sets, centers aside: checked groups list no element
-        twice, so equal orders and each element of self in other suffice."""
+        """Equal element sets, centers aside: equal orders, and the group
+        both sets generate is no larger."""
         if not isinstance(other, PointGroup):
             return NotImplemented
-        return (self.order == other.order
-                and bool((_match(other.elements, self.elements) >= 0).all()))
+        try:
+            return self.order == other.order == len(
+                _closure(self.elements + other.elements)[1])
+        except (GroupTooLarge, NotAGroup):
+            return False
 
     def __hash__(self) -> int:
         return hash(self.order)
 
 
+#: The origin and three non-coplanar points of distinct norms.
+_MOTIF = np.array([[0, 0, 0], [0.6, 0, 0], [0.2, 0.7, 0], [0.1, 0.3, 0.8]]) / 20.0
+
+
+def _grow(pts: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """The distinct points ``pts`` followed by ``images``, less each image
+    within match_tolerance(1) of a point or of an earlier image."""
+    images = images[cKDTree(pts).query(images)[0] > match_tolerance(1.0)]
+    twins = cKDTree(images).query_pairs(match_tolerance(1.0), output_type="ndarray")
+    return np.concatenate([pts, np.delete(images, twins[:, 1], axis=0)])
+
+
+def _closure(generators: Sequence[np.ndarray]) -> Tuple[Cluster, np.ndarray]:
+    """The orbit of ``_MOTIF`` under the group the matrices generate,
+    closed in floats (each point moved once), as a cluster; and the group's
+    index rows, identity first, closed in integers and keyed by their frame
+    images.  Raises GroupTooLarge beyond 240 elements (3 * 240 + 1 points)."""
+    cap = 2 * MAX_GROUP_ORDER
+    gens = np.asarray(generators, dtype=float).reshape(-1, 3, 3)
+    pts, n = _MOTIF, 0
+    while n < len(pts) <= 3 * cap + 1:  # move the points found since n
+        pts, n = _grow(pts, (pts[n:] @ gens).reshape(-1, 3)), len(pts)
+    if len(pts) > 3 * cap + 1:
+        raise GroupTooLarge(f"orbit exceeded {3 * cap + 1} points")
+    c = Cluster(np.zeros(3), 1.0, pts)
+    ok, steps = _carries(c, c.offsets, gens)
+    if not ok.all():
+        raise NotAGroup("a generator does not permute its orbit")
+    f, rows, n = c.offset_tree.query(c.frame)[1], np.arange(len(c))[None], 0
+    while n < len(rows) <= cap:  # o rows_i q_j = o_steps[j, rows[i]]
+        grown = np.concatenate([rows, steps[:, rows[n:]].reshape(-1, len(c))])
+        first = np.unique(grown[:, f] @ len(c) ** np.arange(3), return_index=True)[1]
+        rows, n = grown[np.sort(first)], len(rows)
+    if len(rows) > cap:
+        raise GroupTooLarge(f"closure exceeded {cap} elements")
+    return c, rows
+
+
 def group_from_generators(generators: Sequence[np.ndarray]) -> PointGroup:
-    """The PointGroup about the origin that the generator matrices close to."""
-    return PointGroup(np.zeros(3), tuple(_closure_matrices(generators)))
+    """The PointGroup about the origin that the generator matrices
+    generate, each element read off its images of its orbit's frame."""
+    c, rows = _closure(generators)
+    images = c.offsets[rows[:, c.offset_tree.query(c.frame)[1]]]
+    qs = _frame_map(images, c.frame_inv, FRAME_TOL)
+    if len(qs) < len(rows):
+        raise NotAGroup("an element's frame images are not congruent to the frame")
+    # the rows move row vectors, o -> o q: _frame_map solves for q^T
+    return PointGroup(np.zeros(3), tuple(np.swapaxes(qs, 1, 2)),
+                      _table=_composed_table(c, rows))
 
 
 def _check_table(table: np.ndarray, has_identity: bool) -> np.ndarray:
     """``table`` (entry i, j: the index of g_i g_j, or -1 where that
     product is no element) if it is a group's; raises otherwise.  A finite
-    set of maps that holds the identity, is closed under products and
-    whose table rows and columns are permutations (the cancellation laws)
-    is a group; inverses need no separate check.  A row or column that is
-    not a permutation also catches an element listed twice."""
+    set of maps that holds the identity, is closed under products and whose
+    table rows and columns are permutations (the cancellation laws, which
+    also catch an element listed twice) is a group."""
     n = len(table)
     if n > MAX_GROUP_ORDER:
         raise GroupTooLarge(f"order {n} exceeds the ceiling {MAX_GROUP_ORDER}")
@@ -164,14 +212,16 @@ def _check_table(table: np.ndarray, has_identity: bool) -> np.ndarray:
     return table
 
 
-def _check_group(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Product table of the matrices ``mats``, each product matched as a
-    9-vector within ELEMENT_TOL; raises unless they form a group."""
-    m = np.asarray(mats, dtype=float).reshape(-1, 3, 3)
-    if len(m) > MAX_GROUP_ORDER:  # before the n^2 products
-        raise GroupTooLarge(f"order {len(m)} exceeds the ceiling {MAX_GROUP_ORDER}")
-    table = _match(m, np.einsum("iab,jbc->ijac", m, m)).reshape(len(m), len(m))
-    return _check_table(table, _match(m, np.eye(3))[0] >= 0)
+def _matrix_table(m: np.ndarray) -> np.ndarray:
+    """Product table of the matrices m (n, 3, 3), from their index rows on
+    the motif's images under them all (not closed); raises as
+    :func:`_check_table`, "not closed" if one leaves those points."""
+    c = Cluster(np.zeros(3), 1.0, _grow(_MOTIF[:1], (_MOTIF[1:] @ m).reshape(-1, 3)))
+    ok, rows = _carries(c, c.offsets, m)
+    if not ok.all():  # no table: raise as the first failed check would
+        _check_table(np.full((len(m), len(m)), -1),
+                     (ok & (rows == np.arange(len(c))).all(axis=1)).any())
+    return _composed_table(c, rows)
 
 
 def _composed_table(c: Cluster, rows: np.ndarray) -> np.ndarray:
@@ -204,18 +254,15 @@ def _element_kinds(elements: Sequence[np.ndarray], table=None) -> List[ElementKi
     """Kind of each element, read in one pass with its order off ``table``
     (by default the matrices' own, checked to be a group's)."""
     m = np.asarray(elements, dtype=float).reshape(-1, 3, 3)
-    return element_kinds(m, _orders(_check_group(m) if table is None else table))
+    return element_kinds(m, _orders(_matrix_table(m) if table is None else table))
 
 
 def stabilizer(c: Cluster) -> PointGroup:
     """The cluster group S_x(rho): all orthogonal maps about the center
-    mapping the member set to itself, with the product table composed
-    from the index rows of their verification (:func:`_composed_table`).
-
-    Raises :class:`LowerDimensionalCluster` for clusters whose affine
-    hull has dimension < 3 (their stabilizer is infinite), and
-    :class:`NotAGroup` if the verified maps fail the group check.
-    """
+    mapping the member set to itself, its table composed from their index
+    rows.  Raises :class:`LowerDimensionalCluster` for clusters whose
+    affine hull has dimension < 3 (their stabilizer is infinite), and
+    :class:`NotAGroup` if the verified maps fail the group check."""
     if c.affine_dimension() < 3:
         raise LowerDimensionalCluster(
             "cluster is not full-dimensional; its stabilizer is infinite")

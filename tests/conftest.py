@@ -12,7 +12,7 @@ from math import gcd
 import numpy as np
 import pytest
 from scipy.optimize import minimize
-from scipy.spatial import QhullError, Voronoi
+from scipy.spatial import QhullError, Voronoi, cKDTree
 
 import delone_local as dl
 from delone_local.errors import BoxTooSmall, UnrecognizedGroup
@@ -26,7 +26,7 @@ from delone_local.geometry import (
     reflection_matrix,
     rotation_matrix,
 )
-from delone_local.point_group import SchoenfliesLabel, _check_group, _orders
+from delone_local.point_group import SchoenfliesLabel, _check_table, _orders
 
 SQRT3 = np.sqrt(3.0)
 
@@ -240,6 +240,23 @@ def element_kind_oracle(q, order):
         return ElementKind("reflection", axis=_axis_oracle(-q, True))
     kind = "rotoreflection" if order else "generic_rotoreflection"
     return ElementKind(kind, order, _axis_oracle(-q, False))
+
+
+def _check_group(mats):
+    """Product table of the matrices ``mats``, each product matched as a
+    9-vector within 1e-6 in max norm; raises unless they form a group.
+    The matrix table that the library's integer tables (composed from the
+    permutations its maps make) replaced, kept as their oracle."""
+    m = np.asarray(mats, dtype=float).reshape(-1, 3, 3)
+    tree = cKDTree(m.reshape(-1, 9))
+
+    def match(queries):
+        d, idx = tree.query(queries.reshape(-1, 9), p=np.inf,
+                            distance_upper_bound=1e-6)
+        return np.where(np.isfinite(d), idx, -1)
+
+    table = match(np.einsum("iab,jbc->ijac", m, m)).reshape(len(m), len(m))
+    return _check_table(table, match(np.eye(3))[0] >= 0)
 
 
 def element_kinds_oracle(elements):

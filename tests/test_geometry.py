@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delone_local
-from delone_local import geometry
+from delone_local import geometry, point_group
 from delone_local.errors import NonOrthogonal
 from delone_local.geometry import (
     Isometry,
@@ -74,17 +74,17 @@ class TestClassifyElement:
         k = classify_element(rotation_matrix([0, 0, 1], 1.0))  # 1 rad: irrational
         assert k.kind == "generic_rotation"
 
-    def test_closure_multiplies_by_generators_only(self, monkeypatch):
-        # each element the closure finds is multiplied by the one
-        # generator, not by every element found: up to the 240-element
-        # ceiling, about one product per element gets snapped onto O(3)
-        snapped = []
-        snap = geometry.nearest_orthogonal
-        monkeypatch.setattr(geometry, "nearest_orthogonal",
-                            lambda q: snapped.append(len(q)) or snap(q))
+    def test_orbit_closure_stops_at_its_cap(self, monkeypatch):
+        # each orbit point the closure finds is multiplied by the one
+        # generator once, not again each round: up to the cap of 3 * 240
+        # motif images and the origin, at most that many points are moved
+        moved = []
+        grow = point_group._grow
+        monkeypatch.setattr(point_group, "_grow", lambda pts, images:
+                            moved.append(len(images)) or grow(pts, images))
         k = classify_element(rotation_matrix([0, 0, 1], 1.0))
         assert k.kind == "generic_rotation"
-        assert 0 < sum(snapped) <= 241
+        assert 0 < sum(moved) <= 3 * 240 + 1
 
     @pytest.mark.parametrize("n", [25, 60, 120])
     def test_high_rotation_orders(self, n):
@@ -241,7 +241,7 @@ def test_every_tolerance_is_documented():
     for info in pkgutil.iter_modules(delone_local.__path__):
         module = importlib.import_module(f"delone_local.{info.name}")
         names |= {n for n in vars(module) if n.endswith("_TOL")}
-    assert {"GEOM_TOL", "ELEMENT_TOL", "ORTHO_TOL", "FEAS_TOL"} <= names
+    assert {"GEOM_TOL", "FRAME_TOL", "ORTHO_TOL", "FEAS_TOL"} <= names
     missing = [n for n in sorted(names)
                if not re.search(rf"(?<!\w){n}(?!\w)", geometry.__doc__)]
     assert not missing

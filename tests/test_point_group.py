@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import delone_local as dl
-from delone_local import geometry, point_group
-from delone_local.equivalence import _maps
+from delone_local import point_group
+from delone_local.equivalence import _maps, match_tolerance
 from delone_local.errors import (
     DeloneError,
     GroupTooLarge,
@@ -23,7 +23,6 @@ from delone_local.geometry import (
 )
 from delone_local.point_group import (
     PointGroup,
-    _check_group,
     SchoenfliesLabel,
     group_from_generators,
     omega,
@@ -38,6 +37,7 @@ from conftest import (
     LATTICES,
     SIGMA_H,
     SIGMA_V,
+    _check_group,
     classify_element_oracle,
     closure_oracle,
     cn_gen,
@@ -250,10 +250,9 @@ class TestComposedTable:
     @pytest.fixture
     def no_float_match(self, monkeypatch):
         def no_match(*args):
-            raise AssertionError("a group element was matched as a float")
+            raise AssertionError("a group was keyed on a motif's orbit")
 
-        monkeypatch.setattr(point_group, "_match", no_match)
-        monkeypatch.setattr(geometry, "_match", no_match)
+        monkeypatch.setattr(point_group, "_matrix_table", no_match)
 
     def test_stabilizer_matches_no_float(self, z3_patch, no_float_match):
         g = stabilizer(dl.cluster(z3_patch, [0, 0, 0], 1.5))
@@ -309,13 +308,19 @@ class TestSchoenflies:
         assert str(g.label) == label
 
     def test_conjugated_groups(self):
+        # the label, the element set and the kinds of each conjugated
+        # group, against the rounded-key closure and the per-element
+        # classifier
         rng = np.random.default_rng(17)
         gens_map = named_group_generators()
-        for label in ("C4v", "D3d", "S8", "Td", "D6h", "C6", "S4", "Oh"):
+        for label in sorted(gens_map):
             u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             gens = [u @ m @ u.T for m in gens_map[label]]
             g = group_from_generators(gens)
             assert str(g.label) == label, label
+            assert {element_key(m) for m in g.elements} == \
+                {element_key(m) for m in closure_oracle(gens)}, label
+            assert same_kinds(g.kinds, element_kinds_oracle(g.elements)), label
 
     def test_aliases(self):
         # Cs and Ci are reported in the S-family; odd C_nh collapse to S_n
@@ -431,6 +436,39 @@ class TestSchoenflies:
                 noisy += 1
                 assert h.label == label_oracle(h.kinds) == g.label
         assert noisy > 0
+
+    def test_incongruent_frame_images_raise(self):
+        # a shear of order 2 permutes the motif's orbit, but its frame
+        # images are not congruent to the frame: no matrix is read off
+        # them, and the element is not dropped from the group silently
+        shear = np.array([[1.0, 0.5, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert np.array_equal(shear @ shear, np.eye(3))
+        with pytest.raises(NotAGroup, match="congruent"):
+            group_from_generators([shear])
+
+    @staticmethod
+    def _tilted_half_turn(shift):
+        """A half-turn about an axis tilted from z so that it moves the
+        motif points ``shift`` from where the half-turn about z does."""
+        def c2(t):
+            return rotation_matrix([np.sin(t), 0.0, np.cos(t)], np.pi)
+
+        motif = point_group._MOTIF
+        t = 1e-6
+        t *= shift / np.linalg.norm(motif @ c2(t) - motif @ c2(0.0), axis=1).max()
+        return c2(0.0), c2(t)
+
+    @pytest.mark.parametrize("factor, error", [(0.5, "duplicate"),
+                                               (2.0, "not closed")])
+    def test_sameness_at_match_tolerance(self, factor, error):
+        # two half-turns are one element iff they move the motif points
+        # to within match_tolerance(1) of each other
+        c2, tilted = self._tilted_half_turn(factor * match_tolerance(1.0))
+        with pytest.raises(NotAGroup, match=error):
+            PointGroup(np.zeros(3), (np.eye(3), c2, tilted))
+        same = (PointGroup(np.zeros(3), (np.eye(3), c2))
+                == PointGroup(np.zeros(3), (np.eye(3), tilted)))
+        assert same == (factor < 1.0)
 
     def test_label_orders(self):
         for name, order in EXPECTED_ORDERS.items():

@@ -21,7 +21,7 @@ from delone_local.equivalence import cluster_classes, cluster_isometry
 from delone_local.geometry import Isometry
 from delone_local.point_group import (
     PointGroup,
-    _closure_matrices,
+    group_from_generators,
     omega,
     stabilizer,
     tower_height,
@@ -144,7 +144,7 @@ class TestTowerBound:
         for _ in range(N_CASES):
             k = int(rng.integers(1, 4))
             gens = [oh[i] for i in rng.integers(0, len(oh), size=k)]
-            elements = _closure_matrices(gens)
+            elements = group_from_generators(gens).elements
             key = frozenset(element_key(m) for m in elements)
             assert len(key) == len(elements)
             if key not in cache:
