@@ -37,6 +37,12 @@ from .geometry import GEOM_TOL, _complete_basis, as_point, as_points
 #: checked.
 JOGGLE_TOL = 1e-13
 
+#: Side of an offset index's cells on a unit-distance cluster: the cell
+#: diagonal, sqrt(3)/2, is below the unit spacing, so no two points of a
+#: valid patch share a cell.
+CELL = 0.5
+_AXES = np.arange(3)
+
 #: Spacing of the grid on the cut plane whose largest distance to the set,
 #: plus CUT_GRID/sqrt(2), is ``covering_radius``'s cut width.  A finer grid
 #: narrows the slabs by at most that slack and costs quadratically more KD
@@ -55,6 +61,15 @@ __all__ = [
     "save_patch",
     "lex_sort",
 ]
+
+
+def match_tolerance(rho: float) -> float:
+    """Point-matching tolerance for clusters of radius rho.
+
+    Relative: frame-based isometry estimates amplify input noise at
+    distance, so the tolerance scales with the cluster radius.
+    """
+    return 1e-7 * max(1.0, float(rho))
 
 
 def lex_sort(points: np.ndarray) -> np.ndarray:
@@ -145,7 +160,11 @@ def _ball_inside(c, rho, lo, hi, tol):
 
 @dataclass(frozen=True, eq=False)
 class Cluster:
-    """The cluster C_x(rho): all set points within the closed rho-ball at x."""
+    """The cluster C_x(rho): all set points within the closed rho-ball at x.
+
+    Members are kept in lexicographic order.  A cluster caches what map
+    verification against it needs: its frame, the frame's inverse, and a
+    cell index of its offsets (:class:`_CellIndex`)."""
 
     center: np.ndarray
     radius: float
@@ -209,9 +228,90 @@ class Cluster:
         return np.linalg.inv(_complete_basis(self.frame[None])[0])
 
     @cached_property
-    def offset_tree(self) -> cKDTree:
-        """KD-tree of the offsets (cached), the target of map verification."""
-        return cKDTree(self.offsets)
+    def frame_rows(self) -> np.ndarray:
+        """Indices of the frame's offsets among the offsets (cached)."""
+        return self.offset_index.lookup(self.frame)[0]
+
+    @cached_property
+    def offset_index(self) -> "_CellIndex":
+        """Cell index of the offsets at match_tolerance(radius) (cached),
+        the target of map verification."""
+        return _CellIndex(self.offsets, match_tolerance(self.radius))
+
+
+class _CellIndex:
+    """Points (m, 3) in a grid of cubic cells, for finding the point
+    within ``tol`` of a query point, if any, in the query's own cell.
+
+    The cell side h starts at ``CELL`` (or half the smallest step between
+    lexicographic neighbours, if less) and, while two points share a
+    cell, drops to half the smallest distance between two that do; it is
+    never below 4 m tol, nor so small that the points span more than 2^17
+    cells per axis (so keys are exact in floats).  Per axis, the grid is
+    shifted into the middle of the widest gap between the points'
+    residues mod h: of m residues on a circle of length h the widest gap
+    is at least h / m, so every point lies at least h / (2m) >= 2 tol
+    from every cell face.  A layer of empty cells surrounds the points,
+    and queries are clamped into it.  Only the points' cell keys are
+    kept, sorted, with the points in that order: O(m) memory.
+    """
+
+    def __init__(self, points: np.ndarray, tol: float):
+        self.points = points
+        span = points.max(axis=0) - points.min(axis=0)
+        least = max(4.0 * len(points) * tol, float(span.max()) / 2.0**17)
+        step = points[1:] - points[:-1]  # points are in lexicographic order
+        nearest = float(np.sqrt(np.einsum("ij,ij->i", step, step).min(initial=1.0)))
+        h = max(least, min(CELL, nearest / 2.0))
+        while True:
+            residues = np.sort(np.mod(points, h), axis=0)
+            gaps = np.concatenate([residues[1:], residues[:1] + h]) - residues
+            shift = (residues + gaps / 2.0)[gaps.argmax(axis=0), _AXES]
+            cells = np.floor((points - shift) / h)
+            low = cells.min(axis=0) - 1.0  # an empty layer below the points
+            cells -= low
+            dims = cells.max(axis=0) + 2.0  # and one above
+            self.weights = np.array([dims[1] * dims[2], dims[2], 1.0])
+            keys = cells @ self.weights
+            self.order = np.argsort(keys, kind="stable")
+            self.keys = keys[self.order]
+            shared = self.keys[1:] == self.keys[:-1]
+            if not shared.any() or h <= least:
+                break
+            pairs = points[self.order[1:][shared]] - points[self.order[:-1][shared]]
+            h = max(least, float(np.sqrt(np.einsum("ij,ij->i", pairs, pairs).min())) / 2.0)
+        self.h, self.base = h, shift + h * low
+        self.clamp = self.base + h / 2.0, self.base + h * (dims - 0.5)
+        # the most points that share one cell
+        self.depth = int((np.searchsorted(self.keys, self.keys, "right")
+                          - np.arange(len(self.keys))).max())
+
+    def lookup(self, x: np.ndarray):
+        """For each query row of x (n, 3), the index of the point of its
+        cell nearest to it and their squared distance.  Where the cell is
+        empty, or holds fewer than ``depth`` points, points of other cells
+        stand in, and they lie at least 2 tol away: every point does from
+        every face of its own cell."""
+        u = np.maximum(x, self.clamp[0])
+        x = np.minimum(u, self.clamp[1], out=u)  # queries outside land in the empty layer
+        u = x - self.base
+        u /= self.h
+        j = np.searchsorted(self.keys, np.floor(u, out=u) @ self.weights)
+        last = len(self.keys) - 1
+        idx = self.order[np.minimum(j, last, out=j)]
+        d2 = _squared_distances(x, self.points, idx)
+        for t in range(1, self.depth):  # the cells' further points
+            other = self.order[np.minimum(j + t, last)]
+            dt = _squared_distances(x, self.points, other)
+            better = dt < d2
+            idx, d2 = np.where(better, other, idx), np.where(better, dt, d2)
+        return idx, d2
+
+
+def _squared_distances(x: np.ndarray, points: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Squared distance from each row of x to its point points[idx]."""
+    diff = x - points.take(idx, axis=0)
+    return np.einsum("ij,ij->i", diff, diff)
 
 
 def _greedy_frame(cand: np.ndarray, want: int) -> Optional[np.ndarray]:

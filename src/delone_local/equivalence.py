@@ -7,8 +7,10 @@ as one stack: a's frame (k independent offsets) is matched against the
 k-tuples of b's offsets with the same norms and pairwise dot products,
 built level by level in lexicographic order; each tuple gives one
 orthogonal map q = G F^-1 (both tuples completed to a basis), and all of
-them are solved, gated, snapped and checked against a's cached KD-tree in
-one pass (``_carries``).  :func:`cluster_isometry` takes the first map, and
+them are solved, gated, snapped and checked in one pass (``_carries``):
+each moved offset is looked up in its own cell of a's cached cell index
+(:attr:`Cluster.offset_index`), where an offset within match_tolerance of
+it must lie.  :func:`cluster_isometry` takes the first map, and
 :func:`delone_local.point_group.stabilizer` all of ``_maps(c, c)``.
 
 :func:`cluster_classes` extracts every cluster with one batched ball query
@@ -29,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .delone_core import Cluster, PointPatch
+from .delone_core import Cluster, PointPatch, match_tolerance
 from .errors import NoUsableCenters, RadiusMismatch
 from .geometry import FRAME_TOL, GEOM_TOL, Isometry, _frame_map
 
@@ -40,13 +42,9 @@ __all__ = [
     "match_tolerance",
 ]
 
-def match_tolerance(rho: float) -> float:
-    """Point-matching tolerance for clusters of radius rho.
-
-    Relative: frame-based isometry estimates amplify input noise at
-    distance, so the tolerance scales with the cluster radius.
-    """
-    return 1e-7 * max(1.0, float(rho))
+#: Moved points per block of :func:`_carries`: its temporaries stay at a
+#: few MB however many maps or centers a stack holds.
+CARRIES_BLOCK = 1 << 15
 
 
 def _profile_tolerance(rho: float) -> float:
@@ -88,19 +86,40 @@ def _profile_partners(profiles: np.ndarray, rho: float) -> np.ndarray:
 
 
 def _carries(a: Cluster, offsets: np.ndarray, qs: np.ndarray):
-    """Which rows of ``offsets @ qs`` coincide with a's cached
-    :attr:`Cluster.offset_tree`, point for point: many maps (n, 3, 3)
-    against one offset set (m, 3), or one map (3, 3) against many
-    centers' offset stacks (n, m, 3).  One query over all n m points; a
-    row passes when it has len(a) points within match_tolerance(a.radius)
-    and one-to-one nearest indices.  Returns the pass mask (n,) and those
-    indices (n, m): a passing row is the permutation its map makes."""
-    moved = offsets @ qs
-    n, m = moved.shape[:2]
-    d, idx = a.offset_tree.query(moved.reshape(-1, 3))
-    d, idx = d.reshape(n, m), idx.reshape(n, m)
-    return ((m == len(a)) & (d.max(axis=1, initial=0.0) <= match_tolerance(a.radius))
-            & (np.diff(np.sort(idx, axis=1), axis=1) > 0).all(axis=1)), idx
+    """Which rows of ``offsets @ qs`` coincide with a's offsets, point for
+    point: many maps (n, 3, 3) against one offset set (m, 3), or one map
+    (3, 3) against many centers' offset stacks (n, m, 3).  A row passes
+    when it has len(a) points, each within tol = match_tolerance(a.radius)
+    of its nearest offset, and those nearest indices are one-to-one.
+    Returns the pass mask (n,) and the indices (n, m): a passing row is
+    the permutation its map makes.  Rows are verified in blocks of about
+    ``CARRIES_BLOCK`` points.
+
+    Each moved point is looked up in its own cell of a's cached
+    :attr:`Cluster.offset_index`, which gives the same answer as a
+    nearest-neighbour query over all offsets wherever it matters: every
+    offset lies at least 2 tol from every cell face, so an offset within
+    tol of a moved point lies in that point's cell, and an offset in
+    another cell is at least 3 tol away from a point within tol of one in
+    the cell (the segment between them crosses a face).  So the mask, and
+    the indices on passing rows, are those of the nearest offsets."""
+    n = len(offsets) if offsets.ndim == 3 else len(qs)
+    m = offsets.shape[-2]
+    ok, idx = np.zeros(n, dtype=bool), np.zeros((n, m), dtype=np.intp)
+    if m != len(a) or not m:  # every map carries no points onto no points
+        return ok | (m == len(a)), idx
+    tol, cells = match_tolerance(a.radius), a.offset_index
+    step = max(1, CARRIES_BLOCK // m)
+    for rows in (slice(s, s + step) for s in range(0, n, step)):
+        moved = ((offsets[rows] if offsets.ndim == 3 else offsets)
+                 @ (qs[rows] if qs.ndim == 3 else qs))
+        i, d2 = cells.lookup(moved.reshape(-1, 3))
+        i, d2 = i.reshape(-1, m), d2.reshape(-1, m)
+        ranked = np.sort(i, axis=1)
+        ok[rows] = ((np.sqrt(d2.max(axis=1)) <= tol)
+                    & (ranked[:, 1:] != ranked[:, :-1]).all(axis=1))
+        idx[rows] = i
+    return ok, idx
 
 
 def _maps(a: Cluster, b: Cluster):
@@ -231,7 +250,8 @@ def cluster_classes(patch: PointPatch, rho: float) -> ClusterClassDecomposition:
         raise NoUsableCenters(
             f"no center supports radius {rho:g} inside the trusted box")
     rho = float(rho)
-    balls = patch.tree.query_ball_point(centers, rho + patch.geom_tol)
+    balls = patch.tree.query_ball_point(centers, rho + patch.geom_tol,
+                                        return_sorted=False)
     counts = np.array([len(idx) for idx in balls])
 
     def make(i):

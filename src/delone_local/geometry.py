@@ -27,8 +27,9 @@ Tolerances are fixed constants, not parameters:
     * ``delone_core.JOGGLE_TOL`` = 1e-13: Qhull's joggle in
       ``covering_radius``, relative to the largest box-centered coordinate
       (at least 1); the joggled winner must be empty within the joggle.
-    * Cluster matching uses ``equivalence.match_tolerance(rho)`` =
-      1e-7 max(1, rho); the profile test on sorted center distances
+    * Cluster matching uses ``delone_core.match_tolerance(rho)`` =
+      1e-7 max(1, rho), which also bounds the cells of a cluster's offset
+      index from below; the profile test on sorted center distances
       uses ``equivalence._profile_tolerance(rho)`` = 4 match_tolerance(rho).
       Two maps are the same group element iff they move a fixed motif
       (norms 0.03 to 0.043) within match_tolerance(1) of the same points.

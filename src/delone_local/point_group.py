@@ -2,14 +2,15 @@
 
 A :class:`PointGroup` is checked once, when it is built, by its product
 table, composed in integers from the permutation each element makes of a
-cluster's offsets (``equivalence._carries``): no element is compared as a
-matrix.  The stabilizer S_x(rho) permutes its cluster, by the maps the map
-search of cluster equivalence finds from the cluster to itself; a group
-given as matrices permutes the orbit of ``_MOTIF`` under it, whose points
-are the same iff within ``equivalence.match_tolerance(1)``.  The kinds of
-all elements are read off the table in one pass (order = cycle length,
-proper or improper = sign of the determinant, axis in closed form:
-``geometry.element_kinds``).
+cluster's offsets (``equivalence._carries``, through the cluster's cell
+index, which also finds the frame offsets whose images key an element):
+no element is compared as a matrix.  The stabilizer S_x(rho) permutes its
+cluster, by the maps the map search of cluster equivalence finds from the
+cluster to itself; a group given as matrices permutes the orbit of
+``_MOTIF`` under it, whose points are the same iff within
+``equivalence.match_tolerance(1)``.  The kinds of all elements are read
+off the table in one pass (order = cycle length, proper or improper =
+sign of the determinant, axis in closed form: ``geometry.element_kinds``).
 
 The Schoenflies label follows from integers alone, by the classification
 of the finite subgroups of O(3): with p = |G+| proper elements, n the
@@ -169,7 +170,7 @@ def _closure(generators: Sequence[np.ndarray]) -> Tuple[Cluster, np.ndarray]:
     ok, steps = _carries(c, c.offsets, gens)
     if not ok.all():
         raise NotAGroup("a generator does not permute its orbit")
-    f, rows, n = c.offset_tree.query(c.frame)[1], np.arange(len(c))[None], 0
+    f, rows, n = c.frame_rows, np.arange(len(c))[None], 0
     while n < len(rows) <= cap:  # o rows_i q_j = o_steps[j, rows[i]]
         grown = np.concatenate([rows, steps[:, rows[n:]].reshape(-1, len(c))])
         first = np.unique(grown[:, f] @ len(c) ** np.arange(3), return_index=True)[1]
@@ -183,7 +184,7 @@ def group_from_generators(generators: Sequence[np.ndarray]) -> PointGroup:
     """The PointGroup about the origin that the generator matrices
     generate, each element read off its images of its orbit's frame."""
     c, rows = _closure(generators)
-    images = c.offsets[rows[:, c.offset_tree.query(c.frame)[1]]]
+    images = c.offsets[rows[:, c.frame_rows]]
     qs = _frame_map(images, c.frame_inv, FRAME_TOL)
     if len(qs) < len(rows):
         raise NotAGroup("an element's frame images are not congruent to the frame")
@@ -229,7 +230,7 @@ def _composed_table(c: Cluster, rows: np.ndarray) -> np.ndarray:
     their index rows (``equivalence._carries``: o_k q_i = o_rows[i, k]),
     composed in integers; raises unless the maps form a group.  The frame
     offsets f span R^3, so a map is keyed by rows[i, f] in base len(c)."""
-    f = c.offset_tree.query(c.frame)[1]
+    f = c.frame_rows
     base = len(c) ** np.arange(len(f))
     key = rows[:, f] @ base
     prods = base @ rows.T[rows[:, f]]  # [i, j]: key of q_i q_j: o q_i, then q_j

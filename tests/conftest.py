@@ -164,13 +164,17 @@ def _frame_map_oracle(images, frame_inv, gate):
     return nearest_orthogonal(q)
 
 
-def _carries_oracle(a, offsets, q):
-    tree = a.offset_tree
-    if len(offsets) != tree.n:
-        return False
-    d, idx = tree.query(offsets @ q)
-    return (float(d.max()) <= match_tolerance(a.radius)
-            and len(np.unique(idx)) == tree.n)
+def _carries_oracle(a, offsets, qs, tree=None):
+    """``equivalence._carries`` as one KD query over the whole stack
+    ``offsets @ qs`` against a tree of a's offsets (built here unless
+    given): the pass mask (n,) and the nearest indices (n, m)."""
+    moved = offsets @ qs
+    n, m = moved.shape[:2]
+    tree = cKDTree(a.offsets) if tree is None else tree
+    d, idx = tree.query(moved.reshape(-1, 3))
+    d, idx = d.reshape(n, m), idx.reshape(n, m)
+    return ((m == len(a)) & (d.max(axis=1, initial=0.0) <= match_tolerance(a.radius))
+            & (np.diff(np.sort(idx, axis=1), axis=1) > 0).all(axis=1)), idx
 
 
 def maps_oracle(a, b):
@@ -185,6 +189,7 @@ def maps_oracle(a, b):
     norm_tol = 4.0 * mtol
     dot_tol = 40.0 * max(1.0, a.radius) * mtol
     targets = b.offsets
+    tree = cKDTree(a.offsets)
     tnorms = np.linalg.norm(targets, axis=1)
     gram = frame @ frame.T
     cands = [targets[(np.abs(tnorms - fn) <= norm_tol) & (tnorms > 1e-12)]
@@ -194,7 +199,7 @@ def maps_oracle(a, b):
         i = len(images)
         if i == len(frame):
             q = _frame_map_oracle(images, frame_inv, 1e-5)
-            if q is not None and _carries_oracle(a, targets, q):
+            if q is not None and _carries_oracle(a, targets, q[None], tree)[0][0]:
                 yield q
             return
         ok = cands[i]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import delone_local as dl
-from delone_local import equivalence
+from delone_local import delone_core, equivalence, point_group
 from delone_local.delone_core import Cluster, load_patch, save_patch
 from delone_local.equivalence import (
     _profile_partners,
@@ -17,12 +17,16 @@ from delone_local.equivalence import (
 )
 from delone_local.errors import NoUsableCenters, RadiusMismatch
 from delone_local.geometry import Isometry, classify_element, rotation_matrix
+from delone_local.regularity import classify_scenario
 
 from conftest import (
     LATTICES,
+    STOCK_PATCHES,
+    _carries_oracle,
     cluster_classes_oracle,
     jittered_cubic,
     maps_oracle,
+    named_group_generators,
     rotated_lattice,
 )
 
@@ -212,6 +216,139 @@ class TestCarries:
             a, np.stack([a.offsets[1:]] * 2), np.eye(3))[0].tolist() == [False] * 2
 
 
+class TestCarriesOracle:
+    """The cell lookup of ``_carries`` against one KD query over the whole
+    stack (``_carries_oracle``): the same pass mask, and the same index
+    rows on passing rows."""
+
+    @staticmethod
+    def assert_same(a, offsets, qs):
+        got, rows = equivalence._carries(a, offsets, qs)
+        want, want_rows = _carries_oracle(a, offsets, qs)
+        assert got.tolist() == want.tolist()
+        assert np.array_equal(rows[got], want_rows[got])
+        return got
+
+    @staticmethod
+    def recorded(monkeypatch, run):
+        """The arguments of every ``_carries`` call that run() makes."""
+        calls, carries = [], equivalence._carries
+        for mod in (equivalence, point_group):
+            monkeypatch.setattr(mod, "_carries", lambda a, offsets, qs: (
+                calls.append((a, offsets, qs)) or carries(a, offsets, qs)))
+        run()
+        monkeypatch.undo()
+        return calls
+
+    def assert_all_same(self, calls):
+        passed = [self.assert_same(*call) for call in calls]
+        assert any(p.any() for p in passed)
+        return passed
+
+    @pytest.mark.parametrize("name, h", STOCK_PATCHES)
+    def test_stock_analyze_stacks(self, name, h, monkeypatch):
+        # the class loop at 2R and 4R, the stabilizers and the criterion's
+        # verification of the analyze_regular benchmark's patches
+        build, R = LATTICES[name]
+        patch = build([-h] * 3, [h] * 3)
+        calls = self.recorded(monkeypatch, lambda: classify_scenario(patch, R))
+        self.assert_all_same(calls)
+
+    @pytest.mark.parametrize("test, args", [
+        pytest.param(test, args, id="-".join(map(str, (test[5:], *args))))
+        for test, args in (
+            *(("test_lattices", (name, k)) for name in LATTICES for k in (2, 4)),
+            *(("test_rotated_lattices", (name, 0)) for name in LATTICES),
+            *(("test_z3_with_hole", (rho,)) for rho in (1.0, 1.5, 2.0, 2.5)),
+            *(("test_periodic_with_displaced_site", (rho,)) for rho in (1.6, 2.2)))])
+    def test_class_loop_oracle_stacks(self, test, args, monkeypatch):
+        calls = self.recorded(
+            monkeypatch, lambda: getattr(TestClassLoopOracle(), test)(*args))
+        self.assert_all_same(calls)
+
+    @pytest.mark.parametrize("name", named_group_generators())
+    def test_motif_orbits(self, name, monkeypatch):
+        # _closure's and _matrix_table's orbits: Oh's 79 points lie within
+        # 0.08 of the origin and 8.7e-3 apart
+        gens = named_group_generators()[name]
+        calls = self.recorded(monkeypatch, lambda: point_group.schoenflies_from_matrices(
+            point_group.group_from_generators(gens).elements))
+        assert len(calls) == 2
+        assert all(p.all() for p in self.assert_all_same(calls))
+
+    @pytest.mark.parametrize("name", LATTICES)
+    def test_one_offset_per_cell_on_packing_valid_clusters(self, name):
+        # a cell of side 1/2 holds at most one point at unit spacing, so
+        # each moved point meets one candidate; the index holds m keys
+        _, R = LATTICES[name]
+        patch = rotated_lattice(name, 0, 6.0)
+        assert patch.packing_ok
+        for rho in (2 * R, 4 * R):
+            a = dl.cluster(patch, patch.usable_centers(rho)[0], rho)
+            index = a.offset_index
+            assert index.depth == 1
+            assert index.keys.shape == index.order.shape == (len(a),)
+
+    def test_offsets_1e8_apart(self):
+        a, b = TestCarries.A, TestCarries.B
+        qs = np.stack([np.eye(3), np.diag([1.0, 1.0, -1.0]),
+                       rotation_matrix([0, 0, 1], np.pi / 2)])
+        self.assert_same(a, np.stack([a.offsets, b, a.offsets[::-1]]), np.eye(3))
+        self.assert_same(a, a.offsets, qs)
+        self.assert_same(a, b, qs)
+
+    @pytest.mark.parametrize("rho", [1.0, 2.0, 3.0])
+    def test_lattice_offsets_on_grid_lines(self, rho):
+        # integer offsets sit on the unshifted grid's faces; moved by the
+        # cube's 48 maps, and each point then by 0.5, 0.99, 1.01 and 3
+        # times the match tolerance in a random direction
+        pts = dl.cubic_lattice([-3] * 3, [3] * 3).points
+        a = Cluster(center=[0, 0, 0], radius=rho,
+                    members=pts[np.linalg.norm(pts, axis=1) <= rho])
+        cube = point_group.stabilizer(a).elements
+        assert self.assert_same(a, a.offsets, np.array(cube)).all()
+        rng = np.random.default_rng(int(rho))
+        tol = equivalence.match_tolerance(rho)
+        for k in (0.5, 0.99, 1.01, 3.0):
+            step = rng.normal(size=(8, len(a), 3))
+            step *= k * tol / np.linalg.norm(step, axis=2, keepdims=True)
+            step[::2, 1:] = 0.0  # even rows move one point only
+            got = self.assert_same(a, a.offsets[::-1] + step, np.eye(3))
+            assert got.all() == (k < 1)
+
+    def test_empty_cluster(self):
+        a = Cluster(center=[0, 0, 0], radius=1.0, members=np.empty((0, 3)))
+        assert self.assert_same(a, a.offsets, np.eye(3)[None]).all()
+        assert not self.assert_same(a, np.zeros((2, 1, 3)), np.eye(3)).any()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_offsets_closer_than_the_tolerance(self, seed):
+        # 16 offsets in a 2e-6 cube share cells of side 4 m tol; each row
+        # moves every point by up to 0.9 tol
+        rng = np.random.default_rng(seed)
+        a = Cluster(center=[0, 0, 0], radius=1.0,
+                    members=rng.uniform(-1e-6, 1e-6, size=(16, 3)))
+        tol = equivalence.match_tolerance(1.0)
+        step = rng.normal(size=(60, len(a), 3))
+        step *= rng.uniform(0.0, 0.9 * tol, size=(60, len(a), 1)) / np.linalg.norm(
+            step, axis=2, keepdims=True)
+        self.assert_same(a, a.offsets + step, np.eye(3))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("far", [1e3, 1e20, 1e300])
+    @pytest.mark.parametrize("members", [
+        pytest.param(dl.cubic_lattice([-2] * 3, [2] * 3).points, id="lattice"),
+        pytest.param(TestCarries.A.members, id="1e-8 apart")])
+    def test_far_moved_points(self, far, members):
+        a = Cluster(center=[0, 0, 0], radius=2.0, members=members)
+        stack = np.stack([a.offsets] * 4)
+        stack[0, 3] = [far, 0.0, 0.0]
+        stack[1, :, 1] += far
+        stack[2] *= -far
+        assert self.assert_same(a, stack, np.eye(3)).tolist() == [
+            False, False, False, True]
+
+
 class TestMapsOracle:
     """The stacked map search against the recursive generator it
     replaced: every verified map, bit for bit and in the same order, and
@@ -309,19 +446,20 @@ class TestClusterClasses:
         for rho in (1.1 * s, 1.5 * s):
             assert cluster_classes(p, rho).N == 1
 
-    def test_one_kd_tree_per_representative(self, z3_patch, monkeypatch):
-        # maps are verified against the representative's cached tree, so
-        # no tree is built per cluster_isometry call
+    @pytest.mark.parametrize("lattice, rho", [
+        pytest.param("z3", 1.5, id="z3-1.5"),
+        pytest.param("c4v", 2 * np.sqrt(1.5), id="c4v-2R"),
+        pytest.param("c4v", 4 * np.sqrt(1.5), id="c4v-4R")])
+    def test_one_cell_index_per_representative(self, lattice, rho, monkeypatch):
+        # maps are verified against the representative's cached cell
+        # index: none is built per center, nor for the second cluster of
+        # the c4v layers' frame search
         built = []
-
-        def counting(*args, **kwargs):
-            built.append(1)
-            return cKDTree(*args, **kwargs)
-
-        for mod in vars(dl).values():
-            if getattr(mod, "cKDTree", None) is cKDTree:
-                monkeypatch.setattr(mod, "cKDTree", counting)
-        dec = cluster_classes(z3_patch, 1.5)
+        index = delone_core._CellIndex
+        monkeypatch.setattr(delone_core, "_CellIndex",
+                            lambda *args: built.append(1) or index(*args))
+        build, _ = LATTICES[lattice]
+        dec = cluster_classes(build([-6] * 3, [6] * 3), rho)
         assert dec.N == 1 and len(dec.assignment) > 1
         assert 0 < len(built) <= dec.N
 
