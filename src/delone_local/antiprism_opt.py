@@ -20,11 +20,16 @@ Everything is deterministic: identical reports across runs.
 
 Problem 1's P_x and P_y come from one builder, ``_vertex_pairs``, whose
 stacked arithmetic reads the same on floats and on arrays: one kernel,
-``_lemma1_values``, serves the grid (blocks of whole phi rows), the
-refinement and ``lemma1_objective``, and ``p_y_vertices`` runs the
-builder on floats, so they agree bit for bit.  Problem 2's grid runs on
-broadcast axes.  The refinement runs all starts in lockstep
-(``_nelder_mead``), each ending where scipy's Nelder-Mead, the oracle, ends.
+``_lemma1_kernel``, serves the grid, the refinement and
+``lemma1_objective``, and ``p_y_vertices`` runs the builder on floats, so
+they agree bit for bit.  The grid runs in blocks of whole phi rows, the
+second half of them on a worker thread where the process may run on two
+CPUs (numpy's loops release the GIL; the values do not depend on the
+split).  Problem 2's grid runs on broadcast axes.  The seeds are chosen
+without copying either grid whole.  The refinement runs all starts in
+lockstep (``_nelder_mead``), one objective call per iteration on every
+start's four candidate points, each start ending where scipy's
+Nelder-Mead, the oracle, ends.
 """
 from __future__ import annotations
 
@@ -33,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .delone_core import _map_halves
 from .errors import BudgetExhausted, InfeasibleParams
 
 __all__ = [
@@ -59,11 +65,14 @@ REFINE_TOP = 24
 NM_MAXITER = 400
 #: Margin by which problem 2's strict inequalities are shrunk.
 LEMMA2_EPS = 1e-6
-#: Grid points per kernel call, in whole rows: a lemma-1 point holds
-#: 4 x 64 doubles of pair temporaries, a lemma-2 point about 8, so a
-#: block's temporaries (about 2 MB) stay in cache while numpy's per-call
-#: overhead is amortized.
-LEMMA1_BLOCK, LEMMA2_BLOCK = 1000, 32768
+#: Grid points per kernel call, in whole rows (at least one): a lemma-1
+#: point holds 4 x 64 doubles of pair temporaries, so 1000 points amortize
+#: numpy's per-call overhead; a lemma-2 point holds about 8, and at 4096
+#: points a block's temporaries fit in cache and reuse the heap's pages
+#: (a 48^2 row is 2304 points).
+LEMMA1_BLOCK, LEMMA2_BLOCK = 1000, 4096
+#: Seed selection reads its threshold off every SEED_STRIDE-th grid value.
+SEED_STRIDE = 16
 
 # Feasible (a, b) = (cos phi, sin phi) with a, b > 0: a^2 >= b^2 gives
 # phi <= pi/4, and a^2 (1 - sqrt2) + 3 b^2 >= 0 gives
@@ -240,17 +249,29 @@ def _squared_threshold(pair_filter: float) -> float:
 
 
 def _lemma1_values(a, b, x, y, z, pair_filter: float) -> np.ndarray:
-    """The problem-1 objective over floats or equal-shape arrays: all 64
-    vertex pairs at once, each squared distance summed as (dx^2 + dz^2) +
-    dy^2 and filtered on ``_squared_threshold``, then one sqrt of each
+    """The problem-1 objective over floats or equal-shape arrays."""
+    return _lemma1_kernel(a, b, x, y, z, _squared_threshold(pair_filter))
+
+
+def _lemma1_kernel(a, b, x, y, z, t: float) -> np.ndarray:
+    """``_lemma1_values`` with the filter as its ``_squared_threshold``
+    t: all 64 vertex pairs at once, each squared distance summed as
+    (dx^2 + dz^2) + dy^2 and dropped below t, then one sqrt of each
     point's minimum (inf where no pair passes; ``fmin`` skips a NaN)."""
     px, py = _vertex_pairs(a, b, x, y, z)
     d = px[:, None] - py[None]  # (P_x vertex, P_y vertex, component, ...)
     d *= d
     q = d[:, :, 0] + d[:, :, 2]
     q += d[:, :, 1]
-    q[q < _squared_threshold(pair_filter)] = np.inf
+    q[q < t] = np.inf
     return np.sqrt(np.fmin.reduce(q, axis=(0, 1), initial=np.inf))
+
+
+#: The points c1 xbar - c2 worst a Nelder-Mead iteration evaluates, as
+#: (c1, c2): the reflection, the expansion, the outside and the inside
+#: contraction at scipy's default coefficients.  Each product is exact
+#: or rounded as scipy's, so the points agree bit for bit.
+_NM_STEPS = np.array([(2.0, 1.0), (3.0, 2.0), (1.5, 0.5), (0.5, -0.5)])
 
 
 def _nelder_mead(f, x0: np.ndarray, maxiter: int, xatol: float,
@@ -258,12 +279,14 @@ def _nelder_mead(f, x0: np.ndarray, maxiter: int, xatol: float,
     """scipy's Nelder-Mead (default coefficients, ``maxiter`` only) on
     every row of ``x0`` in lockstep, ``f`` mapping (m, N) arrays to m
     values: each row's x, fun and success equal ``minimize``'s on that
-    row alone.  An iteration calls ``f`` on the reflections, on each
-    row's expansion or contraction, and on the shrinking rows' vertices;
-    sorts use numpy's default ``argsort``, as scipy's, so ties agree.
-    The simplices of the rows still running stay compacted in ``s`` and
-    ``fs`` (``run`` holds their rows); a row is written out once, when it
-    converges or the iterations run out."""
+    row alone.  An iteration calls ``f`` once, on all four
+    ``_NM_STEPS`` points of every running row, and each row takes the
+    one scipy's branches pick (f is pointwise, so the values scipy never
+    asks for change nothing); the rows that shrink take one more call on
+    their vertices.  Sorts use numpy's default ``argsort``, as scipy's,
+    so ties agree.  The simplices of the rows still running stay
+    compacted in ``s`` and ``fs`` (``run`` holds their rows); a row is
+    written out once, when it converges or the iterations run out."""
     m, n = x0.shape
     s = np.repeat(x0[:, None, :], n + 1, axis=1)
     k = np.arange(n)
@@ -283,25 +306,23 @@ def _nelder_mead(f, x0: np.ndarray, maxiter: int, xatol: float,
             if len(run) == 0:
                 break
         xbar = np.add.reduce(s[:, :-1], 1) / n
-        worst = s[:, -1]
-        xr = 2 * xbar - worst
-        fxr = f(xr)
-        expand = fxr < fs[:, 0]
-        outside = fxr < fs[:, -1]
-        # a reflection between the best and the second worst is taken
-        # as it is; the other rows try an expansion or a contraction
-        rest = np.flatnonzero(expand | ~(fxr < fs[:, -2]))
-        e, o, xb, w = expand[rest], outside[rest], xbar[rest], worst[rest]
-        x2 = np.where(e[:, None], 3 * xb - 2 * w,
-                      np.where(o[:, None], 1.5 * xb - 0.5 * w,
-                               0.5 * xb + 0.5 * w))
-        f2 = f(x2)
-        better = np.where(e, f2 < fxr[rest],
-                          np.where(o, f2 <= fxr[rest], f2 < fs[rest, -1]))
-        xr[rest[better]], fxr[rest[better]] = x2[better], f2[better]
-        keep = np.ones(len(run), dtype=bool)
-        keep[rest[~(e | better)]] = False
-        s[keep, -1], fs[keep, -1] = xr[keep], fxr[keep]
+        x = (_NM_STEPS[:, :1, None] * xbar
+             - _NM_STEPS[:, 1:, None] * s[:, -1])  # (step, row, N)
+        fx = f(x.reshape(-1, n)).reshape(4, -1)
+        fr, fe, fo, fi = fx
+        # scipy's branches: where the reflection beats the best vertex,
+        # the expansion (step 1) if it beats the reflection, else the
+        # reflection (0); the reflection where it beats the second worst;
+        # else the outside contraction (2) where the reflection beats the
+        # worst, the inside one (3) otherwise, kept only if no worse than
+        # the reflection or better than the worst: the rest shrink
+        step = np.where(fr < fs[:, 0], fe < fr,
+                        np.where(fr < fs[:, -2], 0,
+                                 np.where(fr < fs[:, -1], 2, 3)))
+        keep = (step < 2) | np.where(step == 2, fo <= fr, fi < fs[:, -1])
+        rows = np.arange(len(run))
+        s[keep, -1] = x[step, rows][keep]
+        fs[keep, -1] = fx[step, rows][keep]
         if not keep.all():
             shrink = ~keep
             best = s[shrink, :1]
@@ -330,6 +351,19 @@ def _top(keys: np.ndarray, k: int) -> np.ndarray:
     return cand[np.argsort(keys[cand], kind="stable")[:k]]
 
 
+def _best(vals: np.ndarray, k: int) -> np.ndarray:
+    """``_top(-vals, k)`` for a flat ``vals`` without copying it whole:
+    only the keys of the values not below the k-th largest of every
+    ``SEED_STRIDE``-th value, and of the NaNs, are sorted.  At least k
+    values reach that threshold, so the k largest are among them.  Where
+    fewer than k values are sampled, every key is sorted."""
+    sample = -vals[::SEED_STRIDE]
+    if len(sample) < k:
+        return _top(-vals, k)
+    cand = np.flatnonzero(~(vals < -np.partition(sample, k - 1)[k - 1]))
+    return cand[_top(-vals[cand], k)]
+
+
 def _row_blocks(rows: int, *grids):
     """The ``grids`` in blocks of ``rows`` (at least one) leading rows."""
     k = max(1, rows)
@@ -342,7 +376,7 @@ def _refine(f, clamp, vals, grids, params) -> OptimizationReport:
     m values), scan the starts in seed order and report the best point
     found, clamped and mapped to its parameters by ``params``."""
     flat = vals.ravel()
-    top = _top(-flat, REFINE_TOP)
+    top = _best(flat, REFINE_TOP)
     seeds = np.stack([g[np.unravel_index(top, vals.shape)] for g in grids],
                      axis=1)
     best_val = float(flat[top[0]])
@@ -378,15 +412,16 @@ def optimize_lemma1(budget: OptBudget = OptBudget()) -> OptimizationReport:
     phis = np.linspace(lo, hi, budget.grid_phi)
     psis = np.linspace(0.0, 2.0 * np.pi, budget.grid_psi, endpoint=False)
     P, S = np.meshgrid(phis, psis, indexing="ij")
-    vals = np.concatenate([
-        _lemma1_values(*_angle_params(p, s), budget.pair_filter)
-        for p, s in _row_blocks(LEMMA1_BLOCK // len(psis), P, S)])
+    t = _squared_threshold(budget.pair_filter)
+    vals = np.concatenate(_map_halves(
+        lambda block: _lemma1_kernel(*_angle_params(*block), t),
+        _row_blocks(LEMMA1_BLOCK // len(psis), P, S)))
 
     def clamp(v):
         return np.minimum(np.maximum(v[..., 0], lo), hi), v[..., 1]
 
     def f(v):
-        return _lemma1_values(*_angle_params(*clamp(v)), budget.pair_filter)
+        return _lemma1_kernel(*_angle_params(*clamp(v)), t)
 
     return _refine(f, clamp, vals, (P, S), Lemma1Params.from_angles)
 

@@ -442,22 +442,32 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _map_halves(fn, items) -> list:
+    """``[fn(x) for x in items]``, the second half of ``items`` on one
+    worker thread where this process may run on two or more CPUs.  The
+    worker is joined before this returns, and an error it raises is
+    raised here."""
+    h = (len(items) + 1) // 2
+    if h == len(items) or _cpus() < 2:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        second = worker.submit(lambda: [fn(x) for x in items[h:]])
+        return [fn(x) for x in items[:h]] + second.result()
+
+
 def _circumballs(patch: PointPatch, pts: np.ndarray, slabs, qhull_options):
     """Circumcenters and radii of the solid cells of Qhull's Delaunay
     triangulation of ``pts`` (the patch points moved by one vector) under
     ``qhull_options``; none where Qhull fails.
 
     With ``slabs``, each slab is triangulated, the second on a worker
-    thread joined before this returns, and the cells whose ball fits their
+    thread (``_map_halves``), and the cells whose ball fits their
     own slab are kept, in slab order.  Where a slab has no solid cell, or
     no cell is kept, the whole patch is triangulated instead.
     """
     if slabs is not None:
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            second = worker.submit(_solid_circumballs, patch, pts,
-                                   slabs[1][0], qhull_options)
-            parts = [_solid_circumballs(patch, pts, slabs[0][0],
-                                        qhull_options), second.result()]
+        parts = _map_halves(lambda slab: _solid_circumballs(
+            patch, pts, slab[0], qhull_options), slabs)
         if all(len(radii) for _, radii in parts):
             kept = []
             for (_, lo, hi), (centers, radii) in zip(slabs, parts):

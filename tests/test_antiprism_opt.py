@@ -1,5 +1,8 @@
 """The two antiprism optimization problems and their deterministic
 multi-start solvers."""
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -337,6 +340,122 @@ class TestTopSeeds:
             for k in (1, int(rng.integers(1, 70)), n):
                 assert np.array_equal(_top(keys, k),
                                       np.argsort(keys, kind="stable")[:k])
+
+
+class TestBestSeeds:
+    def test_prefix_of_stable_argsort_without_a_whole_copy(self):
+        # the k largest values, ties by index and NaN last, from sampled
+        # thresholds: grids long enough to be sampled, samples that hold
+        # fewer than k numbers, and short grids sorted whole
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            n = int(rng.integers(1, 3000))
+            vals = rng.integers(0, int(rng.integers(1, 50)), n).astype(float)
+            vals[rng.random(n) < rng.choice([0.0, 0.2, 0.99])] = np.nan
+            vals[rng.random(n) < 0.1] = -0.0
+            vals[rng.random(n) < 0.05] = np.inf
+            for k in (1, 24, int(rng.integers(1, 70)), n):
+                assert np.array_equal(antiprism_opt._best(vals, k),
+                                      np.argsort(-vals, kind="stable")[:k])
+
+
+class TestOneCallIteration:
+    """Each lockstep iteration calls the objective once, on the four
+    candidate points of every running start, and the rows that shrink
+    once more; the values of candidates scipy never visits change
+    nothing and raise no warning."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("optimize, budget, shrink_share", [
+        # rows shrink in 85 of 101 iterations
+        (optimize_lemma2, OptBudget(grid_lemma2=5), 0.8),
+        # starts converge after 30 to 140 iterations
+        (optimize_lemma1, OptBudget(), 0.0),
+        (optimize_lemma1, OptBudget(pair_filter=0.3), 0.0),
+    ])
+    def test_matches_oracle(self, optimize, budget, shrink_share,
+                            recorded_refinements):
+        optimize(budget)
+        (f, x0, maxiter, xatol, fatol), = recorded_refinements
+        batches = []
+        _nelder_mead(lambda v: batches.append(len(v)) or f(v), x0, maxiter,
+                     xatol, fatol)
+        assert min(batches) > 0
+        want = nelder_mead_oracle(f, x0, maxiter, xatol, fatol)
+        iterations = max(res.nit for res in want) - 1
+        # one initial call, one per iteration and one per shrinking one
+        assert len(batches) - 1 - iterations >= shrink_share * iterations
+        assert assert_matches_oracle(f, x0, maxiter, xatol, fatol) == 24
+
+    def test_contraction_tying_the_reflection_is_kept(self):
+        # integer steps of a quadratic form: from this start an outside
+        # contraction ties with the reflection, which scipy keeps where a
+        # strict comparison would shrink
+        A = np.array([[2.0, 2.0, 1.0], [-1.0, 3.0, 0.0], [2.0, -3.0, -2.0]])
+
+        def steps(v):
+            return np.floor(3.0 * ((v @ A) ** 2).sum(axis=1)
+                            + 0.5 * v.sum(axis=1))
+
+        x0 = np.array([[-1.0, 2.0, -2.0]])
+        assert assert_matches_oracle(steps, x0, 30) == 0
+        assert assert_matches_oracle(steps, x0, 400) == 1
+
+
+def _affinity(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+
+
+class TestThreadedGrid:
+    """On two or more CPUs the second half of the lemma-1 grid's row
+    blocks runs on one short-lived worker thread; nothing else changes."""
+
+    SMALL = OptBudget(grid_phi=60, grid_psi=60)  # 12 blocks of 5 rows
+
+    @pytest.mark.parametrize("optimize", [optimize_lemma1, optimize_lemma2])
+    def test_same_report_on_one_and_two_cpus(self, optimize, monkeypatch):
+        reports = []
+        for cpus in ({0}, {0, 1}):
+            _affinity(monkeypatch, cpus)
+            reports.append(optimize())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("cpus, threads", [({0}, 1), ({0, 1}, 2)])
+    def test_kernel_threads(self, cpus, threads, monkeypatch):
+        seen = set()
+        real = antiprism_opt._lemma1_kernel
+
+        def record(*args):
+            seen.add(threading.current_thread())
+            return real(*args)
+
+        monkeypatch.setattr(antiprism_opt, "_lemma1_kernel", record)
+        _affinity(monkeypatch, cpus)
+        optimize_lemma1(self.SMALL)
+        assert len(seen) == threads
+        assert threading.main_thread() in seen
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        _affinity(monkeypatch, {0, 1})
+        before = set(threading.enumerate())
+        optimize_lemma1(self.SMALL)
+        assert set(threading.enumerate()) == before
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        main = threading.main_thread()
+        real = antiprism_opt._lemma1_kernel
+
+        def fail_off_main(*args):
+            if threading.current_thread() is not main:
+                raise RuntimeError("worker")
+            return real(*args)
+
+        monkeypatch.setattr(antiprism_opt, "_lemma1_kernel", fail_off_main)
+        _affinity(monkeypatch, {0, 1})
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="worker"):
+            optimize_lemma1(self.SMALL)
+        assert set(threading.enumerate()) == before
 
 
 class TestReports:

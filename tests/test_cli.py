@@ -436,3 +436,16 @@ class TestGoldenOutputs:
             parts.append(f"{head}\n{out}")
         want = (GOLDEN / "optimize.txt").read_text(encoding="utf-8")
         assert "".join(parts) == want
+
+    @pytest.mark.parametrize("which", ["lemma1", "lemma2"])
+    def test_optimize_does_not_depend_on_the_cpu_count(self, which, capsys,
+                                                       monkeypatch):
+        # the lemma-1 grid runs half its rows on a worker thread only on
+        # two or more CPUs; the printed report is the same either way
+        outs = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: cpus)
+            outs.append(run(capsys, "optimize", which))
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0

@@ -414,6 +414,45 @@ class TestCoveringRadiusSlabs:
         assert split == _fmt(dl.covering_radius(p))
 
 
+class TestMapHalves:
+    """The two-thread helper behind the slabs and the lemma-1 grid."""
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    @pytest.mark.parametrize("n", range(5))
+    def test_results_in_item_order(self, n, cpus, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        threads = []
+
+        def fn(x):
+            threads.append(threading.current_thread())
+            return x * x
+
+        before = set(threading.enumerate())
+        assert delone_core._map_halves(fn, list(range(n))) == [
+            x * x for x in range(n)]
+        assert set(threading.enumerate()) == before
+        # the second half runs on a worker only on two CPUs and with
+        # two or more items
+        assert len(set(threads)) == (2 if n > 1 and len(cpus) > 1
+                                     else min(n, 1))
+
+    def test_caller_error_joins_the_worker(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        main = threading.main_thread()
+        done = []
+
+        def fn(x):
+            if threading.current_thread() is main:
+                raise ValueError("caller")
+            done.append(x)
+
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match="caller"):
+            delone_core._map_halves(fn, [0, 1, 2, 3])
+        assert done == [2, 3]
+        assert set(threading.enumerate()) == before
+
+
 class TestCluster:
     def test_z3_rho1(self, z3_patch):
         c = dl.cluster(z3_patch, [0, 0, 0], 1.0)
