@@ -340,28 +340,17 @@ def _sort_simplices(s: np.ndarray, fs: np.ndarray):
     return s[rows, order], fs[rows, order]
 
 
-def _top(keys: np.ndarray, k: int) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")[:k]``, sorting only the keys
-    that a partition puts at or below the k-th smallest (NaN sorts last
-    in both, and a NaN k-th key makes every key a candidate)."""
-    if k >= len(keys):
-        return np.argsort(keys, kind="stable")
-    kth = np.partition(keys, k - 1)[k - 1]
-    cand = np.flatnonzero(~(keys > kth))
-    return cand[np.argsort(keys[cand], kind="stable")[:k]]
-
-
 def _best(vals: np.ndarray, k: int) -> np.ndarray:
-    """``_top(-vals, k)`` for a flat ``vals`` without copying it whole:
-    only the keys of the values not below the k-th largest of every
-    ``SEED_STRIDE``-th value, and of the NaNs, are sorted.  At least k
-    values reach that threshold, so the k largest are among them.  Where
-    fewer than k values are sampled, every key is sorted."""
+    """``np.argsort(-vals, kind="stable")[:k]`` for a flat ``vals``
+    without copying it whole: only the values not below the k-th largest
+    of every ``SEED_STRIDE``-th value, and the NaNs, are sorted.  At
+    least k values reach that threshold, so the k largest are among
+    them.  Where fewer than k values are sampled, every value is sorted."""
     sample = -vals[::SEED_STRIDE]
     if len(sample) < k:
-        return _top(-vals, k)
+        return np.argsort(-vals, kind="stable")[:k]
     cand = np.flatnonzero(~(vals < -np.partition(sample, k - 1)[k - 1]))
-    return cand[_top(-vals[cand], k)]
+    return cand[np.argsort(-vals[cand], kind="stable")[:k]]
 
 
 def _row_blocks(rows: int, *grids):

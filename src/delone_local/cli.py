@@ -53,6 +53,8 @@ def _resolve_R(patch: PointPatch, flag: Optional[float] = None) -> Tuple[float, 
     """R and its provenance: the --R flag, else the file's declared R,
     else the computed covering radius."""
     if flag is not None:
+        if not np.isfinite(flag):
+            raise CliError(f"--R must be finite, got {flag}")
         return flag, "flag"
     if patch.declared_R is not None:
         return patch.declared_R, "declared"

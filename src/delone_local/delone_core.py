@@ -612,8 +612,9 @@ def load_patch(path) -> PointPatch:
     """Read a patch from the point-set file format.
 
     If no "# box" header is present, the bounding box of the points
-    (padded by nothing) is used as the trusted box.  A point outside the
-    box (see :class:`PointPatch`) raises :class:`ParseError` with its line.
+    (padded by nothing) is used as the trusted box.  A non-finite number,
+    an "# R" header that is not positive, or a point outside the box (see
+    :class:`PointPatch`) raises :class:`ParseError` with its line.
     """
     rows = []  # (line number, data line)
     box = None
@@ -632,6 +633,8 @@ def load_patch(path) -> PointPatch:
                         vals = [float(v) for v in fields[1:]]
                     except ValueError:
                         raise ParseError(f"line {lineno}: bad box header") from None
+                    if not np.all(np.isfinite(vals)):
+                        raise ParseError(f"line {lineno}: non-finite box header")
                     box = (vals[:3], vals[3:])
                 elif fields[:1] == ["R"]:
                     if len(fields) != 2:
@@ -640,6 +643,9 @@ def load_patch(path) -> PointPatch:
                         declared_R = float(fields[1])
                     except ValueError:
                         raise ParseError(f"line {lineno}: bad R header") from None
+                    if not (np.isfinite(declared_R) and declared_R > 0):
+                        raise ParseError(
+                            f"line {lineno}: R header must be positive and finite")
                 continue
             rows.append((lineno, line))
     if not rows:
@@ -657,6 +663,9 @@ def load_patch(path) -> PointPatch:
                 np.loadtxt(fields, comments=None)
             except ValueError:
                 raise ParseError(f"line {lineno}: bad coordinate") from None
+    finite = np.all(np.isfinite(points), axis=1)
+    if not finite.all():
+        raise ParseError(f"line {rows[np.argmin(finite)][0]}: non-finite coordinate")
     if box is None:
         lo = points.min(axis=0)
         hi = points.max(axis=0)

@@ -84,73 +84,55 @@ class BiLatticeSpec:
             raise InvalidShift(
                 f"|t_z| must lie strictly between 0 and sqrt(mu) = {step:g}")
 
-    @property
-    def t_vec(self) -> np.ndarray:
-        return np.array(self.t, dtype=float)
-
 
 def _order_zyx(points: np.ndarray) -> np.ndarray:
-    order = np.lexsort((points[:, 0], points[:, 1], points[:, 2]))
-    return points[order]
+    return points[np.lexsort(points.T)]  # the last key, z, sorts first
 
 
-def _validate_box(box_lo, box_hi) -> Tuple[np.ndarray, np.ndarray]:
-    lo = as_point(box_lo)
-    hi = as_point(box_hi)
+def _lattice_patch(basis, motif, box_lo, box_hi,
+                   declared_R: float | None = None) -> PointPatch:
+    """The points n @ basis + m (n integer, m a row of ``motif``) in the
+    closed box, within GEOM_TOL, as a patch ordered by (z, y, x)."""
+    lo, hi = as_point(box_lo), as_point(box_hi)
     if np.any(hi <= lo):
         raise BoxTooSmall("box is degenerate (hi <= lo on some axis)")
-    return lo, hi
+    basis, motif = np.asarray(basis, dtype=float), np.asarray(motif, dtype=float)
+    corners = np.array(list(product(*zip(lo, hi))))
+    # solves n @ basis = corner - m for every corner and motif point
+    frac = (corners[None] - motif[:, None]).reshape(-1, 3) @ np.linalg.inv(basis)
+    ranges = [np.arange(a - 1, b + 2) for a, b in zip(
+        np.floor(frac.min(axis=0)).astype(int), np.ceil(frac.max(axis=0)).astype(int))]
+    idx = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, 3)
+    pts = ((idx.astype(float) @ basis)[None] + motif[:, None]).reshape(-1, 3)
+    inside = (np.all(pts >= lo - GEOM_TOL, axis=1)
+              & np.all(pts <= hi + GEOM_TOL, axis=1))
+    return PointPatch(_order_zyx(pts[inside]), lo, hi, declared_R=declared_R)
 
 
 def cubic_lattice(box_lo, box_hi) -> PointPatch:
     """All integer points in the closed box."""
-    lo, hi = _validate_box(box_lo, box_hi)
-    return PointPatch(_order_zyx(_lattice_points(np.eye(3), lo, hi)), lo, hi)
-
-
-def _lattice_points(basis: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                    shift: np.ndarray | None = None) -> np.ndarray:
-    """Integer combinations of the basis rows (plus optional shift) that
-    land in the closed box."""
-    shift = np.zeros(3) if shift is None else shift
-    corners = np.array(list(product(*zip(lo, hi)))) - shift
-    frac = corners @ np.linalg.inv(basis)  # solves n @ basis = corner
-    n_lo = np.floor(frac.min(axis=0)).astype(int) - 1
-    n_hi = np.ceil(frac.max(axis=0)).astype(int) + 1
-    ranges = [np.arange(a, b + 1) for a, b in zip(n_lo, n_hi)]
-    idx = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, 3)
-    pts = idx.astype(float) @ basis + shift
-    inside = (np.all(pts >= lo - GEOM_TOL, axis=1)
-              & np.all(pts <= hi + GEOM_TOL, axis=1))
-    return pts[inside]
+    return _lattice_patch(np.eye(3), [(0, 0, 0)], box_lo, box_hi)
 
 
 def hex_lattice(spec: HexLatticeSpec, box_lo, box_hi) -> PointPatch:
     """Hexagonal lattice patch for the given Gram parameters."""
-    lo, hi = _validate_box(box_lo, box_hi)
-    pts = _lattice_points(spec.basis, lo, hi)
-    return PointPatch(_order_zyx(pts), lo, hi)
+    return _lattice_patch(spec.basis, [(0, 0, 0)], box_lo, box_hi)
 
 
 def hex_bilattice(spec: BiLatticeSpec, box_lo, box_hi) -> PointPatch:
     """Bi-lattice patch: the hexagonal lattice union its shift by t."""
-    lo, hi = _validate_box(box_lo, box_hi)
-    base = _lattice_points(spec.hex.basis, lo, hi)
-    shifted = _lattice_points(spec.hex.basis, lo, hi, shift=spec.t_vec)
-    pts = np.vstack([base, shifted])
-    return PointPatch(_order_zyx(pts), lo, hi)
+    return _lattice_patch(spec.hex.basis, [(0, 0, 0), spec.t], box_lo, box_hi)
 
 
 def c4v_example(box_lo, box_hi) -> PointPatch:
-    """The layered cubic example {(x, y, z) in Z^3 : z % 3 != 0}.
+    """The layered cubic example {(x, y, z) in Z^3 : z % 3 != 0}: the
+    lattice diag(1, 1, 3) with motif (0, 0, 1) and (0, 0, 2).
 
     A regular system whose 2R-cluster group is C4v; its covering radius
     is sqrt(3/2) (deep hole at half-integer x, y on a removed layer).
     """
-    lo, hi = _validate_box(box_lo, box_hi)
-    pts = _lattice_points(np.eye(3), lo, hi)
-    pts = pts[pts[:, 2] % 3 != 0]
-    return PointPatch(_order_zyx(pts), lo, hi, declared_R=float(np.sqrt(1.5)))
+    return _lattice_patch(np.diag([1.0, 1.0, 3.0]), [(0, 0, 1), (0, 0, 2)],
+                          box_lo, box_hi, declared_R=float(np.sqrt(1.5)))
 
 
 def antiprism_points(a: float, b: float) -> np.ndarray:

@@ -18,7 +18,6 @@ from delone_local.antiprism_opt import (
     _angle_params,
     _lemma1_values,
     _nelder_mead,
-    _top,
     _vertex_pairs,
     lemma1_objective,
     lemma2_objective,
@@ -324,22 +323,6 @@ class TestNelderMeadOracle:
         # stable sort orders unlike scipy (by 400 iterations)
         x0[20] = (-2.0, -1.5, 0.5)[:n]
         assert_matches_oracle(f, x0, maxiter)
-
-
-class TestTopSeeds:
-    def test_prefix_of_stable_argsort(self):
-        # ties, signed zeros, infinities and NaN (sorted last); k below,
-        # at and above the length
-        rng = np.random.default_rng(17)
-        for _ in range(300):
-            n = int(rng.integers(1, 60))
-            keys = rng.integers(0, 5, n).astype(float)
-            keys[rng.random(n) < 0.2] = np.nan
-            keys[rng.random(n) < 0.1] = -0.0
-            keys[rng.random(n) < 0.1] = -np.inf
-            for k in (1, int(rng.integers(1, 70)), n):
-                assert np.array_equal(_top(keys, k),
-                                      np.argsort(keys, kind="stable")[:k])
 
 
 class TestBestSeeds:

@@ -216,13 +216,16 @@ class TestCheckLocal:
         path, header = tmp_path / "layers.xyz", tmp_path / "layers_R0.xyz"
         save_patch(z2_layers(), path)
         header.write_text("# R 0\n" + path.read_text())
-        for target, flags in ((path, ["--R", "0"]), (path, ["--R", "1e-9"]),
-                              (header, [])):
+        for target, flags in ((path, ["--R", "0"]), (path, ["--R", "1e-9"])):
             code, out, err = run(capsys, "check-local", str(target),
                                  "--rho0", "1", *flags)
             assert (code, out) == (1, "")
             assert err.startswith("error: covering radius ")
             assert err.endswith(" is below the packing radius 1/2\n")
+        # a declared R of 0 is refused where it is read, with its line
+        code, out, err = run(capsys, "check-local", str(header), "--rho0", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: line 1: R header must be positive and finite\n"
         code, out, err = run(capsys, "check-local", str(path), "--rho0", "1")
         assert (code, err) == (0, "")
         assert out.startswith("R = 0.9604686356 (computed)\n")
@@ -311,6 +314,15 @@ class TestBadArguments:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_check_local_rejects_non_finite_R(value, c4v_file, capsys):
+    # --R nan read as "no center supports radius nan inside the trusted box"
+    code, out, err = run(capsys, "check-local", str(c4v_file),
+                         "--rho0", "8R", "--R", value)
+    assert code == 1 and out == ""
+    assert err == f"error: --R must be finite, got {float(value)}\n"
 
 
 #: Each subcommand's flags.  A removed setting (``--tol``, ``--config``,

@@ -541,9 +541,24 @@ class TestFileFormat:
         ("0 0\n1 0\n2 0\n", "line 1: expected 3 coordinates, got 2"),
         ("".join(f"{i} 0 0\n" for i in range(100)) + "100 0 zero\n",
          "line 101: bad coordinate"),
-    ], ids=["4-then-2", "trailing-comment", "2-columns", "bad-after-100"])
+        # a non-finite number or a declared R <= 0 read as "no center
+        # supports radius nan", "point has non-finite components" or an
+        # error without a line
+        ("# box -1 -1 -1 1 1 1\n# R nan\n0 0 0\n",
+         "line 2: R header must be positive and finite"),
+        ("# R inf\n0 0 0\n1 0 0\n", "line 1: R header must be positive and finite"),
+        ("# R 0\n0 0 0\n1 0 0\n", "line 1: R header must be positive and finite"),
+        ("# R -0.5\n0 0 0\n1 0 0\n", "line 1: R header must be positive and finite"),
+        ("# box nan -1 -1 1 1 1\n0 0 0\n", "line 1: non-finite box header"),
+        ("0 0 0\n# box -1 -1 -1 1 inf 1\n", "line 2: non-finite box header"),
+        ("# box -1 -1 -1 1 1 1\n0 0 0\nnan 0 0\n", "line 3: non-finite coordinate"),
+        ("0 0 0\n\n1 -inf 0\n2 0 nan\n", "line 3: non-finite coordinate"),
+    ], ids=["4-then-2", "trailing-comment", "2-columns", "bad-after-100",
+            "R-nan", "R-inf", "R-zero", "R-negative", "box-nan", "box-inf",
+            "point-nan", "point-inf-no-box"])
     def test_bad_data_line_named(self, tmp_path, text, message):
-        # the data lines are parsed as one array; a failure names its line
+        # the data lines are parsed as one array; a failure names its
+        # line, as does a bad number in a header
         path = tmp_path / "bad.xyz"
         path.write_text(text)
         with pytest.raises(ParseError) as info:

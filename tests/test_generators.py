@@ -1,10 +1,14 @@
 """Point-set generators: lattices, bi-lattices, the layered example, and
 the antiprism configuration."""
+import hashlib
+
 import numpy as np
 import pytest
 
 import delone_local as dl
+from delone_local.cli import main
 from delone_local.errors import BoxTooSmall, DegenerateAntiprism, InvalidShift
+from delone_local.geometry import GEOM_TOL
 
 
 def neighbor_distances(patch, center, k=13):
@@ -162,3 +166,77 @@ class TestRegeneration:
         back = load_patch(path)
         # the text format carries 10 significant digits
         assert np.allclose(back.points, p1.points, atol=1e-8)
+
+
+#: One spec of each lattice-plus-motif kind, with a sheared hexagonal
+#: lattice and a bilattice shifted downward among them.
+SPECS = {
+    "cubic": dl.cubic_lattice,
+    "hex": lambda lo, hi: dl.hex_lattice(dl.HexLatticeSpec(1.0, 1.0), lo, hi),
+    "hex_sheared": lambda lo, hi: dl.hex_lattice(
+        dl.HexLatticeSpec(2.5, 0.7), lo, hi),
+    "hex_bilattice": lambda lo, hi: dl.hex_bilattice(
+        dl.BiLatticeSpec(dl.HexLatticeSpec(1.0, 6.25), (0, 0, 1.2)), lo, hi),
+    "hex_bilattice_down": lambda lo, hi: dl.hex_bilattice(
+        dl.BiLatticeSpec(dl.HexLatticeSpec(1.7, 6.25), (0, 0, -2.1)), lo, hi),
+    "c4v": dl.c4v_example,
+}
+
+
+class TestSetIntersectBox:
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_patch_is_the_clip_of_a_larger_patch(self, kind):
+        # the patch on a box is, bit for bit and in (z, y, x) order, the
+        # +-20 patch clipped to that box: boxes with corners of up to two
+        # decimals, off centre and thin ones included
+        build = SPECS[kind]
+        big = build([-20] * 3, [20] * 3).points
+        rng = np.random.default_rng(sorted(SPECS).index(kind))
+        for _ in range(60):
+            lo = np.round(rng.uniform(-8.0, 4.0, 3), 2)
+            hi = np.round(lo + rng.uniform(0.01, 8.0, 3), 2)
+            inside = (np.all(big >= lo - GEOM_TOL, axis=1)
+                      & np.all(big <= hi + GEOM_TOL, axis=1))
+            got = build(lo, hi).points
+            assert got.shape == big[inside].shape
+            assert got.tobytes() == big[inside].tobytes()
+
+
+#: SHA-256 of the files ``delone generate`` writes: the five stock boxes of
+#: the ``analyze_regular`` benchmark workload, boxes off centre with
+#: fractional corners, a sheared hexagonal lattice and a bilattice shifted
+#: downward.
+GENERATE_DIGESTS = [
+    (["--kind", "c4v", "--box", "-6", "-6", "-6", "6", "6", "6"],
+     "4f796af80feda1fb62ac1b401a2d21a56b606602063678c2f3eb829b56a71b6b"),
+    (["--kind", "cubic", "--box", "-4", "-4", "-4", "4", "4", "4"],
+     "a643d7ceb3647b2d82386acc12b2cce2a1a194356a7f82ae1e2d1cb1dcea5e82"),
+    (["--kind", "hex", "--lambda", "1", "--mu", "1",
+      "--box", "-4", "-4", "-4", "4", "4", "4"],
+     "453d60e4d09992dd26db21ad41fdb502b715dc11eac02e99587ff360550b16c8"),
+    (["--kind", "hex_bilattice", "--mu", "6.25", "--t-z", "1.2",
+      "--box", "-4", "-4", "-4", "4", "4", "4"],
+     "4e8cb57d8dc3bf27d5ea08e7259aa3959f5accf7b570e0c9c023a18d3930b6ca"),
+    (["--kind", "hex_bilattice", "--mu", "6.25", "--t-z", "1.2",
+      "--box", "-5", "-5", "-5", "5", "5", "5"],
+     "1e997dc50a7bcd90246b6500537939dafb569ff57e1ed0a6ec6f3ca67c130208"),
+    (["--kind", "cubic", "--box", "-2.37", "-1.5", "0.25", "3.1", "2.05", "4.99"],
+     "53a39a22f6f665229e0eb27bedc035a920b0e9033c378400af428760e8c9b272"),
+    (["--kind", "c4v", "--box", "-3.5", "-2.25", "-4.75", "4.1", "3.3", "5.6"],
+     "5724ab8696e265db61467da87e25627ec4bfb3abb7948d3850f23de2891863e5"),
+    (["--kind", "hex", "--lambda", "2.5", "--mu", "0.7",
+      "--box", "-3.3", "-2.71", "-1.05", "2.9", "3.44", "2.2"],
+     "4faebc9a300fa2f9a17400805c9e577ced5c72f85dd99c989ac15192d6b95af3"),
+    (["--kind", "hex_bilattice", "--mu", "6.25", "--t-z", "-2.1",
+      "--box", "-4.2", "-3.75", "-5.5", "3.6", "4.01", "5.13"],
+     "b2b37b11f785a1b30f9f6ff25f80cc2e81025eb466e0b3fa94cedb18b3248d1f"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GENERATE_DIGESTS,
+                         ids=[" ".join(argv) for argv, _ in GENERATE_DIGESTS])
+def test_generate_bytes_pinned(argv, digest, tmp_path, capsys):
+    path = tmp_path / "out.xyz"
+    assert main(["generate", *argv, "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

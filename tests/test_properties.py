@@ -1,12 +1,16 @@
-"""Randomized property suites (1000+ cases each).
+"""Randomized property suites (1000+ cases each, bar the generated
+regular systems).
 
 Each suite checks a structural law of the library against independent
 recomputation: monotonicity of stabilizers and of the class count,
 equivalence-relation laws, conjugation covariance, objective agreement
-with a brute-force scan, and the subgroup-tower bound.
+with a brute-force scan, the subgroup-tower bound, and one class with the
+site group inside the cluster group on generated regular systems.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delone_local as dl
 from delone_local.antiprism_opt import (
@@ -18,6 +22,8 @@ from delone_local.antiprism_opt import (
 )
 from delone_local.delone_core import Cluster
 from delone_local.equivalence import cluster_classes, cluster_isometry
+from delone_local.errors import LowerDimensionalCluster
+from delone_local.generators import _lattice_patch
 from delone_local.geometry import Isometry
 from delone_local.point_group import (
     PointGroup,
@@ -152,3 +158,56 @@ class TestTowerBound:
                 cache[key] = tower_height_oracle(elements)
             g = PointGroup(np.zeros(3), tuple(elements))
             assert tower_height(g) == cache[key] == omega(len(elements)) + 1
+
+
+@given(gens=st.lists(st.integers(0, 47), min_size=1, max_size=2),
+       x=st.tuples(*[st.integers(0, 3)] * 3),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_generated_regular_systems(gens, x, seed):
+    """The orbit G x + Z^3 of a point x under a group G of signed
+    permutations and the integer translations is a regular system: at
+    every radius it has one cluster class, and each cluster group S_x(rho)
+    holds the site group G_x = {g in G : g x - x in Z^3}.
+
+    A function, not a method: criterion 8 runs this file again inside the
+    same process, and Hypothesis rejects one test run on two instances."""
+    oh = signed_permutations()
+    group = closure_oracle([oh[i] for i in gens])
+    x = np.array(x) / 4.0
+    motif = np.unique(np.array([g @ x for g in group]) % 1.0, axis=0)
+    site = [g for g in group if np.all((g @ x - x) % 1.0 == 0.0)]
+    # scaled to unit packing distance: the nearest image of every
+    # motif difference, or a lattice vector
+    d = motif[:, None] - motif[None, :]
+    d = np.linalg.norm(d - np.round(d), axis=-1)
+    s = 1.0 / np.min(d[d > 0], initial=1.0)
+    # the box holds the cube of half-width h about s x in every
+    # rotation; that cube is trusted, with s x moved to the origin
+    h = 4.0
+    c = s * x
+    points = _lattice_patch(s * np.eye(3), s * motif, c - h * np.sqrt(3.0),
+                            c + h * np.sqrt(3.0)).points
+    q = random_orthogonal(np.random.default_rng(seed))
+    q *= np.linalg.det(q)
+    moved = (points - c) @ q.T
+    patch = dl.PointPatch(moved[np.all(np.abs(moved) <= h, axis=1)],
+                          [-h] * 3, [h] * 3)
+    # mid-gap radii of the center's shells, up to 3
+    r = np.sort(np.linalg.norm(patch.points, axis=1))
+    shells = r[np.r_[True, np.diff(r) > 1e-6]]
+    mids = (shells[:-1] + shells[1:]) / 2.0
+    for rho in mids[mids <= 3.0]:
+        assert cluster_classes(patch, rho).N == 1
+        cl = dl.cluster(patch, np.zeros(3), rho)
+        sv = np.linalg.svd(cl.members, compute_uv=False)
+        dim = int(np.sum(sv > 1e-6 * max(1.0, sv[0])))
+        try:
+            elements = np.array(stabilizer(cl).elements)
+        except LowerDimensionalCluster:
+            assert dim < 3
+            continue
+        assert dim == 3
+        for g in site:
+            gap = np.abs(elements - q @ g @ q.T).max(axis=(1, 2))
+            assert gap.min() <= 1e-6
