@@ -21,7 +21,8 @@ covering radius.  R is computed only where a "kR" radius or a printed
 "R =" line needs it; a patch with no Delaunay circumball inside its box
 (a planar one, say) has no computed R, and that is an error.
 All numeric output uses 10 significant digits; every error path prints
-one line "error: ..." to stderr and exits 1 (usage errors exit 2).
+one line "error: ..." to stderr and exits 1 (usage errors exit 2).  ``main``
+writes a subcommand's lines to stdout, or the same bytes to a report's -o.
 """
 from __future__ import annotations
 
@@ -49,28 +50,34 @@ class CliError(DeloneError):
     """Domain error raised directly by CLI validation."""
 
 
+def _finite(flag: str, value):
+    """``value`` of ``flag``, once each of its numbers is checked finite."""
+    if not np.all(np.isfinite(value)):
+        raise CliError(f"{flag} must be finite, got {value}")
+    return value
+
+
 def _resolve_R(patch: PointPatch, flag: Optional[float] = None) -> Tuple[float, str]:
     """R and its provenance: the --R flag, else the file's declared R,
     else the computed covering radius."""
     if flag is not None:
-        if not np.isfinite(flag):
-            raise CliError(f"--R must be finite, got {flag}")
-        return flag, "flag"
+        return _finite("--R", flag), "flag"
     if patch.declared_R is not None:
         return patch.declared_R, "declared"
     return covering_radius(patch), "computed"
 
 
-def _radius(text: str, get_R: Callable[[], float]) -> float:
-    """rho from a radius flag: a number, or a multiple "kR" of R, which
-    ``get_R`` gives and is called for only then."""
+def _radius(flag: str, text: str, get_R: Callable[[], float]) -> float:
+    """rho from the radius flag ``flag``: a finite number, or a multiple
+    "kR" of R, which ``get_R`` gives and is called for only then."""
     m = re.fullmatch(r"([0-9]+(?:\.[0-9]+)?)R", text.strip())
     if m:
         return float(m.group(1)) * get_R()
     try:
-        return float(text)
+        rho = float(text)
     except ValueError:
         raise CliError(f"bad radius {text!r}") from None
+    return _finite(flag, rho)
 
 
 def _load_checked(path: str) -> PointPatch:
@@ -83,44 +90,34 @@ def _load_checked(path: str) -> PointPatch:
     return patch
 
 
-def _out(args, text: str) -> None:
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # --- subcommand implementations --------------------------------------------
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> List[str]:
     if args.kind == "antiprism":
         patch = generators.antiprism_patch(args.a, args.b)
     else:
         if args.box is None:
             raise CliError("generator needs --box")
-        lo, hi = args.box[:3], args.box[3:]
+        lo, hi = _finite("--box", args.box)[:3], args.box[3:]
         if args.kind == "cubic":
             patch = generators.cubic_lattice(lo, hi)
-        elif args.kind == "hex":
-            patch = generators.hex_lattice(
-                generators.HexLatticeSpec(lam=args.lam, mu=args.mu), lo, hi)
-        elif args.kind == "hex_bilattice":
-            if args.t_z is None:
-                raise CliError("hex_bilattice needs --t-z")
-            spec = generators.BiLatticeSpec(
-                hex=generators.HexLatticeSpec(lam=args.lam, mu=args.mu),
-                t=(0.0, 0.0, args.t_z))
-            patch = generators.hex_bilattice(spec, lo, hi)
-        else:  # c4v
+        elif args.kind == "c4v":
             patch = generators.c4v_example(lo, hi)
-    if args.output:
-        save_patch(patch, args.output)
-    print(f"wrote {len(patch)} points" + (f" to {args.output}" if args.output else ""))
-    return 0
+        elif args.kind == "hex_bilattice" and args.t_z is None:
+            raise CliError("hex_bilattice needs --t-z")
+        else:
+            spec = generators.HexLatticeSpec(lam=args.lam, mu=args.mu)
+            if args.kind == "hex":
+                patch = generators.hex_lattice(spec, lo, hi)
+            else:
+                patch = generators.hex_bilattice(generators.BiLatticeSpec(
+                    hex=spec, t=(0.0, 0.0, _finite("--t-z", args.t_z))), lo, hi)
+    if args.patch:
+        save_patch(patch, args.patch)
+    return [f"wrote {len(patch)} points" + (f" to {args.patch}" if args.patch else "")]
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> List[str]:
     patch = _load_checked(args.path)
     R, prov = _resolve_R(patch)
     lines = [f"R = {_fmt(R)} ({prov})", f"rho = {_fmt(2.0 * R)}"]
@@ -140,13 +137,12 @@ def _cmd_analyze(args) -> int:
         lines.append("local_criterion = unavailable")
     if report.note:
         lines.append(f"note = {report.note}")
-    _out(args, "\n".join(lines) + "\n")
-    return 0
+    return lines
 
 
-def _cmd_classes(args) -> int:
+def _cmd_classes(args) -> List[str]:
     patch = _load_checked(args.path)
-    rho = _radius(args.rho, lambda: _resolve_R(patch)[0])
+    rho = _radius("--rho", args.rho, lambda: _resolve_R(patch)[0])
     dec = cluster_classes(patch, rho)
     lines = [f"rho = {_fmt(rho)}", f"N = {dec.N}"]
     counts = [0] * dec.N
@@ -157,16 +153,15 @@ def _cmd_classes(args) -> int:
         lines.append(
             f"class {i}: representative = ({_fmt(c[0])}, {_fmt(c[1])}, "
             f"{_fmt(c[2])}), members = {len(rep)}, centers = {counts[i]}")
-    _out(args, "\n".join(lines) + "\n")
-    return 0
+    return lines
 
 
-def _cmd_group(args) -> int:
+def _cmd_group(args) -> List[str]:
     patch = _load_checked(args.path)
-    rho = _radius(args.rho, lambda: _resolve_R(patch)[0])
+    rho = _radius("--rho", args.rho, lambda: _resolve_R(patch)[0])
     c = cluster(patch, args.center, rho)
     g = point_group.stabilizer(c)
-    lines = [
+    return [
         f"center = ({_fmt(args.center[0])}, {_fmt(args.center[1])}, "
         f"{_fmt(args.center[2])})",
         f"rho = {_fmt(rho)}",
@@ -174,14 +169,12 @@ def _cmd_group(args) -> int:
         f"order = {g.order}",
         f"tower_height = {point_group.tower_height(g)}",
     ]
-    _out(args, "\n".join(lines) + "\n")
-    return 0
 
 
-def _cmd_check_local(args) -> int:
+def _cmd_check_local(args) -> List[str]:
     patch = _load_checked(args.path)
     R, prov = _resolve_R(patch, args.R)
-    rho0 = _radius(args.rho0, lambda: R)
+    rho0 = _radius("--rho0", args.rho0, lambda: R)
     verdict = regularity.local_criterion(patch, rho0, R)
     lines = [
         f"R = {_fmt(R)} ({prov})",
@@ -192,22 +185,18 @@ def _cmd_check_local(args) -> int:
     ]
     if verdict.witness:
         lines.append(f"witness = {verdict.witness}")
-    _out(args, "\n".join(lines) + "\n")
-    return 0
+    return lines
 
 
-def _cmd_bounds_table(args) -> int:
+def _cmd_bounds_table(args) -> List[str]:
     if args.format == "csv":
-        _out(args, regularity.table_to_csv())
-        return 0
-    lines = ["group  order  bound  reference"]
-    for r in regularity.table_rows():
-        lines.append(f"{r.label:<6} {r.order:<6} {r.bound:<10} {r.reference}")
-    _out(args, "\n".join(lines) + "\n")
-    return 0
+        return regularity.table_to_csv().splitlines()
+    return ["group  order  bound  reference"] + [
+        f"{r.label:<6} {r.order:<6} {r.bound:<10} {r.reference}"
+        for r in regularity.table_rows()]
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> List[str]:
     kwargs = {}
     if args.grid is not None:
         kwargs.update(grid_phi=args.grid, grid_psi=args.grid)
@@ -228,13 +217,11 @@ def _cmd_optimize(args) -> int:
     for name in ("a", "b", "x", "y", "z"):
         if hasattr(p, name):
             lines.append(f"argmax_{name} = {_fmt(getattr(p, name))}")
-    _out(args, "\n".join(lines) + "\n")
-    return 0
+    return lines
 
 
-def _cmd_shtogrin(args) -> int:
-    print(_fmt(regularity.shtogrin_step_bound(args.n)))
-    return 0
+def _cmd_shtogrin(args) -> List[str]:
+    return [_fmt(regularity.shtogrin_step_bound(args.n))]
 
 
 # --- parser -----------------------------------------------------------------
@@ -256,18 +243,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-z", dest="t_z", type=float)
     p.add_argument("--a", type=float, default=float(np.sqrt(0.75)))
     p.add_argument("--b", type=float, default=0.5)
-    p.add_argument("-o", "--output")
+    p.add_argument("-o", "--output", dest="patch", metavar="OUTPUT")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("analyze", help="full scenario report for a point set")
     p.add_argument("path")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("classes", help="cluster classes at a radius")
     p.add_argument("path")
     p.add_argument("--rho", required=True)
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_classes)
 
     p = sub.add_parser("group", help="stabilizer of a cluster")
@@ -275,19 +260,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", type=float, nargs=3, required=True,
                    metavar=("X", "Y", "Z"))
     p.add_argument("--rho", required=True)
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_group)
 
     p = sub.add_parser("check-local", help="evaluate the local criterion")
     p.add_argument("path")
     p.add_argument("--rho0", required=True)
     p.add_argument("--R", type=float)
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_check_local)
 
     p = sub.add_parser("bounds-table", help="per-group bounds table")
     p.add_argument("--format", choices=["text", "csv"], default="text")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_bounds_table)
 
     p = sub.add_parser("optimize", help="antiprism optimizations")
@@ -298,13 +280,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair-filter", dest="pair_filter", type=float,
                    help="lemma1's distance below which a vertex pair is "
                         "dropped as coincident; lemma2 does not use it")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("shtogrin-bound", help="step bound 2 sin(pi/n)")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_shtogrin)
 
+    # the reports, whose lines main writes to -o in place of stdout
+    for name in ("analyze", "classes", "group", "check-local", "bounds-table",
+                 "optimize"):
+        sub.choices[name].add_argument("-o", "--output")
     return parser
 
 
@@ -315,7 +300,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        text = "".join(line + "\n" for line in args.func(args))
+        if getattr(args, "output", None):
+            with open(args.output, "w", encoding="utf-8", newline="\n") as f:
+                f.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0
     # every ValueError raised in the package rejects an argument or input
     except (DeloneError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -88,7 +88,8 @@ class PointPatch:
         points: (n, 3) array of patch points.
         box_lo, box_hi: corners of the trusted box.
         declared_R: covering radius declared by the producer of the patch,
-            if any; overrides the patch-restricted estimate on request.
+            if any (positive and finite, else ValueError); overrides the
+            patch-restricted estimate on request.
         packing_violations: list of index pairs closer than 1 - geom_tol.
             A nonempty list means the patch is not a valid unit-distance
             Delone patch; operations still run, but consumers (e.g. the
@@ -110,7 +111,7 @@ class PointPatch:
                                   "lies outside the box")
             err.row = int(outside[0])
             raise err
-        self.declared_R = None if declared_R is None else float(declared_R)
+        self.declared_R = None if declared_R is None else _declared_R(declared_R)
         self._tree = cKDTree(self.points) if len(self.points) else None
         if self._tree is not None:
             pairs = self._tree.query_pairs(1.0 - self.geom_tol)
@@ -151,6 +152,14 @@ class PointPatch:
         """Patch points whose rho-ball stays inside the trusted box,
         sorted lexicographically."""
         return lex_sort(self.points[self.ball_inside_box(self.points, rho)])
+
+
+def _declared_R(value) -> float:
+    """A declared covering radius, once checked positive and finite."""
+    R = float(value)
+    if not (np.isfinite(R) and R > 0):
+        raise ValueError(f"declared R must be positive and finite, got {R}")
+    return R
 
 
 def _ball_inside(c, rho, lo, hi, tol):
@@ -552,40 +561,30 @@ def _largest_fitting_ball(patch: PointPatch, centers: np.ndarray,
     return _largest_fitting_ball(patch, centers, patch.tree.query(centers)[0])
 
 
-def _ball_center(patch: PointPatch, center, rho: float, what: str) -> np.ndarray:
-    """The patch point at ``center``, once the ``what`` radius rho is
-    checked non-negative and its ball inside the trusted box."""
+def cluster(patch: PointPatch, center, rho: float) -> Cluster:
+    """The cluster C_center(rho) of the patch (closed ball membership):
+    the points within rho + geom_tol of the patch point at ``center``,
+    whose rho-ball must lie in the trusted box."""
     c = patch.points[patch.index_of(center)]
     if rho < 0:
-        raise ValueError(f"{what} radius must be non-negative")
+        raise ValueError("cluster radius must be non-negative")
     if not patch.ball_inside_box(c, rho):
         raise MarginViolation(
             f"ball of radius {rho:g} at {c.tolist()} exits the trusted box")
-    return c
-
-
-def cluster(patch: PointPatch, center, rho: float) -> Cluster:
-    """The cluster C_center(rho) of the patch (closed ball membership)."""
-    c = _ball_center(patch, center, rho, "cluster")
-    members_idx = patch.tree.query_ball_point(c, rho + patch.geom_tol)
-    members = patch.points[sorted(members_idx)]
-    return Cluster(center=c, radius=float(rho), members=members)
+    members = patch.tree.query_ball_point(c, rho + patch.geom_tol,
+                                          return_sorted=False)
+    return Cluster(center=c, radius=float(rho), members=patch.points[members])
 
 
 def shell(patch: PointPatch, center, rho: float) -> np.ndarray:
-    """The rho-shell: points at distance exactly rho (within geom_tol).
-
-    Excludes the center unless rho = 0, in which case the shell is the
-    center alone.
-    """
-    c = _ball_center(patch, center, rho, "shell")
-    if rho <= patch.geom_tol:
-        return c[None, :].copy()
-    cand_idx = patch.tree.query_ball_point(c, rho + patch.geom_tol)
-    cand = patch.points[sorted(cand_idx)]
-    dists = np.linalg.norm(cand - c, axis=1)
-    on_shell = np.abs(dists - rho) <= patch.geom_tol
-    return lex_sort(cand[on_shell])
+    """The rho-shell: the members of ``cluster(patch, center, rho)`` at
+    distance rho within geom_tol, in lexicographic order.  It holds the
+    center only where rho <= geom_tol, and then (in a valid patch) alone."""
+    if rho < 0:
+        raise ValueError("shell radius must be non-negative")
+    c = cluster(patch, center, rho)
+    d = np.linalg.norm(c.offsets, axis=1)
+    return c.members[np.abs(d - rho) <= patch.geom_tol]
 
 
 # --- point-set file I/O -----------------------------------------------------
@@ -627,25 +626,17 @@ def load_patch(path) -> PointPatch:
             if line.startswith("#"):
                 fields = line[1:].split()
                 if fields[:1] == ["box"]:
-                    if len(fields) != 7:
-                        raise ParseError(f"line {lineno}: box header needs 6 numbers")
-                    try:
-                        vals = [float(v) for v in fields[1:]]
-                    except ValueError:
-                        raise ParseError(f"line {lineno}: bad box header") from None
+                    vals = _header_numbers(fields, 6, lineno)
                     if not np.all(np.isfinite(vals)):
                         raise ParseError(f"line {lineno}: non-finite box header")
                     box = (vals[:3], vals[3:])
                 elif fields[:1] == ["R"]:
-                    if len(fields) != 2:
-                        raise ParseError(f"line {lineno}: R header needs 1 number")
+                    (R,) = _header_numbers(fields, 1, lineno)
                     try:
-                        declared_R = float(fields[1])
+                        declared_R = _declared_R(R)
                     except ValueError:
-                        raise ParseError(f"line {lineno}: bad R header") from None
-                    if not (np.isfinite(declared_R) and declared_R > 0):
-                        raise ParseError(
-                            f"line {lineno}: R header must be positive and finite")
+                        raise ParseError(f"line {lineno}: R header must be "
+                                         "positive and finite") from None
                 continue
             rows.append((lineno, line))
     if not rows:
@@ -677,3 +668,14 @@ def load_patch(path) -> PointPatch:
         return PointPatch(points, box[0], box[1], declared_R=declared_R)
     except MarginViolation as e:
         raise ParseError(f"line {rows[e.row][0]}: {e}") from None
+
+
+def _header_numbers(fields, count: int, lineno: int) -> list:
+    """The ``count`` numbers of the header ``fields`` on line ``lineno``."""
+    if len(fields) != count + 1:
+        raise ParseError(f"line {lineno}: {fields[0]} header needs {count} "
+                         f"number{'s' if count > 1 else ''}")
+    try:
+        return [float(v) for v in fields[1:]]
+    except ValueError:
+        raise ParseError(f"line {lineno}: bad {fields[0]} header") from None

@@ -325,6 +325,58 @@ def test_check_local_rejects_non_finite_R(value, c4v_file, capsys):
     assert err == f"error: --R must be finite, got {float(value)}\n"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["classes", "{c4v}", "--rho", "nan"], "--rho"),
+    (["check-local", "{c4v}", "--rho0", "nan"], "--rho0"),
+    (["group", "{c4v}", "--center", "0", "0", "1", "--rho", "inf"], "--rho"),
+], ids=["classes", "check-local", "group"])
+def test_radius_flags_reject_non_finite(argv, flag, c4v_file, capsys):
+    # nan read as "no center supports radius nan inside the trusted box",
+    # and inf as "ball of radius inf ... exits the trusted box"
+    code, out, err = run(capsys, *[a.format(c4v=c4v_file) for a in argv])
+    assert code == 1 and out == ""
+    assert err == f"error: {flag} must be finite, got {float(argv[-1])}\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--kind", "cubic", "--box", "-2", "-2", "-2", "inf", "2", "2"],
+     "--box must be finite, got [-2.0, -2.0, -2.0, inf, 2.0, 2.0]"),
+    (["--kind", "hex_bilattice", "--t-z", "nan", "--box", *["-2"] * 3, *["2"] * 3],
+     "--t-z must be finite, got nan"),
+], ids=["box", "t-z"])
+def test_generate_rejects_non_finite_flags(flags, message, tmp_path, capsys):
+    # both read as "point has non-finite components", naming no flag
+    path = tmp_path / "never.xyz"
+    code, out, err = run(capsys, "generate", *flags, "-o", str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not path.exists()
+
+
+#: A run of each report subcommand, "{c4v}" standing for the input file.
+REPORTS = (
+    ["analyze", "{c4v}"],
+    ["classes", "{c4v}", "--rho", "2R"],
+    ["group", "{c4v}", "--center", "0", "0", "1", "--rho", "2R"],
+    ["check-local", "{c4v}", "--rho0", "2R"],
+    ["bounds-table"],
+    ["bounds-table", "--format", "csv"],
+    ["optimize", "lemma2", "--grid", "5"],
+)
+
+
+@pytest.mark.parametrize("argv", REPORTS, ids=" ".join)
+def test_report_output_file_gets_the_stdout_bytes(argv, c4v_file, tmp_path,
+                                                  capsys):
+    # main writes a report once: to stdout, or, with -o, the same bytes to
+    # the file and nothing to stdout
+    argv = [a.format(c4v=c4v_file) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out.endswith("\n")
+    path = tmp_path / "report.txt"
+    assert run(capsys, *argv, "-o", str(path)) == (0, "", "")
+    assert path.read_bytes() == out.encode("utf-8")
+
+
 #: Each subcommand's flags.  A removed setting (``--tol``, ``--config``,
 #: ``analyze --rho``) must not come back unseen.
 FLAGS = {

@@ -17,6 +17,7 @@ from delone_local.cli import _fmt
 from delone_local.delone_core import (
     _largest_fitting_ball,
     _slabs,
+    lex_sort,
     load_patch,
     save_patch,
 )
@@ -513,6 +514,24 @@ class TestShell:
         assert np.allclose(s[0], 0)
 
 
+class TestShellFilter:
+    # shell filters cluster's members at |d - rho| <= geom_tol; it must
+    # equal a scan of every patch point, byte for byte
+    @pytest.mark.parametrize("name, seed", [
+        ("z3", 0), ("z3", 1), ("c4v", 0), ("c4v", 1)])
+    def test_equals_brute_force_scan(self, name, seed):
+        patch = rotated_lattice(name, seed, 5)
+        tol = patch.geom_tol
+        inside = patch.points[patch.ball_inside_box(patch.points, 3.0)]
+        for c in inside[:: max(1, len(inside) // 2)][:2]:
+            d = np.linalg.norm(patch.points - c, axis=1)
+            for rho in np.unique(d[d <= 3.0]):
+                want = lex_sort(patch.points[np.abs(d - rho) <= tol])
+                got = dl.shell(patch, c, float(rho))
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
 class TestFileFormat:
     def test_roundtrip(self, tmp_path, c4v_patch):
         path = tmp_path / "set.xyz"
@@ -553,9 +572,14 @@ class TestFileFormat:
         ("0 0 0\n# box -1 -1 -1 1 inf 1\n", "line 2: non-finite box header"),
         ("# box -1 -1 -1 1 1 1\n0 0 0\nnan 0 0\n", "line 3: non-finite coordinate"),
         ("0 0 0\n\n1 -inf 0\n2 0 nan\n", "line 3: non-finite coordinate"),
+        ("# box -1 -1 -1 1 1\n0 0 0\n", "line 1: box header needs 6 numbers"),
+        ("0 0 0\n# box -1 -1 -1 1 1 one\n", "line 2: bad box header"),
+        ("# R 1 2\n0 0 0\n", "line 1: R header needs 1 number"),
+        ("0 0 0\n# R one\n", "line 2: bad R header"),
     ], ids=["4-then-2", "trailing-comment", "2-columns", "bad-after-100",
             "R-nan", "R-inf", "R-zero", "R-negative", "box-nan", "box-inf",
-            "point-nan", "point-inf-no-box"])
+            "point-nan", "point-inf-no-box", "box-5-numbers", "box-word",
+            "R-2-numbers", "R-word"])
     def test_bad_data_line_named(self, tmp_path, text, message):
         # the data lines are parsed as one array; a failure names its
         # line, as does a bad number in a header
@@ -574,6 +598,20 @@ class TestFileFormat:
             load_patch(path)
         path.write_text("# box 0 0 0 1 1 1\n0 0 0\n1.0000000005 1 1\n")
         assert len(load_patch(path)) == 2
+
+    @pytest.mark.parametrize("R", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_patch_refuses_a_bad_declared_R(self, R):
+        # a nan was kept, and save_patch wrote "# R nan", which load_patch
+        # refuses
+        with pytest.raises(ValueError, match="declared R must be positive "
+                                             "and finite"):
+            dl.PointPatch([[0, 0, 0]], [-1] * 3, [1] * 3, declared_R=R)
+
+    def test_declared_R_survives_the_roundtrip(self, tmp_path):
+        path = tmp_path / "R.xyz"
+        save_patch(dl.PointPatch([[0, 0, 0], [1, 0, 0]], [-1] * 3, [2, 1, 1],
+                                 declared_R=1.25), path)
+        assert load_patch(path).declared_R == 1.25
 
     def test_patch_checks_its_box(self):
         # built in code, a patch holds its points to its box as a loaded
