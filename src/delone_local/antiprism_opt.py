@@ -151,8 +151,9 @@ class OptBudget:
 
     def __post_init__(self) -> None:
         counts = (self.grid_phi, self.grid_psi, self.grid_lemma2)
-        if min(counts) < 1 or not self.pair_filter > 0:
-            raise ValueError("budget counts and pair_filter must be positive")
+        if min(counts) < 1 or not 0 < self.pair_filter < np.inf:
+            raise ValueError("budget counts must be positive and pair_filter "
+                             "positive and finite")
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,7 @@ def _load_checked(path: str) -> PointPatch:
 
 def _cmd_generate(args) -> List[str]:
     if args.kind == "antiprism":
-        patch = generators.antiprism_patch(args.a, args.b)
+        patch = generators.antiprism_patch(_finite("--a", args.a), _finite("--b", args.b))
     else:
         if args.box is None:
             raise CliError("generator needs --box")
@@ -106,7 +106,8 @@ def _cmd_generate(args) -> List[str]:
         elif args.kind == "hex_bilattice" and args.t_z is None:
             raise CliError("hex_bilattice needs --t-z")
         else:
-            spec = generators.HexLatticeSpec(lam=args.lam, mu=args.mu)
+            spec = generators.HexLatticeSpec(lam=_finite("--lambda", args.lam),
+                                             mu=_finite("--mu", args.mu))
             if args.kind == "hex":
                 patch = generators.hex_lattice(spec, lo, hi)
             else:
@@ -201,7 +202,7 @@ def _cmd_optimize(args) -> List[str]:
     if args.grid is not None:
         kwargs.update(grid_phi=args.grid, grid_psi=args.grid)
     if args.pair_filter is not None:
-        kwargs.update(pair_filter=args.pair_filter)
+        kwargs.update(pair_filter=_finite("--pair-filter", args.pair_filter))
     budget = antiprism_opt.OptBudget(**kwargs)
     if args.problem == "lemma1":
         report = antiprism_opt.optimize_lemma1(budget)

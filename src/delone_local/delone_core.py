@@ -29,7 +29,7 @@ from .errors import (
     ParseError,
     TooFewPoints,
 )
-from .geometry import GEOM_TOL, _complete_basis, as_point, as_points
+from .geometry import GEOM_TOL, _complete_basis, _cross, as_point, as_points
 
 #: Qhull's joggle (``QJ``) in ``covering_radius``, relative to the largest
 #: box-centered coordinate (at least 1): 50 times Qhull's roundoff (Qhull
@@ -199,7 +199,12 @@ class Cluster:
         return d
 
     def affine_dimension(self) -> int:
-        """Dimension of the affine hull: singular values > 1e-9 max(1, s_max)."""
+        """Dimension of the affine hull: singular values > 1e-9 max(1, s_max)
+        (cached)."""
+        return self._affine_dimension
+
+    @cached_property
+    def _affine_dimension(self) -> int:
         if len(self.members) <= 1:
             return 0
         diffs = self.members - self.members[0]
@@ -329,10 +334,10 @@ def _greedy_frame(cand: np.ndarray, want: int) -> Optional[np.ndarray]:
     picked = [cand[int(np.argmax(np.round(np.einsum("ij,ij->i", cand, cand), 9)))]]
     while len(picked) < want:
         if len(picked) == 1:
-            cross = np.cross(picked[0], cand)
+            cross = np.stack(_cross(picked[0], cand.T), axis=1)
             score = np.einsum("ij,ij->i", cross, cross)
         else:
-            score = np.abs(cand @ np.cross(picked[0], picked[1]))
+            score = np.abs(cand @ np.array(_cross(picked[0], picked[1])))
         score = np.round(score, 9)
         i = int(np.argmax(score))
         if score[i] <= 1e-9:
@@ -524,11 +529,6 @@ def _circumcenters(points: np.ndarray, simplices: np.ndarray):
                    for a, b, c in zip(vw, wu, uv)]
     centers = np.stack([pc + o for pc, o in zip(p, offsets)], axis=1)
     return centers, np.sqrt(_dot(offsets, offsets))
-
-
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
 
 
 def _dot(a, b):

@@ -44,8 +44,8 @@ class HexLatticeSpec:
     mu: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.lam > 0 and self.mu > 0):
-            raise ValueError("lam and mu must be positive")
+        if not (0 < self.lam < np.inf and 0 < self.mu < np.inf):
+            raise ValueError("lam and mu must be positive and finite")
 
     @property
     def basis(self) -> np.ndarray:

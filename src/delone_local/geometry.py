@@ -206,9 +206,20 @@ def _axis(r: np.ndarray, half_turn: np.ndarray) -> np.ndarray:
     return canonical_axis(v)
 
 
+def _proper_and_inversion(qs: np.ndarray, order: np.ndarray):
+    """Masks of the proper maps of a stack (n, 3, 3) of known orders (the
+    sign of the determinant) and of the inversion (improper, of order 2,
+    trace -3 rather than a reflection's +1)."""
+    proper = np.linalg.det(qs) > 0.0
+    return proper, ~proper & (order == 2) & (np.trace(qs, axis1=1, axis2=2) < -1.0)
+
+
 def element_kinds(qs: np.ndarray, orders) -> List[ElementKind]:
     """Symmetry elements of a stack of orthogonal maps (n, 3, 3) of known
-    ``orders`` (None: no finite order found), read in one pass.
+    ``orders`` (None: no finite order found), read in one pass, each with
+    its axis in closed form.  ``point_group`` counts a group's label off
+    the orders and :func:`_proper_and_inversion` alone, and calls this only
+    when a group's ``kinds`` are accessed.
 
     Proper or improper is the sign of the determinant.  A proper map of
     order 1 is the identity, any other a rotation about the axis of q.  An
@@ -218,8 +229,7 @@ def element_kinds(qs: np.ndarray, orders) -> List[ElementKind]:
     """
     qs = np.asarray(qs, dtype=float).reshape(-1, 3, 3)
     order = np.array([k or 0 for k in orders], dtype=int)
-    proper = np.linalg.det(qs) > 0.0
-    inversion = ~proper & (order == 2) & (np.trace(qs, axis1=1, axis2=2) < -1.0)
+    proper, inversion = _proper_and_inversion(qs, order)
     axial = ~(proper & (order == 1)) & ~inversion
     axes = np.zeros((len(qs), 3))
     axes[axial] = _axis(np.where(proper[:, None, None], qs, -qs)[axial],
@@ -253,6 +263,15 @@ def classify_element(q: np.ndarray) -> ElementKind:
     return element_kinds(q, [order])[0]
 
 
+def _cross(a, b):
+    """The cross products a x b of vectors given as component triples
+    (a[0], a[1], a[2]) of numbers or broadcasting arrays, as such a triple:
+    the products and differences ``np.cross`` takes, in its order, so its
+    result bit for bit, without its axis moves."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
 def _complete_basis(vectors) -> np.ndarray:
     """Bases (n, 3, 3) whose columns are the k = 1, 2 or 3 independent
     vectors of each tuple of a stack (n, k, 3), completed (k = 1: add a
@@ -261,11 +280,12 @@ def _complete_basis(vectors) -> np.ndarray:
     v = np.asarray(vectors, dtype=float)
     if v.shape[1] == 1:
         u = v[:, 0]
-        p = np.cross(u, np.eye(3)[np.argmin(np.abs(u), axis=1)])
+        p = np.stack(_cross(u.T, np.eye(3)[np.argmin(np.abs(u), axis=1)].T), axis=1)
         p *= (np.sqrt(np.vecdot(u, u)) / np.sqrt(np.vecdot(p, p)))[:, None]
         v = np.concatenate([v, p[:, None]], axis=1)
     if v.shape[1] == 2:
-        v = np.concatenate([v, np.cross(v[:, 0], v[:, 1])[:, None]], axis=1)
+        v = np.concatenate([v, np.stack(_cross(v[:, 0].T, v[:, 1].T), axis=1)[:, None]],
+                           axis=1)
     return np.swapaxes(v, 1, 2)
 
 

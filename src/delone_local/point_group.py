@@ -8,13 +8,14 @@ no element is compared as a matrix.  The stabilizer S_x(rho) permutes its
 cluster, by the maps the map search of cluster equivalence finds from the
 cluster to itself; a group given as matrices permutes the orbit of
 ``_MOTIF`` under it, whose points are the same iff within
-``equivalence.match_tolerance(1)``.  The kinds of all elements are read
-off the table in one pass (order = cycle length, proper or improper =
-sign of the determinant, axis in closed form: ``geometry.element_kinds``).
+``equivalence.match_tolerance(1)``.
 
-The Schoenflies label follows from integers alone, by the classification
-of the finite subgroups of O(3): with p = |G+| proper elements, n the
-largest rotation order and m reflections, the first rule that fits is
+The Schoenflies label follows from integers alone, counted in one pass
+over the elements stacked once: each element's order (its cycle length
+in the table), whether it is proper (the sign of its determinant) and
+whether it is the inversion.  By the classification of the finite
+subgroups of O(3), with p = |G+| proper elements, n the largest rotation
+order and m reflections, the first rule that fits is
 
 * p = n (G+ = Cn): Cn if all elements are proper; else Sn (n odd) or Cnh
   (n even) if m = 1, Cnv if m = n, S2n if m = 0;
@@ -24,7 +25,10 @@ largest rotation order and m reflections, the first rule that fits is
   (inversion present) or Td (absent), Oh, Ih;
 
 and any other count raises :class:`UnrecognizedGroup`.  No axis is read
-and no angle is compared against a tolerance.
+and no angle is compared against a tolerance.  The element kinds, with
+their axes in closed form (``geometry.element_kinds``), are built only
+when a group's ``kinds`` are accessed, from the orders the label was
+counted with.
 
 Order-theoretic helpers: ``omega`` (prime factors with multiplicity) and
 ``tower_height`` (longest chain of strictly nested subgroups), which for
@@ -33,6 +37,7 @@ every finite subgroup of O(3) equals ``omega(|G|) + 1``.
 from __future__ import annotations
 
 from dataclasses import KW_ONLY, InitVar, dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,7 +51,13 @@ from .errors import (
     NotAGroup,
     UnrecognizedGroup,
 )
-from .geometry import FRAME_TOL, ElementKind, _frame_map, element_kinds
+from .geometry import (
+    FRAME_TOL,
+    ElementKind,
+    _frame_map,
+    _proper_and_inversion,
+    element_kinds,
+)
 
 __all__ = [
     "SchoenfliesLabel",
@@ -108,20 +119,29 @@ class SchoenfliesLabel:
 @dataclass(frozen=True)
 class PointGroup:
     """Finite group of orthogonal maps acting about a center point, checked
-    once, when built (:class:`NotAGroup`, :class:`GroupTooLarge`); the
-    element ``kinds`` and the ``label`` are read off that check's table
-    (a caller that composed one for its elements passes it as ``_table``)."""
+    once, when built (:class:`NotAGroup`, :class:`GroupTooLarge`).  The
+    ``label`` is counted off that check's table and the stacked elements
+    (a caller that composed a table for its elements passes it as
+    ``_table``); the element ``kinds`` are built on first access, from the
+    element orders kept with the group."""
 
     center: np.ndarray
     elements: Tuple[np.ndarray, ...]
-    kinds: Tuple[ElementKind, ...] = field(init=False, repr=False)
     label: SchoenfliesLabel = field(init=False)
+    _element_orders: np.ndarray = field(init=False, repr=False)
     _: KW_ONLY
     _table: InitVar[Optional[np.ndarray]] = None
 
     def __post_init__(self, _table) -> None:
-        object.__setattr__(self, "kinds", tuple(_element_kinds(self.elements, _table)))
-        object.__setattr__(self, "label", _label(self.kinds))
+        m = np.asarray(self.elements, dtype=float).reshape(-1, 3, 3)
+        orders = _orders(_matrix_table(m) if _table is None else _table)
+        object.__setattr__(self, "_element_orders", orders)
+        object.__setattr__(self, "label", _counted_label(m, orders))
+
+    @cached_property
+    def kinds(self) -> Tuple[ElementKind, ...]:
+        """Kind of each element, built on first access."""
+        return tuple(_element_kinds(self.elements, self._element_orders))
 
     @property
     def order(self) -> int:
@@ -251,11 +271,11 @@ def _orders(table: np.ndarray) -> np.ndarray:
     return order
 
 
-def _element_kinds(elements: Sequence[np.ndarray], table=None) -> List[ElementKind]:
-    """Kind of each element, read in one pass with its order off ``table``
-    (by default the matrices' own, checked to be a group's)."""
+def _element_kinds(elements: Sequence[np.ndarray], orders=None) -> List[ElementKind]:
+    """Kind of each element, read in one pass with its order (by default
+    off the matrices' own product table, checked to be a group's)."""
     m = np.asarray(elements, dtype=float).reshape(-1, 3, 3)
-    return element_kinds(m, _orders(_matrix_table(m) if table is None else table))
+    return element_kinds(m, _orders(_matrix_table(m)) if orders is None else orders)
 
 
 def stabilizer(c: Cluster) -> PointGroup:
@@ -276,16 +296,34 @@ def stabilizer(c: Cluster) -> PointGroup:
 def schoenflies_from_matrices(elements: Sequence[np.ndarray]) -> SchoenfliesLabel:
     """Schoenflies label of a finite subgroup of O(3) given its elements,
     checked to form a group (:class:`NotAGroup`, :class:`GroupTooLarge`)."""
-    return _label(_element_kinds(elements))
+    return PointGroup(np.zeros(3), tuple(elements)).label
+
+
+def _counted_label(m: np.ndarray, orders: np.ndarray) -> SchoenfliesLabel:
+    """Schoenflies label of the group of matrices m (n, 3, 3) with element
+    ``orders``, from its counts: the proper elements, their largest order,
+    the improper elements of order 2 other than the inversion (the
+    reflections), and whether the inversion is one of them."""
+    proper, inversion = _proper_and_inversion(m, orders)
+    return _schoenflies(len(m), int(proper.sum()), int(orders[proper].max(initial=1)),
+                        int((~proper & (orders == 2) & ~inversion).sum()),
+                        bool(inversion.any()))
 
 
 def _label(kinds: Sequence[ElementKind]) -> SchoenfliesLabel:
-    """Schoenflies label from the element kinds by the module docstring's
+    """Schoenflies label from the element kinds, by the same counts."""
+    return _schoenflies(
+        len(kinds), sum(k.kind in ("identity", "rotation") for k in kinds),
+        max((k.order for k in kinds if k.kind == "rotation"), default=1),
+        sum(k.kind == "reflection" for k in kinds),
+        any(k.kind == "inversion" for k in kinds))
+
+
+def _schoenflies(order: int, p: int, n: int, m: int, inversion: bool) -> SchoenfliesLabel:
+    """Schoenflies label of a group of ``order`` elements, p of them proper,
+    n the largest rotation order, m reflections, by the module docstring's
     rule, spelled as the bounds table keys it (Cs = S1, Ci = S2, odd Cnh = Sn)."""
-    p = sum(k.kind in ("identity", "rotation") for k in kinds)
-    n = max((k.order for k in kinds if k.kind == "rotation"), default=1)
-    m = sum(k.kind == "reflection" for k in kinds)
-    improper = p < len(kinds)
+    improper = p < order
     if p == n:  # G+ = Cn
         if not improper:
             return SchoenfliesLabel("C", n)
@@ -305,10 +343,10 @@ def _label(kinds: Sequence[ElementKind]) -> SchoenfliesLabel:
     elif (p, n) in ((12, 3), (24, 4), (60, 5)):  # G+ = T, O, I
         if not improper:
             return SchoenfliesLabel("TOI"[n - 3])
-        if n > 3 or any(k.kind == "inversion" for k in kinds):
+        if n > 3 or inversion:
             return SchoenfliesLabel("TOI"[n - 3] + "h")
         return SchoenfliesLabel("Td")
-    raise UnrecognizedGroup(f"no finite subgroup of O(3) has order {len(kinds)}, "
+    raise UnrecognizedGroup(f"no finite subgroup of O(3) has order {order}, "
                             f"|G+| = {p}, rotation order {n}, {m} reflections")
 
 

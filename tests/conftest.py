@@ -211,6 +211,24 @@ def maps_oracle(a, b):
     return list(extend([]))
 
 
+def greedy_frame_oracle(cand, want):
+    """``delone_core._greedy_frame`` as it was with ``np.cross``: the first
+    ``want`` vectors of the greedy frame of ``cand``, or None."""
+    picked = [cand[int(np.argmax(np.round(np.einsum("ij,ij->i", cand, cand), 9)))]]
+    while len(picked) < want:
+        if len(picked) == 1:
+            cross = np.cross(picked[0], cand)
+            score = np.einsum("ij,ij->i", cross, cross)
+        else:
+            score = np.abs(cand @ np.cross(picked[0], picked[1]))
+        score = np.round(score, 9)
+        i = int(np.argmax(score))
+        if score[i] <= 1e-9:
+            return None
+        picked.append(cand[i])
+    return np.array(picked)
+
+
 def _canonical_axis_oracle(v):
     v = np.asarray(v, dtype=float)
     v = v / float(np.linalg.norm(v))

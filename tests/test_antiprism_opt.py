@@ -507,6 +507,12 @@ class TestBudget:
         assert antiprism_opt.LEMMA2_EPS == 1e-6
 
 
+    @pytest.mark.parametrize("pair_filter", [np.inf, np.nan, 0.0, -1.0])
+    def test_pair_filter_must_be_positive_and_finite(self, pair_filter):
+        with pytest.raises(ValueError, match="pair_filter positive and finite"):
+            OptBudget(pair_filter=pair_filter)
+
+
 class TestBudgetExhausted:
     @pytest.mark.parametrize("optimize", [optimize_lemma1, optimize_lemma2])
     def test_one_nelder_mead_step_converges_nowhere(self, optimize,

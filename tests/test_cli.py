@@ -329,10 +329,12 @@ def test_check_local_rejects_non_finite_R(value, c4v_file, capsys):
     (["classes", "{c4v}", "--rho", "nan"], "--rho"),
     (["check-local", "{c4v}", "--rho0", "nan"], "--rho0"),
     (["group", "{c4v}", "--center", "0", "0", "1", "--rho", "inf"], "--rho"),
-], ids=["classes", "check-local", "group"])
+    (["optimize", "lemma1", "--pair-filter", "inf"], "--pair-filter"),
+], ids=["classes", "check-local", "group", "pair-filter"])
 def test_radius_flags_reject_non_finite(argv, flag, c4v_file, capsys):
     # nan read as "no center supports radius nan inside the trusted box",
-    # and inf as "ball of radius inf ... exits the trusted box"
+    # and inf as "ball of radius inf ... exits the trusted box"; a pair
+    # filter of inf as "no Nelder-Mead start converged", after the search
     code, out, err = run(capsys, *[a.format(c4v=c4v_file) for a in argv])
     assert code == 1 and out == ""
     assert err == f"error: {flag} must be finite, got {float(argv[-1])}\n"
@@ -343,9 +345,17 @@ def test_radius_flags_reject_non_finite(argv, flag, c4v_file, capsys):
      "--box must be finite, got [-2.0, -2.0, -2.0, inf, 2.0, 2.0]"),
     (["--kind", "hex_bilattice", "--t-z", "nan", "--box", *["-2"] * 3, *["2"] * 3],
      "--t-z must be finite, got nan"),
-], ids=["box", "t-z"])
+    (["--kind", "hex", "--mu", "inf", "--box", *["-2"] * 3, *["2"] * 3],
+     "--mu must be finite, got inf"),
+    (["--kind", "hex", "--lambda", "nan", "--box", *["-2"] * 3, *["2"] * 3],
+     "--lambda must be finite, got nan"),
+    (["--kind", "antiprism", "--a", "nan"], "--a must be finite, got nan"),
+    (["--kind", "antiprism", "--b", "inf"], "--b must be finite, got inf"),
+], ids=["box", "t-z", "mu", "lambda", "a", "b"])
 def test_generate_rejects_non_finite_flags(flags, message, tmp_path, capsys):
-    # both read as "point has non-finite components", naming no flag
+    # each read as "point has non-finite components", naming no flag,
+    # except --mu inf, which wrote an empty patch, and --lambda nan, read
+    # as "lam and mu must be positive"
     path = tmp_path / "never.xyz"
     code, out, err = run(capsys, "generate", *flags, "-o", str(path))
     assert (code, out, err) == (1, "", f"error: {message}\n")

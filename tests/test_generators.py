@@ -63,6 +63,12 @@ class TestHexLattice:
         b = spec.basis
         assert np.allclose(b @ b.T, [[3, 1.5, 0], [1.5, 3, 0], [0, 0, 5]])
 
+    @pytest.mark.parametrize("lam, mu", [(1.0, np.inf), (np.nan, 1.0),
+                                         (np.inf, np.inf), (0.0, 1.0), (1.0, -2.0)])
+    def test_spec_refuses_a_bad_parameter(self, lam, mu):
+        with pytest.raises(ValueError, match="lam and mu must be positive and finite"):
+            dl.HexLatticeSpec(lam, mu)
+
 
 class TestHexBilattice:
     def test_vertical_spacings(self):

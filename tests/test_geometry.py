@@ -14,6 +14,7 @@ from delone_local.errors import NonOrthogonal
 from delone_local.geometry import (
     Isometry,
     _complete_basis,
+    _cross,
     _frame_map,
     canonical_axis,
     check_orthogonal,
@@ -191,6 +192,48 @@ class TestFrameMap:
         got = self.solve(self.FRAME, [dst, self.FRAME, dst])
         assert got.shape == (1, 3, 3)
         assert np.allclose(got[0], np.eye(3))
+
+
+class TestCross:
+    """The component cross product equals ``np.cross`` bit for bit, and so
+    do the columns ``_complete_basis`` adds with it."""
+
+    @staticmethod
+    def stacks(seed, n=400):
+        # magnitudes from 1e-12 to 1e12 per component, plus signed zeros,
+        # exact cancellations and parallel pairs
+        rng = np.random.default_rng(seed)
+        a, b = (rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-12, 13, size=(n, 3))
+                for _ in range(2))
+        z = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, -1.0], [-0.0, -0.0, -0.0],
+                      [1.0, 1.0, 1.0], [2.0, -3.0, 0.5], [-1e300, 1e-300, 0.0]])
+        return (np.concatenate([a, z, z, 3.0 * z, a[:5]]),
+                np.concatenate([b, z, z[::-1], z, -a[:5]]))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_np_cross_bit_for_bit(self, seed):
+        a, b = self.stacks(seed)
+        with np.errstate(over="ignore", under="ignore"):
+            want = np.cross(a, b)
+            assert np.stack(_cross(a.T, b.T), axis=1).tobytes() == want.tobytes()
+            # one vector against a stack, and one against one
+            assert (np.stack(_cross(a[7], b.T), axis=1).tobytes()
+                    == np.cross(a[7], b).tobytes())
+            for x, y in zip(a[-40:], b[-40:]):
+                assert np.array(_cross(x, y)).tobytes() == np.cross(x, y).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_completed_columns_equal_np_cross(self, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=(300, 2, 3)) * 10.0 ** rng.integers(-3, 4, size=(300, 2, 1))
+        got = _complete_basis(v)
+        assert got[:, :, 2].tobytes() == np.cross(v[:, 0], v[:, 1]).tobytes()
+        u = v[:, 0]
+        p = np.cross(u, np.eye(3)[np.argmin(np.abs(u), axis=1)])
+        p *= (np.sqrt(np.vecdot(u, u)) / np.sqrt(np.vecdot(p, p)))[:, None]
+        got = _complete_basis(v[:, :1])
+        assert got[:, :, 1].tobytes() == p.tobytes()
+        assert got[:, :, 2].tobytes() == np.cross(u, p).tobytes()
 
 
 class TestFrameIsometry:

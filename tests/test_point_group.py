@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import delone_local as dl
-from delone_local import point_group
+from delone_local import delone_core, geometry, point_group
 from delone_local.equivalence import _maps, match_tolerance
 from delone_local.errors import (
     DeloneError,
@@ -43,6 +43,7 @@ from conftest import (
     cn_gen,
     element_key,
     element_kinds_oracle,
+    greedy_frame_oracle,
     jittered_cubic,
     label_oracle,
     maps_oracle,
@@ -297,6 +298,65 @@ def axial_generators(family, n):
             "Cv": [cn_gen(n), SIGMA_V], "D": [cn_gen(n), C2_X],
             "Dh": [cn_gen(n), C2_X, SIGMA_H],
             "Dd": [cn_gen(n), C2_X, sigma_d]}[family]
+
+
+def group_case_clusters(seed):
+    """The clusters of the benchmark's groups workload, built as it builds
+    them: randomly rotated Oh, D6h, C4v and C1 clusters, with the label,
+    order and tower height theory gives each."""
+    rng = np.random.default_rng([seed, 1])
+    sources = workloads.group_sources(rng)
+    q = workloads.random_rotation(rng)
+    for case in workloads.GROUP_CASES:
+        src = sources[case.source]
+        center = q @ src.points[src.tree.query(case.center)[1]]
+        yield dl.cluster(workloads.rotated(src, q), center, case.rho), case.want
+
+
+class TestGroupsHotPath:
+    """The label, order and tower height of a stabilizer are counted
+    without building an element kind, whose axes are built only when
+    ``kinds`` is read; and cluster frames are the ones ``np.cross`` gave."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_no_kinds_are_built(self, seed, monkeypatch):
+        def no_kinds(*args):
+            raise AssertionError("an element kind was built")
+
+        groups = []
+        with monkeypatch.context() as m:
+            m.setattr(point_group, "element_kinds", no_kinds)
+            m.setattr(geometry, "_axis", no_kinds)
+            for c, want in group_case_clusters(seed):
+                g = stabilizer(c)
+                assert (str(g.label), g.order, tower_height(g)) == want
+                groups.append(g)
+            for label in ("Oh", "D6h", "C4v", "C1"):
+                g = group_from_generators(named_group_generators()[label])
+                assert str(schoenflies_from_matrices(g.elements)) == str(g.label) == label
+        assert {str(g.label) for g in groups} == {"Oh", "D6h", "C4v", "C1"}
+        for g in groups:
+            assert same_kinds(g.kinds, element_kinds_oracle(g.elements))
+            assert g.kinds is g.kinds
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_frames_equal_the_np_cross_rule(self, seed, monkeypatch):
+        for c, _ in group_case_clusters(seed):
+            got = c.frame
+            with monkeypatch.context() as m:
+                m.setattr(delone_core, "_greedy_frame", greedy_frame_oracle)
+                want = dl.Cluster(c.center, c.radius, c.members).frame
+            assert got.tobytes() == want.tobytes()
+
+    def test_planar_frames_equal_the_np_cross_rule(self, layered_square_patch,
+                                                   monkeypatch):
+        for rho in (1.0, 1.5, 2.0):
+            c = dl.cluster(layered_square_patch, [0, 0, 0], rho)
+            assert c.affine_dimension() == 2
+            with monkeypatch.context() as m:
+                m.setattr(delone_core, "_greedy_frame", greedy_frame_oracle)
+                want = dl.Cluster(c.center, c.radius, c.members).frame
+            assert c.frame.tobytes() == want.tobytes()
 
 
 class TestSchoenflies:
