@@ -154,6 +154,11 @@ class OptBudget:
         if min(counts) < 1 or not 0 < self.pair_filter < np.inf:
             raise ValueError("budget counts must be positive and pair_filter "
                              "positive and finite")
+        if self.pair_filter >= 1:
+            raise ValueError(
+                f"pair_filter must be below 1, got {self.pair_filter}: every "
+                "P_x vertex lies at distance 1 from the shared vertex x, so "
+                "such a filter drops pairs that are not coincident")
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,8 @@ writes a subcommand's lines to stdout, or the same bytes to a report's -o.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import functools
 import re
 import sys
@@ -55,6 +57,15 @@ def _finite(flag: str, value):
     if not np.all(np.isfinite(value)):
         raise CliError(f"{flag} must be finite, got {value}")
     return value
+
+
+@contextlib.contextmanager
+def _flags(names: str):
+    """Reports a ValueError raised within as an error of the flags ``names``."""
+    try:
+        yield
+    except ValueError as e:
+        raise CliError(f"{names}: {e}") from None
 
 
 def _resolve_R(patch: PointPatch, flag: Optional[float] = None) -> Tuple[float, str]:
@@ -94,25 +105,30 @@ def _load_checked(path: str) -> PointPatch:
 
 def _cmd_generate(args) -> List[str]:
     if args.kind == "antiprism":
-        patch = generators.antiprism_patch(_finite("--a", args.a), _finite("--b", args.b))
+        a, b = _finite("--a", args.a), _finite("--b", args.b)
+        with _flags("--a, --b"):
+            patch = generators.antiprism_patch(a, b)
     else:
         if args.box is None:
             raise CliError("generator needs --box")
         lo, hi = _finite("--box", args.box)[:3], args.box[3:]
         if args.kind == "cubic":
-            patch = generators.cubic_lattice(lo, hi)
+            build = generators.cubic_lattice
         elif args.kind == "c4v":
-            patch = generators.c4v_example(lo, hi)
+            build = generators.c4v_example
         elif args.kind == "hex_bilattice" and args.t_z is None:
             raise CliError("hex_bilattice needs --t-z")
         else:
             spec = generators.HexLatticeSpec(lam=_finite("--lambda", args.lam),
                                              mu=_finite("--mu", args.mu))
-            if args.kind == "hex":
-                patch = generators.hex_lattice(spec, lo, hi)
-            else:
-                patch = generators.hex_bilattice(generators.BiLatticeSpec(
-                    hex=spec, t=(0.0, 0.0, _finite("--t-z", args.t_z))), lo, hi)
+            if args.kind == "hex_bilattice":
+                spec = generators.BiLatticeSpec(
+                    hex=spec, t=(0.0, 0.0, _finite("--t-z", args.t_z)))
+            build = functools.partial(
+                generators.hex_lattice if args.kind == "hex"
+                else generators.hex_bilattice, spec)
+        with _flags("--box"):
+            patch = build(lo, hi)
     if args.patch:
         save_patch(patch, args.patch)
     return [f"wrote {len(patch)} points" + (f" to {args.patch}" if args.patch else "")]
@@ -198,12 +214,13 @@ def _cmd_bounds_table(args) -> List[str]:
 
 
 def _cmd_optimize(args) -> List[str]:
-    kwargs = {}
+    budget = antiprism_opt.OptBudget()
     if args.grid is not None:
-        kwargs.update(grid_phi=args.grid, grid_psi=args.grid)
+        budget = dataclasses.replace(budget, grid_phi=args.grid, grid_psi=args.grid)
     if args.pair_filter is not None:
-        kwargs.update(pair_filter=_finite("--pair-filter", args.pair_filter))
-    budget = antiprism_opt.OptBudget(**kwargs)
+        pair_filter = _finite("--pair-filter", args.pair_filter)
+        with _flags("--pair-filter"):
+            budget = dataclasses.replace(budget, pair_filter=pair_filter)
     if args.problem == "lemma1":
         report = antiprism_opt.optimize_lemma1(budget)
     else:

@@ -10,6 +10,11 @@ margin discipline — a ball that exits the trusted box raises
 The packing convention is the unit-distance scaling: pairwise distances
 of a valid patch are >= 1 (packing radius 1/2).  ``R`` denotes the
 covering radius, i.e. the radius of the largest ball empty of set points.
+
+This is the one module that uses ``scipy.spatial``, imported on first
+use (:func:`_import_spatial`): by the first ``PointPatch`` with points,
+``covering_radius`` call, or read of ``Delaunay``, ``QhullError`` or
+``cKDTree`` from this module.  Code that builds no patch never pays for it.
 """
 from __future__ import annotations
 
@@ -20,7 +25,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .errors import (
     BoxTooSmall,
@@ -63,6 +67,28 @@ __all__ = [
 ]
 
 
+#: The names bound here from scipy.spatial on first use.
+_SPATIAL = ("Delaunay", "QhullError", "cKDTree")
+
+
+def _import_spatial() -> None:
+    """Bind ``_SPATIAL`` in this module from scipy.spatial, once: a name
+    already bound (a test's stand-in, say) is kept."""
+    if "cKDTree" not in globals():
+        import scipy.spatial
+        for name in _SPATIAL:
+            globals().setdefault(name, getattr(scipy.spatial, name))
+
+
+def __getattr__(name: str):
+    """``Delaunay``, ``QhullError`` and ``cKDTree`` on their first read
+    from outside this module (PEP 562)."""
+    if name in _SPATIAL:
+        _import_spatial()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def match_tolerance(rho: float) -> float:
     """Point-matching tolerance for clusters of radius rho.
 
@@ -82,7 +108,8 @@ def lex_sort(points: np.ndarray) -> np.ndarray:
 class PointPatch:
     """Finite point set plus the axis-aligned box it is trusted on, which
     holds every point within geom_tol (else :class:`MarginViolation`,
-    whose ``row`` is the index of the first point outside).
+    whose ``row`` is the index of the first point outside) and whose
+    squared diagonal is finite (else ValueError).
 
     Attributes:
         points: (n, 3) array of patch points.
@@ -105,6 +132,11 @@ class PointPatch:
         self.box_hi = as_point(box_hi)
         if np.any(self.box_hi <= self.box_lo):
             raise BoxTooSmall("trusted box is degenerate (hi <= lo on some axis)")
+        with np.errstate(over="ignore"):  # distances in the box get squared
+            diagonal2 = np.sum(np.square(self.box_hi - self.box_lo))
+        if not np.isfinite(diagonal2):
+            raise ValueError("trusted box is too large: its squared diagonal "
+                             "is not finite")
         outside = np.flatnonzero(~self.ball_inside_box(self.points, 0.0))
         if len(outside):
             err = MarginViolation(f"point {self.points[outside[0]].tolist()} "
@@ -112,12 +144,12 @@ class PointPatch:
             err.row = int(outside[0])
             raise err
         self.declared_R = None if declared_R is None else _declared_R(declared_R)
-        self._tree = cKDTree(self.points) if len(self.points) else None
-        if self._tree is not None:
-            pairs = self._tree.query_pairs(1.0 - self.geom_tol)
-            self.packing_violations = sorted(pairs)
-        else:
-            self.packing_violations = []
+        self._tree = None
+        self.packing_violations = []
+        if len(self.points):
+            _import_spatial()
+            self._tree = cKDTree(self.points)
+            self.packing_violations = sorted(self._tree.query_pairs(1.0 - self.geom_tol))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -397,6 +429,7 @@ def covering_radius(patch: PointPatch) -> float:
     """
     if len(patch) < 2:
         raise TooFewPoints("covering_radius needs at least two points")
+    _import_spatial()  # here, before _slabs may start a worker
     pts = patch.points - 0.5 * (patch.box_lo + patch.box_hi)
     joggle = JOGGLE_TOL * max(1.0, float(np.abs(pts).max()))
     slabs = _slabs(patch)

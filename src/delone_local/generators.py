@@ -18,6 +18,12 @@ from .delone_core import PointPatch
 from .errors import BoxTooSmall, DegenerateAntiprism, InvalidShift
 from .geometry import GEOM_TOL, as_point
 
+#: Most lattice points ``_lattice_patch`` enumerates for one box: the
+#: index bounds it solves for, each widened by one, times the motif.  A
+#: box that needs more is refused before any array is built; at the cap
+#: the index and point arrays take about 1 GB.
+MAX_LATTICE_POINTS = 10**7
+
 __all__ = [
     "HexLatticeSpec",
     "BiLatticeSpec",
@@ -92,16 +98,22 @@ def _order_zyx(points: np.ndarray) -> np.ndarray:
 def _lattice_patch(basis, motif, box_lo, box_hi,
                    declared_R: float | None = None) -> PointPatch:
     """The points n @ basis + m (n integer, m a row of ``motif``) in the
-    closed box, within GEOM_TOL, as a patch ordered by (z, y, x)."""
+    closed box, within GEOM_TOL, as a patch ordered by (z, y, x).  Raises
+    ValueError where that takes more than ``MAX_LATTICE_POINTS``."""
     lo, hi = as_point(box_lo), as_point(box_hi)
     if np.any(hi <= lo):
         raise BoxTooSmall("box is degenerate (hi <= lo on some axis)")
     basis, motif = np.asarray(basis, dtype=float), np.asarray(motif, dtype=float)
     corners = np.array(list(product(*zip(lo, hi))))
-    # solves n @ basis = corner - m for every corner and motif point
-    frac = (corners[None] - motif[:, None]).reshape(-1, 3) @ np.linalg.inv(basis)
-    ranges = [np.arange(a - 1, b + 2) for a, b in zip(
-        np.floor(frac.min(axis=0)).astype(int), np.ceil(frac.max(axis=0)).astype(int))]
+    with np.errstate(all="ignore"):  # an overflow gives a count refused below
+        # solves n @ basis = corner - m for every corner and motif point
+        frac = (corners[None] - motif[:, None]).reshape(-1, 3) @ np.linalg.inv(basis)
+        first, last = np.floor(frac.min(axis=0)) - 1, np.ceil(frac.max(axis=0)) + 1
+        count = len(motif) * np.prod(last - first + 1)
+    if not count <= MAX_LATTICE_POINTS:  # NaN too
+        raise ValueError(f"the box spans {count:.3g} lattice points, more "
+                         f"than MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS}")
+    ranges = [np.arange(a, b + 1) for a, b in zip(first.astype(int), last.astype(int))]
     idx = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, 3)
     pts = ((idx.astype(float) @ basis)[None] + motif[:, None]).reshape(-1, 3)
     inside = (np.all(pts >= lo - GEOM_TOL, axis=1)
@@ -141,7 +153,8 @@ def antiprism_points(a: float, b: float) -> np.ndarray:
 
         (+-a, 0, b), (0, +-a, b), (+-a/sqrt2, +-a/sqrt2, -b).
 
-    All vertices lie at distance sqrt(a^2 + b^2) from the origin.
+    All vertices lie at distance sqrt(a^2 + b^2) from the origin, whose
+    square must be finite.
     """
     a = float(a)
     b = float(b)
@@ -149,6 +162,8 @@ def antiprism_points(a: float, b: float) -> np.ndarray:
         raise ValueError("antiprism needs a > 0")
     if b == 0:
         raise DegenerateAntiprism("b = 0 collapses the two bases into a plane")
+    if not np.isfinite(a * a + b * b):
+        raise ValueError(f"antiprism needs a finite a^2 + b^2, got a = {a:g}, b = {b:g}")
     s = a / np.sqrt(2.0)
     return np.array([
         [a, 0.0, b], [-a, 0.0, b], [0.0, a, b], [0.0, -a, b],

@@ -41,8 +41,8 @@ from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
+from . import delone_core
 from .delone_core import Cluster
 from .equivalence import _carries, _maps, match_tolerance
 from .errors import (
@@ -169,8 +169,9 @@ _MOTIF = np.array([[0, 0, 0], [0.6, 0, 0], [0.2, 0.7, 0], [0.1, 0.3, 0.8]]) / 20
 def _grow(pts: np.ndarray, images: np.ndarray) -> np.ndarray:
     """The distinct points ``pts`` followed by ``images``, less each image
     within match_tolerance(1) of a point or of an earlier image."""
-    images = images[cKDTree(pts).query(images)[0] > match_tolerance(1.0)]
-    twins = cKDTree(images).query_pairs(match_tolerance(1.0), output_type="ndarray")
+    images = images[delone_core.cKDTree(pts).query(images)[0] > match_tolerance(1.0)]
+    twins = delone_core.cKDTree(images).query_pairs(match_tolerance(1.0),
+                                                    output_type="ndarray")
     return np.concatenate([pts, np.delete(images, twins[:, 1], axis=0)])
 
 

@@ -512,6 +512,15 @@ class TestBudget:
         with pytest.raises(ValueError, match="pair_filter positive and finite"):
             OptBudget(pair_filter=pair_filter)
 
+    @pytest.mark.parametrize("pair_filter", [1.0, 2.9, 5.0])
+    def test_pair_filter_must_be_below_1(self, pair_filter):
+        # P_y holds the shared vertex x, at distance 1 from every P_x
+        # vertex: at --grid 60 a filter of 1 moved the optimum to 1.455,
+        # and 2.9 ended in "no Nelder-Mead start converged"
+        with pytest.raises(ValueError, match="pair_filter must be below 1"):
+            OptBudget(pair_filter=pair_filter)
+        OptBudget(pair_filter=np.nextafter(1.0, 0.0))
+
 
 class TestBudgetExhausted:
     @pytest.mark.parametrize("optimize", [optimize_lemma1, optimize_lemma2])

@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, output format, and exit codes."""
 import argparse
+import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -289,8 +292,23 @@ class TestShtogrinBound:
         assert code == 2
 
 
+#: Inputs out of the model's bounds, each with the flag its error names:
+#: a pair filter past the unit distance from the shared vertex (a
+#: RuntimeWarning, then "no Nelder-Mead start converged"), an antiprism
+#: with an infinite squared circumradius (scipy's KD-tree overflow text),
+#: and a lattice patch of ~1e17 points (a 14.2 PiB _ArrayMemoryError).
+OUT_OF_BOUNDS = (
+    (["optimize", "lemma1", "--pair-filter", "5"], "--pair-filter"),
+    (["generate", "--kind", "antiprism", "--a", "1e200"], "--a, --b"),
+    (["generate", "--kind", "hex", "--mu", "1e-30",
+      "--box", "-1", "-1", "-1", "1", "1", "1"], "--box"),
+)
+
+
 class TestBadArguments:
-    # each of these raised a ValueError out of main with a traceback
+    # each of these raised a ValueError out of main with a traceback, and
+    # those of OUT_OF_BOUNDS a warning or an error from numpy or scipy
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [
         ["group", "{c4v}", "--center", "0", "0", "1", "--rho", "-1"],
         ["check-local", "{c4v}", "--rho0", "-1"],
@@ -302,6 +320,7 @@ class TestBadArguments:
         ["generate", "--kind", "antiprism", "--a", "-1"],
         ["analyze", "{nan}"],
         ["analyze", "{outside}"],
+        *(argv for argv, _ in OUT_OF_BOUNDS),
     ], ids=lambda argv: " ".join(argv))
     def test_one_error_line(self, argv, c4v_file, tmp_path, capsys):
         nan_file = tmp_path / "nan.xyz"
@@ -314,6 +333,14 @@ class TestBadArguments:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", OUT_OF_BOUNDS,
+                         ids=[flag for _, flag in OUT_OF_BOUNDS])
+def test_out_of_bounds_errors_name_the_flag(argv, flag, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {flag}: ")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -474,6 +501,55 @@ def golden_patch(name, tmp_path, capsys):
     else:
         save_patch(jittered_cubic(4, 7), path)
     return path
+
+
+#: Commands that need no KD tree and no triangulation, with their exit
+#: codes ("optimize lemma3" is a usage error).
+NO_SPATIAL = ((["optimize", "lemma2"], 0), (["bounds-table"], 0),
+              (["shtogrin-bound", "--n", "3"], 0), (["--help"], 0),
+              (["optimize", "lemma3"], 2))
+
+#: Run in a fresh interpreter: each of the argv lists in argv[2] through
+#: main with its output dropped, then ``analyze`` of the file argv[3].
+#: Prints whether scipy.spatial was loaded after the import and after
+#: each list (with its exit code) as one JSON line, then analyze's output.
+IMPORT_GRAPH_SCRIPT = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import delone_local
+from delone_local.cli import main
+seen = [["import", "scipy.spatial" in sys.modules, 0]]
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    seen.append([" ".join(argv), "scipy.spatial" in sys.modules, code])
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(["analyze", sys.argv[3]])
+seen.append(["analyze", "scipy.spatial" in sys.modules, code])
+print(json.dumps(seen))
+sys.stdout.write(out.getvalue())
+"""
+
+
+def test_scipy_spatial_is_imported_on_first_use(tmp_path, capsys):
+    # importing scipy.spatial took ~0.24 s of every process, though only
+    # patches and covering_radius use it
+    path = golden_patch("cubic4", tmp_path, capsys)
+    argvs = [argv for argv, _ in NO_SPATIAL]
+    src = str(Path(__file__).parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GRAPH_SCRIPT, src,
+                           json.dumps(argvs), str(path)],
+                          capture_output=True, text=True, check=True)
+    first, analyzed = proc.stdout.split("\n", 1)
+    assert json.loads(first) == (
+        [["import", False, 0]]
+        + [[" ".join(argv), False, code] for argv, code in NO_SPATIAL]
+        + [["analyze", True, 0]])
+    golden = (GOLDEN / "cubic4.txt").read_text(encoding="utf-8")
+    head, want = golden.split("== ")[1].split("\n", 1)
+    assert head == "analyze -> 0"
+    assert analyzed == want
 
 
 class TestGoldenOutputs:

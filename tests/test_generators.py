@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import delone_local as dl
+from delone_local import generators
 from delone_local.cli import main
 from delone_local.errors import BoxTooSmall, DegenerateAntiprism, InvalidShift
 from delone_local.geometry import GEOM_TOL
@@ -31,6 +32,28 @@ class TestCubicLattice:
     def test_degenerate_box(self):
         with pytest.raises(BoxTooSmall):
             dl.cubic_lattice([0, 0, 0], [0, 1, 1])
+
+    @pytest.mark.parametrize("cap, refused", [(342, True), (343, False)])
+    def test_count_cap(self, cap, refused, monkeypatch):
+        # the box [-2, 2]^3 spans the indices -3..3 per axis, 7^3 = 343
+        monkeypatch.setattr(generators, "MAX_LATTICE_POINTS", cap)
+        if refused:
+            with pytest.raises(ValueError, match="spans 343 lattice points"):
+                dl.cubic_lattice([-2] * 3, [2] * 3)
+        else:
+            assert len(dl.cubic_lattice([-2] * 3, [2] * 3)) == 125
+
+    @pytest.mark.parametrize("build", [
+        # 1e16 indices per axis on the z axis alone; this asked numpy for
+        # 14.2 PiB
+        lambda: dl.hex_lattice(dl.HexLatticeSpec(mu=1e-30), [-1] * 3, [1] * 3),
+        lambda: dl.hex_lattice(dl.HexLatticeSpec(1e-300, 1e-300), [0] * 3, [1] * 3),
+        lambda: dl.cubic_lattice([-2] * 3, [1.7e308, 2, 2]),
+    ], ids=["mu 1e-30", "lambda and mu 1e-300", "box 1.7e308"])
+    @pytest.mark.filterwarnings("error")
+    def test_count_cap_refuses_before_any_array(self, build):
+        with pytest.raises(ValueError, match="MAX_LATTICE_POINTS"):
+            build()
 
     def test_deterministic_ordering(self):
         a = dl.cubic_lattice([-2, -2, -2], [2, 2, 2])
@@ -152,6 +175,21 @@ class TestAntiprism:
             dl.antiprism_points(0.5, 0.0)
         with pytest.raises(ValueError):
             dl.antiprism_points(-1.0, 0.5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, b", [(1e200, 0.5), (0.5, 1e200), (np.nan, 0.5),
+                                      (1e154, 1e154)])
+    def test_refuses_a_squared_circumradius_that_is_not_finite(self, a, b):
+        # a = 1e200 got scipy's KD-tree "p too large" overflow message
+        with pytest.raises(ValueError, match=r"finite a\^2 \+ b\^2"):
+            dl.antiprism_points(a, b)
+
+    @pytest.mark.filterwarnings("error")
+    def test_patch_refuses_a_box_too_large_to_square(self):
+        # a^2 + b^2 is finite, the squared box diagonal 8 a^2 is not
+        dl.antiprism_patch(4e153, 0.5)
+        with pytest.raises(ValueError, match="squared diagonal is not finite"):
+            dl.antiprism_patch(1e154, 0.5)
 
     def test_patch_contains_origin(self):
         p = dl.antiprism_patch(0.7, 0.3)
