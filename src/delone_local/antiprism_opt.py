@@ -150,10 +150,13 @@ class OptBudget:
     pair_filter: float = 0.01
 
     def __post_init__(self) -> None:
-        counts = (self.grid_phi, self.grid_psi, self.grid_lemma2)
-        if min(counts) < 1 or not 0 < self.pair_filter < np.inf:
-            raise ValueError("budget counts must be positive and pair_filter "
-                             "positive and finite")
+        for name in ("grid_phi", "grid_psi", "grid_lemma2"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"budget needs {name} positive, got "
+                                 f"{getattr(self, name)}")
+        if not 0 < self.pair_filter < np.inf:
+            raise ValueError("budget needs pair_filter positive and finite, "
+                             f"got {self.pair_filter}")
         if self.pair_filter >= 1:
             raise ValueError(
                 f"pair_filter must be below 1, got {self.pair_filter}: every "

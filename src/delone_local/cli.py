@@ -216,7 +216,9 @@ def _cmd_bounds_table(args) -> List[str]:
 def _cmd_optimize(args) -> List[str]:
     budget = antiprism_opt.OptBudget()
     if args.grid is not None:
-        budget = dataclasses.replace(budget, grid_phi=args.grid, grid_psi=args.grid)
+        with _flags("--grid"):
+            budget = dataclasses.replace(budget, grid_phi=args.grid,
+                                         grid_psi=args.grid)
     if args.pair_filter is not None:
         pair_filter = _finite("--pair-filter", args.pair_filter)
         with _flags("--pair-filter"):
@@ -244,9 +246,19 @@ def _cmd_shtogrin(args) -> List[str]:
 
 # --- parser -----------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a negative number with an exponent
+    ("-1e1") as a value; argparse's own pattern takes it for an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="delone",
         description="Local theory of regular systems for 3D Delone sets")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -35,10 +35,11 @@ from .errors import (
 )
 from .geometry import GEOM_TOL, _complete_basis, _cross, as_point, as_points
 
-#: Qhull's joggle (``QJ``) in ``covering_radius``, relative to the largest
-#: box-centered coordinate (at least 1): 50 times Qhull's roundoff (Qhull
-#: rejects a joggle below that), and far below the 1e-12 to which R is
-#: checked.
+#: Slack of ``covering_radius``'s emptiness check on the joggled
+#: triangulation's winner, relative to the largest box-centered coordinate
+#: (at least 1): the winning ball may hold no point deeper than this.  It is
+#: roundoff scale, far below the 1e-12 to which R is checked and below any
+#: joggle Qhull picks, and does not depend on that joggle.
 JOGGLE_TOL = 1e-13
 
 #: Side of an offset index's cells on a unit-distance cluster: the cell
@@ -399,15 +400,17 @@ def covering_radius(patch: PointPatch) -> float:
     so its bits depend on the cell's vertex set alone; flat cells drop out.
 
     The cells come from Qhull's triangulation of the box-centered points
-    joggled by ``JOGGLE_TOL`` times their largest coordinate (at least 1),
-    so a lattice's cospherical cells are split, not merged.  The winning
-    ball stands if one KD query finds no point inside it by more than that
-    joggle.  On a patch that is cospherical only up to noise, Qhull
-    retries each joggle that meets a precision error with a larger one,
-    the joggled cells are not the patch's, and the check fails; the cells
-    then come from Qhull's default, merging triangulation, checked as
-    ``_largest_fitting_ball`` does.  Qhull's joggle is seeded, so R is the
-    same in every run.
+    under its own default joggle (``QJ`` with no size), so a lattice's
+    cospherical cells are split, not merged, in one pass: a smaller joggle
+    meets a precision error on an exact lattice, and Qhull rebuilds the
+    hull with a larger one.  The winning ball stands if one KD query finds
+    no point inside it by more than ``JOGGLE_TOL`` times the largest
+    box-centered coordinate (at least 1), a roundoff-scale slack that does
+    not depend on the joggle.  On a patch that is cospherical only up to
+    noise the joggled cells need not be the patch's, and the check fails;
+    the cells then come from Qhull's default, merging triangulation,
+    checked as ``_largest_fitting_ball`` does.  Qhull's joggle is seeded,
+    so R is the same in every run.
 
     Where the process may run on two CPUs, each route triangulates two
     overlapping slabs of the box at once, one on a short-lived second
@@ -431,11 +434,11 @@ def covering_radius(patch: PointPatch) -> float:
         raise TooFewPoints("covering_radius needs at least two points")
     _import_spatial()  # here, before _slabs may start a worker
     pts = patch.points - 0.5 * (patch.box_lo + patch.box_hi)
-    joggle = JOGGLE_TOL * max(1.0, float(np.abs(pts).max()))
+    slack = JOGGLE_TOL * max(1.0, float(np.abs(pts).max()))
     slabs = _slabs(patch)
-    centers, radii = _circumballs(patch, pts, slabs, f"QJ{joggle!r}")
+    centers, radii = _circumballs(patch, pts, slabs, "QJ")
     i = _largest_fitting(patch, centers, radii)
-    if i is not None and patch.tree.query(centers[i])[0] >= radii[i] - joggle:
+    if i is not None and patch.tree.query(centers[i])[0] >= radii[i] - slack:
         return float(radii[i])
     centers, radii = _circumballs(patch, pts, slabs, None)
     if len(radii) == 0:

@@ -24,9 +24,10 @@ Tolerances are fixed constants, not parameters:
       :func:`check_orthogonal` accepts (so :func:`classify_element`).
     * ``antiprism_opt.FEAS_TOL`` = 1e-9: the constraint residual the
       antiprism objectives accept.
-    * ``delone_core.JOGGLE_TOL`` = 1e-13: Qhull's joggle in
-      ``covering_radius``, relative to the largest box-centered coordinate
-      (at least 1); the joggled winner must be empty within the joggle.
+    * ``delone_core.JOGGLE_TOL`` = 1e-13: how deep a point may lie inside
+      the winning ball of ``covering_radius``'s joggled triangulation,
+      relative to the largest box-centered coordinate (at least 1); Qhull
+      picks its joggle itself.
     * Cluster matching uses ``delone_core.match_tolerance(rho)`` =
       1e-7 max(1, rho), which also bounds the cells of a cluster's offset
       index from below; the profile test on sorted center distances

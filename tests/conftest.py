@@ -79,6 +79,22 @@ STOCK_PATCHES = (("c4v", 6), ("z3", 4), ("hex", 4), ("hex_bilattice", 4),
                  ("hex_bilattice", 5))
 
 
+def _box(h):
+    return [str(-h)] * 3 + [str(h)] * 3
+
+
+#: ``delone generate`` flags of the same five stock patches, as files.
+STOCK = {
+    "c4v6": ("--kind", "c4v", "--box", *_box(6)),
+    "cubic4": ("--kind", "cubic", "--box", *_box(4)),
+    "hex4": ("--kind", "hex", "--lambda", "1", "--mu", "1", "--box", *_box(4)),
+    "hex_bilattice4": ("--kind", "hex_bilattice", "--mu", "6.25",
+                       "--t-z", "1.2", "--box", *_box(4)),
+    "hex_bilattice5": ("--kind", "hex_bilattice", "--mu", "6.25",
+                       "--t-z", "1.2", "--box", *_box(5)),
+}
+
+
 def rotated_lattice(name, seed, h):
     """The ``LATTICES`` set ``name`` under a seeded random rotation, cut to
     the cube of half-width ``h``: every center still has translated

@@ -11,7 +11,7 @@ import pytest
 from delone_local.cli import _build_parser, main
 from delone_local.delone_core import save_patch
 
-from conftest import jittered_cubic, z2_layers
+from conftest import STOCK, _box, jittered_cubic, z2_layers
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -343,6 +343,32 @@ def test_out_of_bounds_errors_name_the_flag(argv, flag, capsys):
     assert err.startswith(f"error: {flag}: ")
 
 
+@pytest.mark.parametrize("argv", [["optimize", "lemma1", "--grid", "0"],
+                                  ["optimize", "lemma2", "--grid", "-3"]])
+def test_bad_grid_names_the_flag(argv, capsys):
+    # read "budget counts must be positive and pair_filter positive and
+    # finite", which named no flag and blamed a filter not given
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: --grid: budget needs grid_phi positive, got {argv[-1]}\n"
+    assert "pair_filter" not in err
+
+
+def test_negative_numbers_with_an_exponent(tmp_path, capsys):
+    # argparse took -1e1 for an option: "argument --box: expected 6
+    # arguments"; both commands now reach the program's own checks
+    path = tmp_path / "a.xyz"
+    code, out, err = run(capsys, "generate", "--kind", "cubic",
+                         "--box", "-1e1", "-1", "-1", "1", "1", "1",
+                         "-o", str(path))
+    assert (code, err) == (0, "")
+    assert path.read_text().startswith("# box -10 -1 -1 1 1 1\n")
+    code, out, err = run(capsys, "check-local", str(path),
+                         "--rho0", "2R", "--R", "-1e0")
+    assert code == 1 and out == ""
+    assert err == "error: covering radius must be non-negative\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_check_local_rejects_non_finite_R(value, c4v_file, capsys):
     # --R nan read as "no center supports radius nan inside the trusted box"
@@ -458,22 +484,6 @@ class TestParserReuse:
         assert [code for code, _, _ in separate] == [0, 2, 0, 0]
         assert "unrecognized arguments: --bogus" in separate[1][2]
 
-
-def _box(h):
-    return [str(-h)] * 3 + [str(h)] * 3
-
-
-#: ``delone generate`` flags of the five stock patches that the
-#: ``analyze_regular`` benchmark workload analyzes.
-STOCK = {
-    "c4v6": ("--kind", "c4v", "--box", *_box(6)),
-    "cubic4": ("--kind", "cubic", "--box", *_box(4)),
-    "hex4": ("--kind", "hex", "--lambda", "1", "--mu", "1", "--box", *_box(4)),
-    "hex_bilattice4": ("--kind", "hex_bilattice", "--mu", "6.25",
-                       "--t-z", "1.2", "--box", *_box(4)),
-    "hex_bilattice5": ("--kind", "hex_bilattice", "--mu", "6.25",
-                       "--t-z", "1.2", "--box", *_box(5)),
-}
 
 #: The commands whose output is pinned, as argv after the file path.
 GOLDEN_COMMANDS = (("analyze",), ("classes", "--rho", "2R"),

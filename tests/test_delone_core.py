@@ -13,7 +13,7 @@ from scipy.spatial import QhullError
 
 import delone_local as dl
 from delone_local import delone_core
-from delone_local.cli import _fmt
+from delone_local.cli import _fmt, main
 from delone_local.delone_core import (
     _largest_fitting_ball,
     _slabs,
@@ -31,6 +31,7 @@ from delone_local.errors import (
 
 from conftest import (
     LATTICES,
+    STOCK,
     STOCK_PATCHES,
     covering_radius_oracle,
     jittered_cubic,
@@ -413,6 +414,84 @@ class TestCoveringRadiusSlabs:
         split = _fmt(dl.covering_radius(p))
         _one_cpu(monkeypatch)
         assert split == _fmt(dl.covering_radius(p))
+
+
+#: repr(covering_radius), pinned on the stock files that ``delone
+#: generate`` writes and on jittered cubic patches (sites |k| <= m, seed):
+#: each is decided on a cell of the joggled triangulation, whose center is
+#: solved from the patch points alone, whatever joggle Qhull used.
+PINNED_R = {
+    "cubic4": "0.8660254037844386",
+    "hex4": "0.7637626159306851",
+    "hex_bilattice4": "0.8693867571416551",
+    "hex_bilattice5": "0.8693867571416551",
+    (5, 0): "1.452149538897582",
+    (5, 1): "1.424266165128646",
+    (6, 0): "1.4766846763824468",
+    (6, 1): "1.4540639163994677",
+}
+
+#: Run in a fresh interpreter: repr(covering_radius) of the file argv[2].
+R_OF_FILE_SCRIPT = (
+    "import sys; sys.path.insert(0, sys.argv[1])\n"
+    "import delone_local as dl\n"
+    "print(repr(dl.covering_radius(dl.load_patch(sys.argv[2]))))\n")
+
+
+def _stock_file(name, tmp_path):
+    path = tmp_path / f"{name}.xyz"
+    assert main(["generate", *STOCK[name], "-o", str(path)]) == 0
+    return path
+
+
+class TestCoveringRadiusBits:
+    """R's bits, and the check that keeps a joggled winner honest."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("key", PINNED_R, ids=str)
+    def test_pinned(self, key, cpus, tmp_path, monkeypatch):
+        if isinstance(key, str):
+            p = load_patch(_stock_file(key, tmp_path))
+        else:
+            p = jittered_cubic(*key)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        assert repr(dl.covering_radius(p)) == PINNED_R[key]
+
+    def test_same_bits_of_a_file_in_fresh_processes(self, tmp_path):
+        # the 1035 points of hex_bilattice +-5, read back from the file
+        path = _stock_file("hex_bilattice5", tmp_path)
+        src = str(Path(dl.__file__).parents[1])
+        runs = [subprocess.run([sys.executable, "-c", R_OF_FILE_SCRIPT, src,
+                                str(path)], capture_output=True, text=True,
+                               check=True).stdout for _ in range(2)]
+        assert runs == [PINNED_R["hex_bilattice5"] + "\n"] * 2
+
+    def test_winner_holding_a_point_goes_to_the_merging_route(self,
+                                                               monkeypatch):
+        # the joggled winner's ball grown to hold its nearest points
+        # 10 JOGGLE_TOL L deep, far below any joggle Qhull picks: the KD
+        # check refuses it and the merging triangulation decides R, which
+        # the grown radius (4e-12 off) would miss by more than 1e-12
+        p = ORACLE_PATCHES["stock_z3_4"]()
+        pts = p.points - 0.5 * (p.box_lo + p.box_hi)
+        depth = 10 * delone_core.JOGGLE_TOL * max(1.0, float(np.abs(pts).max()))
+        real = delone_core._circumballs
+        options = []
+
+        def grow_winner(patch, pts, slabs, qhull_options):
+            options.append(qhull_options)
+            centers, radii = real(patch, pts, slabs, qhull_options)
+            if qhull_options is not None:
+                radii = radii.copy()
+                radii[delone_core._largest_fitting(patch, centers, radii)] += depth
+            return centers, radii
+
+        monkeypatch.setattr(delone_core, "_circumballs", grow_winner)
+        R = dl.covering_radius(p)
+        assert len(options) == 2 and options[0] is not None
+        assert options[1] is None
+        assert abs(R - covering_radius_oracle(p)) <= 1e-12
 
 
 class TestMapHalves:
