@@ -39,7 +39,7 @@ import numpy as np
 from . import antiprism_opt, generators, point_group, regularity
 from .delone_core import PointPatch, cluster, covering_radius, load_patch, save_patch
 from .equivalence import cluster_classes
-from .errors import DeloneError
+from .errors import DeloneError, InvalidShift
 
 FMT = "%.10g"
 
@@ -122,8 +122,11 @@ def _cmd_generate(args) -> List[str]:
             spec = generators.HexLatticeSpec(lam=_finite("--lambda", args.lam),
                                              mu=_finite("--mu", args.mu))
             if args.kind == "hex_bilattice":
-                spec = generators.BiLatticeSpec(
-                    hex=spec, t=(0.0, 0.0, _finite("--t-z", args.t_z)))
+                t = (0.0, 0.0, _finite("--t-z", args.t_z))
+                try:
+                    spec = generators.BiLatticeSpec(hex=spec, t=t)
+                except InvalidShift as e:
+                    raise CliError(f"--t-z: {e}") from None
             build = functools.partial(
                 generators.hex_lattice if args.kind == "hex"
                 else generators.hex_bilattice, spec)

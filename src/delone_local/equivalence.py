@@ -13,12 +13,15 @@ each moved offset is looked up in its own cell of a's cached cell index
 it must lie.  :func:`cluster_isometry` takes the first map, and
 :func:`delone_local.point_group.stabilizer` all of ``_maps(c, c)``.
 
-:func:`cluster_classes` extracts every cluster with one batched ball query
-and settles first, without building a ``Cluster``, every center whose
-profile sum (the sum of its sorted center distances) has no neighbour
-within the profile window of its member-count group: no partner can pass
-the profile test, so it founds its own class.  It sweeps the rest
-representative first: each class verifies all its candidate centers
+:func:`cluster_classes` settles, before any ball is extracted, every
+center whose profile prefix (0 and the distances to its two nearest other
+points, both within rho) has no neighbour within the profile window: the
+prefix is the start of the profile the profile test compares, so no
+cluster can pass that test with it, and it founds its own class.  It
+extracts the other clusters with one batched ball query and settles those
+whose profile sum (the sum of its sorted center distances) has no
+neighbour within the window of their member-count group.  It sweeps the
+rest representative first: each class verifies all its candidate centers
 against one linear part at a time (the identity to begin with), so that
 the frame search of ``_maps`` runs only for the first center of each new
 orientation.  Representatives are built on first access.
@@ -45,6 +48,13 @@ __all__ = [
 #: Moved points per block of :func:`_carries`: its temporaries stay at a
 #: few MB however many maps or centers a stack holds.
 CARRIES_BLOCK = 1 << 15
+
+#: Nearest other points whose distances make a center's profile prefix in
+#: :func:`_settled`.  Mutual nearest neighbours share their first
+#: distance, so one settles under half the centers of a jittered cubic
+#: patch at 2R; two settle 337-343 of 343, and three or four, whose sum
+#: window is wider, about as many at a larger KD query.
+PREFIX_NEIGHBOURS = 2
 
 
 def _profile_tolerance(rho: float) -> float:
@@ -83,6 +93,36 @@ def _profile_partners(profiles: np.ndarray, rho: float) -> np.ndarray:
     near[order[1:]] = close
     near[order[:-1]] |= close
     return near
+
+
+def _prefixes(patch: PointPatch, centers: np.ndarray) -> np.ndarray:
+    """The profile prefixes (n, PREFIX_NEIGHBOURS + 1) of ``centers``
+    (patch points; the patch has more than PREFIX_NEIGHBOURS points): the
+    distances to the center itself and its :data:`PREFIX_NEIGHBOURS`
+    nearest other points (one KD query), each computed and sorted as the
+    class loop computes its profile entries."""
+    _, nn = patch.tree.query(centers, k=PREFIX_NEIGHBOURS + 1)
+    return np.sort(np.linalg.norm(patch.points[nn] - centers[:, None], axis=2),
+                   axis=1)
+
+
+def _settled(patch: PointPatch, centers: np.ndarray, rho: float) -> np.ndarray:
+    """Which ``centers`` (patch points) found their own rho-cluster class
+    whatever their balls hold: those whose :func:`_prefixes` end within
+    rho and have no partner in :func:`_profile_partners` among all
+    centers' prefixes.  None is settled on a patch of at most
+    PREFIX_NEIGHBOURS points.
+
+    On a cluster of at least PREFIX_NEIGHBOURS + 1 members the prefix is
+    the start of the profile the profile test compares, up to a near-tie
+    that the KD query and ``norm`` order differently, which the partner
+    window's rounding margin covers.  Two clusters within the profile
+    tolerance have prefixes within it too, so a center with no prefix
+    partner can neither join a class nor be joined."""
+    if len(patch) <= PREFIX_NEIGHBOURS:
+        return np.zeros(len(centers), dtype=bool)
+    prefix = _prefixes(patch, centers)
+    return (prefix[:, -1] <= rho) & ~_profile_partners(prefix, rho)
 
 
 def _carries(a: Cluster, offsets: np.ndarray, qs: np.ndarray):
@@ -175,9 +215,11 @@ def cluster_isometry(a: Cluster, b: Cluster) -> Optional[Isometry]:
 class _Representatives(Sequence):
     """The representatives of a :class:`ClusterClassDecomposition`: a
     read-only sequence of clusters, each built on first access and kept,
-    so that ``reps[i] is reps[i]``."""
+    so that ``reps[i] is reps[i]``.  ``build`` makes the clusters of a
+    list of indices at once; iterating builds all that are left in one
+    call."""
 
-    def __init__(self, build: Callable[[int], Cluster],
+    def __init__(self, build: Callable[[List[int]], List[Cluster]],
                  built: List[Optional[Cluster]]):
         self._build, self._built = build, built
 
@@ -189,8 +231,15 @@ class _Representatives(Sequence):
             return [self[j] for j in range(len(self))[k]]
         k = range(len(self))[k]  # IndexError out of range, as a list
         if self._built[k] is None:
-            self._built[k] = self._build(k)
+            self._built[k], = self._build([k])
         return self._built[k]
+
+    def __iter__(self):
+        left = [k for k, c in enumerate(self._built) if c is None]
+        if left:
+            for k, c in zip(left, self._build(left)):
+                self._built[k] = c
+        return iter(self._built)
 
 
 @dataclass(frozen=True)
@@ -218,14 +267,20 @@ def cluster_classes(patch: PointPatch, rho: float) -> ClusterClassDecomposition:
     Raises ValueError for rho < 0, and :class:`NoUsableCenters` if the
     trusted box cannot host a single rho-ball.
 
-    One ``query_ball_point`` call over all usable centers extracts every
-    cluster; usable centers are patch points whose ball lies in the box,
-    so the center lookup and margin check of
-    :func:`delone_local.delone_core.cluster` hold by construction.  The
-    centers are grouped by member count, with their offsets stacked and
-    their distance profiles sorted in one call per group.  A center that
-    :func:`_profile_partners` rules out has no partner in its group: it
-    founds its own class at once.
+    Usable centers are patch points whose ball lies in the box, so the
+    center lookup and margin check of
+    :func:`delone_local.delone_core.cluster` hold by construction.  First
+    one KD query for each center's two nearest other points settles the
+    centers of :func:`_settled`: their profile prefixes rule out every
+    partner, so each founds its own class before its ball is extracted.
+    On a jittered patch that is nearly every center; on a lattice, none.
+    One ``query_ball_point`` call over the other centers extracts their
+    clusters.  They are grouped by member count, with their offsets
+    stacked and their distance profiles sorted in one call per group.  A
+    center that :func:`_profile_partners` rules out has no partner in its
+    group: it founds its own class at once.  Removing a center that no
+    other can match changes no other center's class, so the settled
+    centers leave the sweep below as they would have come out of it.
 
     A representative-first sweep over the other centers of each group
     then builds the classes: each new representative is the first
@@ -241,7 +296,9 @@ def cluster_classes(patch: PointPatch, rho: float) -> ClusterClassDecomposition:
     class ids are the ranks of the representatives' indices, and a
     ``Cluster`` is built only for a representative or a frame search:
     here only when a candidate is left to verify, otherwise on first
-    access to ``class_representatives``.
+    access to ``class_representatives``, which is also when a settled
+    center's ball is queried (all that are left in one query when the
+    representatives are iterated).
     """
     if rho < 0:
         raise ValueError("cluster radius must be non-negative")
@@ -250,17 +307,25 @@ def cluster_classes(patch: PointPatch, rho: float) -> ClusterClassDecomposition:
         raise NoUsableCenters(
             f"no center supports radius {rho:g} inside the trusted box")
     rho = float(rho)
-    balls = patch.tree.query_ball_point(centers, rho + patch.geom_tol,
-                                        return_sorted=False)
-    counts = np.array([len(idx) for idx in balls])
+    balls = np.full(len(centers), None, dtype=object)
+
+    def extract(ids):  # the balls of ids not yet queried, in one query
+        ids = ids[np.equal(balls[ids], None)]
+        if len(ids):
+            balls[ids] = patch.tree.query_ball_point(
+                centers[ids], rho + patch.geom_tol, return_sorted=False)
 
     def make(i):
         return Cluster(centers[i], rho, patch.points[balls[i]])
 
+    swept = np.flatnonzero(~_settled(patch, centers, rho))
+    extract(swept)
+    counts = np.array([len(idx) for idx in balls[swept]])
+
     rep = np.arange(len(centers))  # each center's representative index
     built: Dict[int, Cluster] = {}
     for m in np.unique(counts):
-        ids = np.flatnonzero(counts == m)
+        ids = swept[counts == m]
         offsets = (patch.points[np.concatenate(balls[ids])].reshape(-1, m, 3)
                    - centers[ids, None])
         profiles = np.sort(np.linalg.norm(offsets, axis=2), axis=1)
@@ -288,10 +353,15 @@ def cluster_classes(patch: PointPatch, rho: float) -> ClusterClassDecomposition:
                         rep[j], q = i, qs[0]
                         break
     reps = np.flatnonzero(rep == np.arange(len(centers)))
+
+    def build(ks):  # settled representatives' balls are queried here
+        extract(reps[ks])
+        return [make(i) for i in reps[ks]]
+
     return ClusterClassDecomposition(
         rho=rho,
         class_representatives=_Representatives(
-            lambda k: make(reps[k]), [built.get(i) for i in reps.tolist()]),
+            build, [built.get(i) for i in reps.tolist()]),
         assignment=dict(zip(map(tuple, centers.tolist()),
                             np.searchsorted(reps, rep).tolist())),
     )

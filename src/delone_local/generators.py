@@ -74,7 +74,8 @@ class BiLatticeSpec:
     """Union of a hexagonal lattice and one vertical translate of it.
 
     The shift t must be orthogonal to the layer plane (so t = (0, 0, t_z))
-    with 0 < |t_z| < sqrt(mu) (in particular t is not a lattice vector).
+    with 0 < |t_z| < sqrt(mu) (in particular t is not a lattice vector),
+    each by more than GEOM_TOL.
     """
 
     hex: HexLatticeSpec
@@ -85,10 +86,15 @@ class BiLatticeSpec:
         object.__setattr__(self, "t", (float(t[0]), float(t[1]), float(t[2])))
         if abs(t[0]) > GEOM_TOL or abs(t[1]) > GEOM_TOL:
             raise InvalidShift("shift must be orthogonal to the layer plane")
-        step = np.sqrt(self.hex.mu)
-        if not (GEOM_TOL < abs(t[2]) < step - GEOM_TOL):
-            raise InvalidShift(
-                f"|t_z| must lie strictly between 0 and sqrt(mu) = {step:g}")
+        mu, t_z = float(self.hex.mu), self.t[2]
+        top = float(np.sqrt(mu)) - GEOM_TOL
+        if not (GEOM_TOL < abs(t_z) < top):
+            rule = (f"strictly between {GEOM_TOL!r} and "
+                    f"sqrt(mu) - {GEOM_TOL!r} = {top!r}")
+            if top <= GEOM_TOL:
+                raise InvalidShift(f"no t_z fits mu = {mu!r}: "
+                                   f"|t_z| must lie {rule}")
+            raise InvalidShift(f"|t_z| = {abs(t_z)!r} must lie {rule}")
 
 
 def _order_zyx(points: np.ndarray) -> np.ndarray:

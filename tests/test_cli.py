@@ -415,6 +415,25 @@ def test_generate_rejects_non_finite_flags(flags, message, tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("mu, t_z, message", [
+    ("1", "1e-300", "|t_z| = 1e-300 must lie strictly between 1e-09 and "
+                    "sqrt(mu) - 1e-09 = 0.999999999"),
+    ("1", "0.9999999995", "|t_z| = 0.9999999995 must lie strictly between "
+                          "1e-09 and sqrt(mu) - 1e-09 = 0.999999999"),
+    ("1e-300", "1e-301", "no t_z fits mu = 1e-300: |t_z| must lie strictly "
+                         "between 1e-09 and sqrt(mu) - 1e-09 = -1e-09"),
+], ids=["tiny", "below-sqrt-mu", "no-fit"])
+def test_bad_t_z_states_the_rule_it_applies(mu, t_z, message, tmp_path, capsys):
+    # read as "|t_z| must lie strictly between 0 and sqrt(mu) = 1" of a
+    # t_z inside that range, and "... = 1e-150" of one below it
+    path = tmp_path / "never.xyz"
+    code, out, err = run(capsys, "generate", "--kind", "hex_bilattice",
+                         "--mu", mu, "--t-z", t_z, "--box", *_box(1),
+                         "-o", str(path))
+    assert (code, out, err) == (1, "", f"error: --t-z: {message}\n")
+    assert not path.exists()
+
+
 #: A run of each report subcommand, "{c4v}" standing for the input file.
 REPORTS = (
     ["analyze", "{c4v}"],

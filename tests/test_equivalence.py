@@ -597,6 +597,198 @@ class TestClassLoopOracle:
         with pytest.raises(ValueError, match="non-negative"):
             cluster_classes(z3_patch, -1.0)
 
+    # patches on which the profile prefixes settle some centers and leave
+    # the others to the sweep
+
+    @staticmethod
+    def assert_mixed(patch, rho):
+        centers = patch.usable_centers(rho)
+        settled = equivalence._settled(patch, centers, rho)
+        assert settled.any() and not settled.all()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("m, core, rho", [(4, 1, 2.9), (5, 2, 2.9), (5, 2, 4.0)])
+    def test_jittered_with_exact_core(self, m, core, rho, seed):
+        # the sites |k| <= core back on the lattice: the centers whose
+        # balls stay in that block form one class, and their neighbours
+        # share the exact prefix (0, 1.6, 1.6)
+        patch = jittered_cubic(m, seed)
+        sites = dl.cubic_lattice((-m,) * 3, (m,) * 3).points
+        exact = np.abs(sites).max(axis=1) <= core
+        pts = patch.points.copy()
+        pts[exact] = 1.6 * sites[exact]
+        patch = dl.PointPatch(pts, patch.box_lo, patch.box_hi)
+        self.assert_mixed(patch, rho)
+        self.assert_same(patch, rho)
+
+    @pytest.mark.parametrize("rho", [1.0, 1.5, 2.0])
+    def test_z3_with_displaced_point(self, rho):
+        # the centers around (1, 0, 0) see it at new distances; the rest
+        # keep the lattice prefix (0, 1, 1)
+        pts = dl.cubic_lattice([-4] * 3, [4] * 3).points.copy()
+        pts[np.flatnonzero((pts == [1, 0, 0]).all(axis=1))] += [0.05, -0.03, 0.02]
+        patch = dl.PointPatch(pts, [-4] * 3, [4] * 3)
+        self.assert_mixed(patch, rho)
+        self.assert_same(patch, rho)
+
+    @given(amplitude=st.sampled_from([1e-9, 1e-6, 1e-3, 0.15]),
+           seed=st.integers(0, 2**16), rho=st.sampled_from([1.7, 2.9]))
+    @example(amplitude=1e-9, seed=0, rho=2.9)
+    @example(amplitude=1e-6, seed=0, rho=1.7)
+    @example(amplitude=1e-3, seed=0, rho=2.9)
+    @example(amplitude=0.15, seed=0, rho=1.7)
+    @settings(max_examples=8, deadline=None)
+    def test_jitter_amplitudes(self, amplitude, seed, rho):
+        # 1e-6 per axis moves distances by about the profile tolerance
+        # (4e-7 rho), so prefixes fall on both sides of the window
+        self.assert_same(jittered_cubic(3, seed, amplitude=amplitude), rho)
+
+
+class _RecordingTree:
+    """A patch's KD tree that records how many centers each batched ball
+    query is asked for."""
+
+    def __init__(self, tree):
+        self.tree, self.batched = tree, []
+
+    def query_ball_point(self, x, *args, **kwargs):
+        if np.ndim(x) == 2:
+            self.batched.append(len(x))
+        return self.tree.query_ball_point(x, *args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.tree, name)
+
+
+def _loop_profile_starts(patch, rho):
+    """The first three sorted profile entries of each usable center, as
+    the class loop computes them (NaN rows for clusters of fewer than
+    three members)."""
+    centers = patch.usable_centers(rho)
+    balls = patch.tree.query_ball_point(centers, rho + patch.geom_tol,
+                                        return_sorted=False)
+    counts = np.array([len(b) for b in balls])
+    starts = np.full((len(centers), 3), np.nan)
+    for m in np.unique(counts[counts >= 3]):
+        ids = np.flatnonzero(counts == m)
+        offsets = (patch.points[np.concatenate(balls[ids])].reshape(-1, m, 3)
+                   - centers[ids, None])
+        starts[ids] = np.sort(np.linalg.norm(offsets, axis=2), axis=1)[:, :3]
+    return centers, starts
+
+
+class TestSettledCenters:
+    """Centers whose profile prefixes have no partner are settled before
+    any ball is extracted; the class loop extracts only the others."""
+
+    @staticmethod
+    def recorded(monkeypatch, patch, rho):
+        tree = _RecordingTree(patch.tree)
+        monkeypatch.setattr(patch, "_tree", tree)
+        dec = cluster_classes(patch, rho)
+        return dec, tree.batched
+
+    @staticmethod
+    def assert_as_unsettled(patch, rho):
+        # the classes, representatives and members of the loop that
+        # settles no center before extracting its ball
+        dec = cluster_classes(patch, rho)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(equivalence, "_settled",
+                      lambda patch, centers, rho: np.zeros(len(centers), dtype=bool))
+            want = cluster_classes(patch, rho)
+        assert dec.assignment == want.assignment
+        for got, rep in zip(dec.class_representatives, want.class_representatives,
+                            strict=True):
+            assert np.array_equal(got.center, rep.center)
+            assert np.array_equal(got.members, rep.members)
+        return dec
+
+    @given(amplitude=st.sampled_from([1e-9, 1e-7, 3e-7, 1e-6, 1e-3]),
+           seed=st.integers(0, 2**16), rho=st.sampled_from([1.7, 2.9]))
+    @example(amplitude=1e-7, seed=0, rho=1.7)
+    @settings(max_examples=10, deadline=None)
+    def test_settling_changes_no_class(self, amplitude, seed, rho):
+        # at 1e-7 and 3e-7 per axis, equivalent clusters' prefixes differ
+        # by a good part of the profile window
+        self.assert_as_unsettled(jittered_cubic(3, seed, amplitude=amplitude), rho)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_partner_prefixes_apart_by_most_of_a_match(self, seed):
+        # two copies of a jittered block, 20 apart; in the second the two
+        # nearest neighbours of the middle site move outward by 0.9
+        # match_tolerance, so the middle clusters' prefixes differ by that
+        # much in two entries, and the translation still carries one onto
+        # the other
+        rho = 1.7
+        block = jittered_cubic(2, seed).points
+        mid = np.argmin(np.linalg.norm(block, axis=1))
+        copy = block + [20.0, 0.0, 0.0]
+        d = block - block[mid]
+        near = np.argsort(np.linalg.norm(d, axis=1))[1:3]
+        copy[near] += (0.9 * equivalence.match_tolerance(rho) * d[near]
+                       / np.linalg.norm(d[near], axis=1, keepdims=True))
+        patch = dl.PointPatch(np.vstack([block, copy]), [-3.6, -3.6, -3.6],
+                              [23.6, 3.6, 3.6])
+        dec = self.assert_as_unsettled(patch, rho)
+        pair = np.array([block[mid], copy[mid]])
+        assert dec.assignment[tuple(pair[0])] == dec.assignment[tuple(pair[1])]
+        assert not equivalence._settled(patch, pair, rho).any()
+
+    @pytest.mark.parametrize("seed, rho, swept", [
+        (0, 2.9, 4), (0, 5.8, 0), (1, 2.9, 0), (1, 5.8, 0), (2, 2.9, 6),
+        (2, 5.8, 0)])
+    def test_generic_extracts_only_open_centers(self, seed, rho, swept,
+                                                monkeypatch):
+        patch = jittered_cubic(5, seed)
+        dec, batched = self.recorded(monkeypatch, patch, rho)
+        centers = patch.usable_centers(rho)
+        assert len(centers) - equivalence._settled(patch, centers, rho).sum() == swept
+        assert batched == ([swept] if swept else [])
+        assert dec.N == len(dec.assignment) == len(centers)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("name, h", STOCK_PATCHES)
+    def test_stock_lattices_extract_every_center(self, name, h, k, monkeypatch):
+        # a lone usable center (z3 and hex_bilattice +-4 at 4R) is the one
+        # a lattice settles: it has no other prefix to match
+        build, R = LATTICES[name]
+        patch = build([-h] * 3, [h] * 3)
+        n = len(patch.usable_centers(k * R))
+        dec, batched = self.recorded(monkeypatch, patch, k * R)
+        assert dec.N == 1
+        assert batched == ([n] if n > 1 else [])
+
+    @pytest.mark.parametrize("name", ["z3", "hex", "c4v", "hex_bilattice",
+                                      "jittered"])
+    def test_prefix_is_the_profile_start(self, name):
+        if name == "jittered":
+            patch, R = jittered_cubic(5, 0), 1.45
+        else:
+            build, R = LATTICES[name]
+            patch = build([-6] * 3, [6] * 3)
+        for rho in (1.7, 2 * R, 4 * R):
+            centers, starts = _loop_profile_starts(patch, rho)
+            full = ~np.isnan(starts[:, 0])
+            assert full.any()
+            prefix = equivalence._prefixes(patch, centers)
+            assert np.array_equal(prefix[full], starts[full])
+
+    def test_radius_zero(self, z3_patch_small):
+        centers = z3_patch_small.usable_centers(0.0)
+        assert not equivalence._settled(z3_patch_small, centers, 0.0).any()
+        dec = cluster_classes(z3_patch_small, 0.0)
+        assert dec.N == 1 and len(dec.assignment) == len(centers)
+        TestClassLoopOracle.assert_same(z3_patch_small, 0.0)
+
+    def test_two_point_patch(self, monkeypatch):
+        # no third point to query: nothing is settled, both are swept
+        patch = dl.PointPatch([[0, 0, 0], [1, 0, 0]], [-1.5] * 3, [2.5] * 3)
+        dec, batched = self.recorded(monkeypatch, patch, 1.0)
+        assert batched == [2] and dec.N == 1
+        assert [len(r) for r in dec.class_representatives] == [2]
+        TestClassLoopOracle.assert_same(patch, 1.0)
+
 
 class TestProfilePrefilter:
     """The profile-sum prefilter of the class loop rules out only rows
