@@ -79,16 +79,19 @@ def _resolve_R(patch: PointPatch, flag: Optional[float] = None) -> Tuple[float, 
 
 
 def _radius(flag: str, text: str, get_R: Callable[[], float]) -> float:
-    """rho from the radius flag ``flag``: a finite number, or a multiple
-    "kR" of R, which ``get_R`` gives and is called for only then."""
-    m = re.fullmatch(r"([0-9]+(?:\.[0-9]+)?)R", text.strip())
-    if m:
-        return float(m.group(1)) * get_R()
+    """rho from the radius flag ``flag``: a number k, or a multiple "kR"
+    of R, which ``get_R`` gives and is called for only then; k must be
+    finite and non-negative, and -0 reads as 0."""
+    body = text.strip()
+    multiple = body.endswith("R")
     try:
-        rho = float(text)
+        k = float(body[:-1] if multiple else body)
     except ValueError:
         raise CliError(f"bad radius {text!r}") from None
-    return _finite(flag, rho)
+    k = _finite(flag, k) + 0.0
+    if k < 0:
+        raise CliError(f"{flag} must be non-negative, got {k}")
+    return _finite(flag, k * get_R()) if multiple else k
 
 
 def _load_checked(path: str) -> PointPatch:
@@ -178,12 +181,11 @@ def _cmd_classes(args) -> List[str]:
 
 def _cmd_group(args) -> List[str]:
     patch = _load_checked(args.path)
+    x, y, z = _finite("--center", args.center)
     rho = _radius("--rho", args.rho, lambda: _resolve_R(patch)[0])
-    c = cluster(patch, args.center, rho)
-    g = point_group.stabilizer(c)
+    g = point_group.stabilizer(cluster(patch, args.center, rho))
     return [
-        f"center = ({_fmt(args.center[0])}, {_fmt(args.center[1])}, "
-        f"{_fmt(args.center[2])})",
+        f"center = ({_fmt(x)}, {_fmt(y)}, {_fmt(z)})",
         f"rho = {_fmt(rho)}",
         f"label = {g.label}",
         f"order = {g.order}",

@@ -11,10 +11,12 @@ The packing convention is the unit-distance scaling: pairwise distances
 of a valid patch are >= 1 (packing radius 1/2).  ``R`` denotes the
 covering radius, i.e. the radius of the largest ball empty of set points.
 
-This is the one module that uses ``scipy.spatial``, imported on first
-use (:func:`_import_spatial`): by the first ``PointPatch`` with points,
-``covering_radius`` call, or read of ``Delaunay``, ``QhullError`` or
-``cKDTree`` from this module.  Code that builds no patch never pays for it.
+``scipy.spatial`` is imported inside the functions that use it:
+``PointPatch`` (its KD tree) and ``_solid_circumballs`` (Qhull) here, and
+``point_group._grow``.  Code that builds no patch never pays for it.
+
+The closed-ball membership rule (:func:`_ball_members`) and the sorted
+distance profile (:func:`_profiles`) each have their one home here.
 """
 from __future__ import annotations
 
@@ -66,28 +68,6 @@ __all__ = [
     "save_patch",
     "lex_sort",
 ]
-
-
-#: The names bound here from scipy.spatial on first use.
-_SPATIAL = ("Delaunay", "QhullError", "cKDTree")
-
-
-def _import_spatial() -> None:
-    """Bind ``_SPATIAL`` in this module from scipy.spatial, once: a name
-    already bound (a test's stand-in, say) is kept."""
-    if "cKDTree" not in globals():
-        import scipy.spatial
-        for name in _SPATIAL:
-            globals().setdefault(name, getattr(scipy.spatial, name))
-
-
-def __getattr__(name: str):
-    """``Delaunay``, ``QhullError`` and ``cKDTree`` on their first read
-    from outside this module (PEP 562)."""
-    if name in _SPATIAL:
-        _import_spatial()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def match_tolerance(rho: float) -> float:
@@ -148,7 +128,7 @@ class PointPatch:
         self._tree = None
         self.packing_violations = []
         if len(self.points):
-            _import_spatial()
+            from scipy.spatial import cKDTree
             self._tree = cKDTree(self.points)
             self.packing_violations = sorted(self._tree.query_pairs(1.0 - self.geom_tol))
 
@@ -156,7 +136,8 @@ class PointPatch:
         return len(self.points)
 
     @property
-    def tree(self) -> cKDTree:
+    def tree(self):
+        """The patch's KD tree (scipy's ``cKDTree``)."""
         if self._tree is None:
             raise TooFewPoints("patch has no points")
         return self._tree
@@ -227,7 +208,7 @@ class Cluster:
     @cached_property
     def center_distances(self) -> np.ndarray:
         """Sorted distances of members from the center (cached, read-only)."""
-        d = np.sort(np.linalg.norm(self.offsets, axis=1))
+        d = _profiles(self.offsets)
         d.flags.writeable = False
         return d
 
@@ -432,7 +413,6 @@ def covering_radius(patch: PointPatch) -> float:
     """
     if len(patch) < 2:
         raise TooFewPoints("covering_radius needs at least two points")
-    _import_spatial()  # here, before _slabs may start a worker
     pts = patch.points - 0.5 * (patch.box_lo + patch.box_hi)
     slack = JOGGLE_TOL * max(1.0, float(np.abs(pts).max()))
     slabs = _slabs(patch)
@@ -535,6 +515,7 @@ def _solid_circumballs(patch: PointPatch, pts: np.ndarray, idx: np.ndarray,
     """Circumcenters and radii of the solid cells of Qhull's triangulation
     of ``pts[idx]``, each cell's vertices in index order; none where Qhull
     fails."""
+    from scipy.spatial import Delaunay, QhullError
     try:
         simplices = Delaunay(pts[idx], qhull_options=qhull_options).simplices
     except (QhullError, ValueError):
@@ -607,9 +588,24 @@ def cluster(patch: PointPatch, center, rho: float) -> Cluster:
     if not patch.ball_inside_box(c, rho):
         raise MarginViolation(
             f"ball of radius {rho:g} at {c.tolist()} exits the trusted box")
-    members = patch.tree.query_ball_point(c, rho + patch.geom_tol,
-                                          return_sorted=False)
-    return Cluster(center=c, radius=float(rho), members=patch.points[members])
+    return Cluster(center=c, radius=float(rho),
+                   members=patch.points[_ball_members(patch, c, rho)])
+
+
+def _ball_members(patch: PointPatch, centers: np.ndarray, rho: float):
+    """Indices of the patch points in the closed rho-ball at ``centers``
+    (within geom_tol), in no set order: the membership rule of every
+    cluster.  One center (3,) gives a list; a stack (n, 3) gives an object
+    array of n lists, from one KD query."""
+    return patch.tree.query_ball_point(centers, rho + patch.geom_tol,
+                                       return_sorted=False)
+
+
+def _profiles(offsets: np.ndarray) -> np.ndarray:
+    """Sorted distances from the center of each offset set: the profile
+    that two equivalent clusters share, of one set (m, 3) or a stack
+    (n, m, 3)."""
+    return np.sort(np.linalg.norm(offsets, axis=-1), axis=-1)
 
 
 def shell(patch: PointPatch, center, rho: float) -> np.ndarray:

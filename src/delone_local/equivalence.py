@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .delone_core import Cluster, PointPatch, match_tolerance
+from .delone_core import Cluster, PointPatch, _ball_members, _profiles, match_tolerance
 from .errors import NoUsableCenters, RadiusMismatch
 from .geometry import FRAME_TOL, GEOM_TOL, Isometry, _frame_map
 
@@ -99,11 +99,10 @@ def _prefixes(patch: PointPatch, centers: np.ndarray) -> np.ndarray:
     """The profile prefixes (n, PREFIX_NEIGHBOURS + 1) of ``centers``
     (patch points; the patch has more than PREFIX_NEIGHBOURS points): the
     distances to the center itself and its :data:`PREFIX_NEIGHBOURS`
-    nearest other points (one KD query), each computed and sorted as the
+    nearest other points (one KD query), by :func:`_profiles`, as the
     class loop computes its profile entries."""
     _, nn = patch.tree.query(centers, k=PREFIX_NEIGHBOURS + 1)
-    return np.sort(np.linalg.norm(patch.points[nn] - centers[:, None], axis=2),
-                   axis=1)
+    return _profiles(patch.points[nn] - centers[:, None])
 
 
 def _settled(patch: PointPatch, centers: np.ndarray, rho: float) -> np.ndarray:
@@ -274,13 +273,14 @@ def cluster_classes(patch: PointPatch, rho: float) -> ClusterClassDecomposition:
     centers of :func:`_settled`: their profile prefixes rule out every
     partner, so each founds its own class before its ball is extracted.
     On a jittered patch that is nearly every center; on a lattice, none.
-    One ``query_ball_point`` call over the other centers extracts their
-    clusters.  They are grouped by member count, with their offsets
-    stacked and their distance profiles sorted in one call per group.  A
-    center that :func:`_profile_partners` rules out has no partner in its
-    group: it founds its own class at once.  Removing a center that no
-    other can match changes no other center's class, so the settled
-    centers leave the sweep below as they would have come out of it.
+    One batched ball query (``delone_core._ball_members``) over the other
+    centers extracts their clusters.  They are grouped by member count,
+    with their offsets stacked and their profiles (``_profiles``) sorted
+    in one call per group.  A center that :func:`_profile_partners` rules
+    out has no partner in its group: it founds its own class at once.
+    Removing a center that no other can match changes no other center's
+    class, so the settled centers leave the sweep below as they would
+    have come out of it.
 
     A representative-first sweep over the other centers of each group
     then builds the classes: each new representative is the first
@@ -312,8 +312,7 @@ def cluster_classes(patch: PointPatch, rho: float) -> ClusterClassDecomposition:
     def extract(ids):  # the balls of ids not yet queried, in one query
         ids = ids[np.equal(balls[ids], None)]
         if len(ids):
-            balls[ids] = patch.tree.query_ball_point(
-                centers[ids], rho + patch.geom_tol, return_sorted=False)
+            balls[ids] = _ball_members(patch, centers[ids], rho)
 
     def make(i):
         return Cluster(centers[i], rho, patch.points[balls[i]])
@@ -328,7 +327,7 @@ def cluster_classes(patch: PointPatch, rho: float) -> ClusterClassDecomposition:
         ids = swept[counts == m]
         offsets = (patch.points[np.concatenate(balls[ids])].reshape(-1, m, 3)
                    - centers[ids, None])
-        profiles = np.sort(np.linalg.norm(offsets, axis=2), axis=1)
+        profiles = _profiles(offsets)
         keep = _profile_partners(profiles, rho)
         ids, offsets, profiles = ids[keep], offsets[keep], profiles[keep]
         for p, i in enumerate(ids):

@@ -38,11 +38,10 @@ from __future__ import annotations
 
 from dataclasses import KW_ONLY, InitVar, dataclass, field
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import delone_core
 from .delone_core import Cluster
 from .equivalence import _carries, _maps, match_tolerance
 from .errors import (
@@ -141,7 +140,7 @@ class PointGroup:
     @cached_property
     def kinds(self) -> Tuple[ElementKind, ...]:
         """Kind of each element, built on first access."""
-        return tuple(_element_kinds(self.elements, self._element_orders))
+        return tuple(element_kinds(self.elements, self._element_orders))
 
     @property
     def order(self) -> int:
@@ -169,9 +168,9 @@ _MOTIF = np.array([[0, 0, 0], [0.6, 0, 0], [0.2, 0.7, 0], [0.1, 0.3, 0.8]]) / 20
 def _grow(pts: np.ndarray, images: np.ndarray) -> np.ndarray:
     """The distinct points ``pts`` followed by ``images``, less each image
     within match_tolerance(1) of a point or of an earlier image."""
-    images = images[delone_core.cKDTree(pts).query(images)[0] > match_tolerance(1.0)]
-    twins = delone_core.cKDTree(images).query_pairs(match_tolerance(1.0),
-                                                    output_type="ndarray")
+    from scipy.spatial import cKDTree
+    images = images[cKDTree(pts).query(images)[0] > match_tolerance(1.0)]
+    twins = cKDTree(images).query_pairs(match_tolerance(1.0), output_type="ndarray")
     return np.concatenate([pts, np.delete(images, twins[:, 1], axis=0)])
 
 
@@ -272,13 +271,6 @@ def _orders(table: np.ndarray) -> np.ndarray:
     return order
 
 
-def _element_kinds(elements: Sequence[np.ndarray], orders=None) -> List[ElementKind]:
-    """Kind of each element, read in one pass with its order (by default
-    off the matrices' own product table, checked to be a group's)."""
-    m = np.asarray(elements, dtype=float).reshape(-1, 3, 3)
-    return element_kinds(m, _orders(_matrix_table(m)) if orders is None else orders)
-
-
 def stabilizer(c: Cluster) -> PointGroup:
     """The cluster group S_x(rho): all orthogonal maps about the center
     mapping the member set to itself, its table composed from their index
@@ -309,15 +301,6 @@ def _counted_label(m: np.ndarray, orders: np.ndarray) -> SchoenfliesLabel:
     return _schoenflies(len(m), int(proper.sum()), int(orders[proper].max(initial=1)),
                         int((~proper & (orders == 2) & ~inversion).sum()),
                         bool(inversion.any()))
-
-
-def _label(kinds: Sequence[ElementKind]) -> SchoenfliesLabel:
-    """Schoenflies label from the element kinds, by the same counts."""
-    return _schoenflies(
-        len(kinds), sum(k.kind in ("identity", "rotation") for k in kinds),
-        max((k.order for k in kinds if k.kind == "rotation"), default=1),
-        sum(k.kind == "reflection" for k in kinds),
-        any(k.kind == "inversion" for k in kinds))
 
 
 def _schoenflies(order: int, p: int, n: int, m: int, inversion: bool) -> SchoenfliesLabel:

@@ -249,13 +249,16 @@ def local_criterion(patch: PointPatch, rho0: float, R: float) -> CriterionVerdic
     violations (box too small for rho0 + 2R) raise rather than truncate.
     Raises ValueError for R < 0, where rho0 + 2R < rho0 and the passing
     elements would no longer give S_x0(rho0 + 2R), and for R < r = 1/2,
-    which no covering radius is (a closest pair's midpoint lies r away).
+    which no covering radius is (a closest pair's midpoint lies r away),
+    and then for rho0 < 0, before any cluster is built.
     """
     if R < 0:
         raise ValueError("covering radius must be non-negative")
     if R < 0.5:
         raise ValueError(f"covering radius {R:g} is below the packing "
                          "radius 1/2")
+    if rho0 < 0:
+        raise ValueError(f"rho0 must be non-negative, got {rho0:g}")
     rho_big = float(rho0) + 2.0 * float(R)
     dec = cluster_classes(patch, rho_big)
     if dec.N != 1:

@@ -393,6 +393,45 @@ def test_radius_flags_reject_non_finite(argv, flag, c4v_file, capsys):
     assert err == f"error: {flag} must be finite, got {float(argv[-1])}\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    (["classes", "{c4v}", "--rho", "-1"], "--rho must be non-negative, got -1.0"),
+    (["classes", "{c4v}", "--rho=-2R"], "--rho must be non-negative, got -2.0"),
+    (["check-local", "{c4v}", "--rho0", "-1"],
+     "--rho0 must be non-negative, got -1.0"),
+    (["check-local", "{c4v}", "--rho0=-.5R"],
+     "--rho0 must be non-negative, got -0.5"),
+    (["group", "{c4v}", "--center", "0", "0", "1", "--rho", "-1e-3"],
+     "--rho must be non-negative, got -0.001"),
+    (["group", "{c4v}", "--center", "nan", "0", "0", "--rho", "1"],
+     "--center must be finite, got [nan, 0.0, 0.0]"),
+    (["group", "{c4v}", "--center", "0", "0", "inf", "--rho", "1R"],
+     "--center must be finite, got [0.0, 0.0, inf]"),
+    (["classes", "{c4v}", "--rho", "1.7e308R"], "--rho must be finite, got inf"),
+], ids=["classes", "classes-kR", "check-local", "check-local-kR", "group",
+        "center-nan", "center-inf", "kR-overflow"])
+def test_radius_and_center_errors_name_the_flag(argv, message, c4v_file,
+                                                capsys):
+    # a negative --rho or --rho0 read as "cluster radius must be
+    # non-negative" (check-local's after counting classes at rho0 + 2R),
+    # a non-finite --center as "point has non-finite components", and
+    # k R past the largest float as "bad radius"
+    code, out, err = run(capsys, *[a.format(c4v=c4v_file) for a in argv])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text, same", [(".5R", "0.5R"), ("2.R", "2R"),
+                                        ("1e0R", "1R"), ("+2R", "2R"),
+                                        ("-0.0", "0"), ("-0R", "0R")])
+def test_multiples_of_R_parse_as_numbers(text, same, c4v_file, capsys):
+    # each kR form here printed "error: bad radius", and -0.0 printed
+    # "rho = -0"
+    got = run(capsys, "classes", str(c4v_file), f"--rho={text}")
+    assert got == run(capsys, "classes", str(c4v_file), "--rho", same)
+    assert got[0] == 0 and got[1].startswith("rho = ")
+    assert not got[1].startswith("rho = -")
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--kind", "cubic", "--box", "-2", "-2", "-2", "inf", "2", "2"],
      "--box must be finite, got [-2.0, -2.0, -2.0, inf, 2.0, 2.0]"),

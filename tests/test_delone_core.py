@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import QhullError
@@ -182,13 +183,13 @@ class TestCoveringRadiusOracle:
     @staticmethod
     def _triangulations(name, cpus, monkeypatch):
         calls = []
-        real = delone_core.Delaunay
+        real = scipy.spatial.Delaunay
 
         def record(pts, qhull_options):
             calls.append(qhull_options)
             return real(pts, qhull_options=qhull_options)
 
-        monkeypatch.setattr(delone_core, "Delaunay", record)
+        monkeypatch.setattr(scipy.spatial, "Delaunay", record)
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(cpus)))
         dl.covering_radius(ORACLE_PATCHES[name]())
@@ -370,14 +371,14 @@ class TestCoveringRadiusSlabs:
         # where Qhull fails on a slab (fewer points than the patch), the
         # whole patch is triangulated instead
         p = jittered_cubic(4, 1)
-        real = delone_core.Delaunay
+        real = scipy.spatial.Delaunay
 
         def fail_on_slabs(pts, qhull_options):
             if len(pts) < len(p):
                 raise QhullError("slab")
             return real(pts, qhull_options=qhull_options)
 
-        monkeypatch.setattr(delone_core, "Delaunay", fail_on_slabs)
+        monkeypatch.setattr(scipy.spatial, "Delaunay", fail_on_slabs)
         split = dl.covering_radius(p)
         _one_cpu(monkeypatch)
         assert split == dl.covering_radius(p)
@@ -386,14 +387,14 @@ class TestCoveringRadiusSlabs:
         # an error on the worker thread is raised by the call, as on the
         # serial path, and the worker is joined
         main = threading.main_thread()
-        real = delone_core.Delaunay
+        real = scipy.spatial.Delaunay
 
         def fail_off_main(pts, qhull_options):
             if threading.current_thread() is not main:
                 raise RuntimeError("worker")
             return real(pts, qhull_options=qhull_options)
 
-        monkeypatch.setattr(delone_core, "Delaunay", fail_off_main)
+        monkeypatch.setattr(scipy.spatial, "Delaunay", fail_off_main)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="worker"):
             dl.covering_radius(jittered_cubic(4, 2))

@@ -16,7 +16,6 @@ from delone_local.errors import (
     UnrecognizedGroup,
 )
 from delone_local.geometry import (
-    ElementKind,
     classify_element,
     reflection_matrix,
     rotation_matrix,
@@ -433,13 +432,11 @@ class TestSchoenflies:
             schoenflies_from_matrices([np.eye(3), r])
 
     def test_counts_of_no_group_raise(self):
-        # kinds no checked group can have: two mirrors and no rotation, and
+        # counts no checked group can have: two mirrors and no rotation, and
         # five half-turns (p = 6, n = 2: neither C6 nor D3)
-        e, z = ElementKind("identity"), np.array([0.0, 0.0, 1.0])
-        for kinds in ([e] + [ElementKind("reflection", axis=z)] * 2,
-                      [e] + [ElementKind("rotation", 2, z)] * 5):
+        for counts in ((3, 1, 1, 2, False), (6, 6, 2, 0, False)):
             with pytest.raises(UnrecognizedGroup):
-                point_group._label(kinds)
+                point_group._schoenflies(*counts)
 
     @pytest.mark.parametrize("label", sorted(EXPECTED_ORDERS))
     def test_element_kinds_match_angle_oracle(self, label, monkeypatch):
@@ -453,7 +450,7 @@ class TestSchoenflies:
             u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             g = group_from_generators(
                 [u @ m @ u.T for m in named_group_generators()[label]])
-            table_kinds = point_group._element_kinds(g.elements)
+            table_kinds = PointGroup(np.zeros(3), g.elements).kinds
             assert same_kinds(table_kinds, element_kinds_oracle(g.elements))
             for q, got in zip(g.elements, table_kinds):
                 want = classify_element_oracle(q)
@@ -464,8 +461,8 @@ class TestSchoenflies:
             assert str(g.label) == label
             assert label_oracle(table_kinds) == g.label
             with monkeypatch.context() as m:
-                m.setattr(point_group, "_element_kinds",
-                          lambda els: [classify_element_oracle(q) for q in els])
+                m.setattr(point_group, "element_kinds", lambda qs, orders: [
+                    classify_element_oracle(q) for q in qs])
                 assert schoenflies_from_matrices(g.elements) == g.label
 
     @pytest.mark.parametrize("family", ["C", "S", "Ch", "Cv", "D", "Dh", "Dd",

@@ -211,6 +211,17 @@ class TestLocalCriterion:
         with pytest.raises(ValueError, match="non-negative"):
             local_criterion(z3_patch, 2.0, -0.25)
 
+    def test_negative_rho0_raises_before_any_class_count(self, z3_patch,
+                                                         monkeypatch):
+        # a negative rho0 ran cluster_classes at rho0 + 2R first, and was
+        # refused only inside cluster, after the class count
+        def fail(patch, rho):
+            raise AssertionError(f"cluster_classes ran at {rho}")
+
+        monkeypatch.setattr(regularity, "cluster_classes", fail)
+        with pytest.raises(ValueError, match="rho0 must be non-negative, got -1"):
+            local_criterion(z3_patch, -1, SQRT3 / 2)
+
     @pytest.mark.parametrize("R", [0.0, 1e-9, 0.4999])
     def test_R_below_packing_radius_raises(self, R):
         # R >= r = 1/2 for every unit-distance Delone set.  With R = 0 the
