@@ -20,16 +20,24 @@ Everything is deterministic: identical reports across runs.
 
 Problem 1's P_x and P_y come from one builder, ``_vertex_pairs``, whose
 stacked arithmetic reads the same on floats and on arrays: one kernel,
-``_lemma1_kernel``, serves the grid, the refinement and
+``_lemma1_kernel``, serves the seed search, the refinement and
 ``lemma1_objective``, and ``p_y_vertices`` runs the builder on floats, so
-they agree bit for bit.  The grid runs in blocks of whole phi rows, the
-second half of them on a worker thread where the process may run on two
-CPUs (numpy's loops release the GIL; the values do not depend on the
-split).  Problem 2's grid runs on broadcast axes.  The seeds are chosen
-without copying either grid whole.  The refinement runs all starts in
-lockstep (``_nelder_mead``), one objective call per iteration on every
-start's four candidate points, each start ending where scipy's
-Nelder-Mead, the oracle, ends.
+they agree bit for bit.  The seeds are found by bound and prune
+(``_lemma1_seeds``).  The kernel over a subset of the 64 vertex pairs,
+each pair's squared distance built as over all of them, bounds the
+objective from above at every point, bit for bit: a minimum over fewer of
+the same values is no smaller.  The full kernel then runs only on the
+points of largest bound and on those whose bound reaches the worst of
+their values; every other point lies below that value, so it cannot be a
+seed, and the seeds and their values are those of the whole grid.  The
+bound runs in blocks of whole phi rows, the second half of them on a
+worker thread where the process may run on two CPUs (numpy's loops
+release the GIL; the values do not depend on the split).  Problem 2's
+grid runs on broadcast axes.  The seeds are chosen without copying
+either grid whole.  The refinement runs all starts in lockstep
+(``_nelder_mead``), one objective call per iteration on every start's
+four candidate points, each start ending where scipy's Nelder-Mead, the
+oracle, ends.
 """
 from __future__ import annotations
 
@@ -66,13 +74,26 @@ NM_MAXITER = 400
 #: Margin by which problem 2's strict inequalities are shrunk.
 LEMMA2_EPS = 1e-6
 #: Grid points per kernel call, in whole rows (at least one): a lemma-1
-#: point holds 4 x 64 doubles of pair temporaries, so 1000 points amortize
-#: numpy's per-call overhead; a lemma-2 point holds about 8, and at 4096
-#: points a block's temporaries fit in cache and reuse the heap's pages
-#: (a 48^2 row is 2304 points).
+#: point holds up to 4 x 64 doubles of pair temporaries, so 1000 points
+#: amortize numpy's per-call overhead; a lemma-2 point holds about 8, and
+#: at 4096 points a block's temporaries fit in cache and reuse the heap's
+#: pages (a 48^2 row is 2304 points).
 LEMMA1_BLOCK, LEMMA2_BLOCK = 1000, 4096
 #: Seed selection reads its threshold off every SEED_STRIDE-th grid value.
 SEED_STRIDE = 16
+#: Lemma 1's seed bound takes the vertex pairs that attain the minimum on
+#: a sub-grid of at most PAIR_SAMPLE x PAIR_SAMPLE points, every
+#: ceil(n / PAIR_SAMPLE)-th row and column: it covers both angles on any
+#: grid shape, where a stride over the flat grid can fall on a few psi
+#: columns.  Exactness does not depend on it.  A larger sample finds more
+#: pairs and makes every bound dearer: on grids from 1 x 80 to 300 x 300 at
+#: filters from 1e-300 to 0.999, 24 x 24 cost less in all than 32 x 32 or
+#: 48 x 48, and 16 x 16 missed pairs that left thousands of points in.
+PAIR_SAMPLE = 24
+#: The most grid points a budget admits, counted before any array is
+#: built: a lemma-1 search peaks at about 18 bytes a point (its bounds,
+#: twice while their blocks are joined), so 10^7 points take about 0.2 GB.
+MAX_GRID_POINTS = 10 ** 7
 
 # Feasible (a, b) = (cos phi, sin phi) with a, b > 0: a^2 >= b^2 gives
 # phi <= pi/4, and a^2 (1 - sqrt2) + 3 b^2 >= 0 gives
@@ -154,6 +175,12 @@ class OptBudget:
             if getattr(self, name) < 1:
                 raise ValueError(f"budget needs {name} positive, got "
                                  f"{getattr(self, name)}")
+        for name, points in (("grid_phi * grid_psi",
+                              int(self.grid_phi) * int(self.grid_psi)),
+                             ("grid_lemma2^3", int(self.grid_lemma2) ** 3)):
+            if points > MAX_GRID_POINTS:
+                raise ValueError(f"budget needs {name} at most "
+                                 f"{MAX_GRID_POINTS} grid points, got {points}")
         if not 0 < self.pair_filter < np.inf:
             raise ValueError("budget needs pair_filter positive and finite, "
                              f"got {self.pair_filter}")
@@ -204,7 +231,8 @@ def _vertex_pairs(a, b, x, y, z):
     two endpoints T +- H of +-(yx cross yz)/(2b) placed at the base center
     T = Z/2; the other base is (O +- E) +- F, from the quoted closed-form
     expression.  Each component takes only + - * /, in the same order on
-    floats and on equal-shape arrays (b = 0 divides by zero).
+    floats and on arrays: a and b broadcast against x, y and z, which
+    share one shape (b = 0 divides by zero).
     """
     s = a / _SQRT2
     px = np.array([a, -a, s, -s, b, -b, np.zeros_like(a)])[_PX_INDEX]
@@ -262,18 +290,34 @@ def _lemma1_values(a, b, x, y, z, pair_filter: float) -> np.ndarray:
     return _lemma1_kernel(a, b, x, y, z, _squared_threshold(pair_filter))
 
 
-def _lemma1_kernel(a, b, x, y, z, t: float) -> np.ndarray:
-    """``_lemma1_values`` with the filter as its ``_squared_threshold``
-    t: all 64 vertex pairs at once, each squared distance summed as
-    (dx^2 + dz^2) + dy^2 and dropped below t, then one sqrt of each
-    point's minimum (inf where no pair passes; ``fmin`` skips a NaN)."""
+def _pair_squares(a, b, x, y, z, t: float, pairs=None) -> np.ndarray:
+    """The squared distances of the vertex pairs ``pairs`` (indices
+    8 i + j of P_x vertex i and P_y vertex j; all 64 by default), as a
+    (pair, ...) stack: each P_x vertex minus the P_y vertex, squared and
+    summed as (dx^2 + dz^2) + dy^2, and inf where it falls below t.  A
+    pair's value does not depend on which others are taken."""
     px, py = _vertex_pairs(a, b, x, y, z)
-    d = px[:, None] - py[None]  # (P_x vertex, P_y vertex, component, ...)
+    if pairs is None:
+        d = px[:, None] - py[None]  # (P_x vertex, P_y vertex, component, ...)
+        d = d.reshape(64, *d.shape[2:])
+    else:
+        d = py[pairs % 8]  # one copy, which takes the differences
+        np.subtract(px[pairs // 8], d, out=d)
     d *= d
-    q = d[:, :, 0] + d[:, :, 2]
-    q += d[:, :, 1]
+    q = d[:, 0] + d[:, 2]
+    q += d[:, 1]
     q[q < t] = np.inf
-    return np.sqrt(np.fmin.reduce(q, axis=(0, 1), initial=np.inf))
+    return q
+
+
+def _lemma1_kernel(a, b, x, y, z, t: float, pairs=None) -> np.ndarray:
+    """``_lemma1_values`` with the filter as its ``_squared_threshold``
+    t: the ``_pair_squares`` of all 64 vertex pairs at once, then one sqrt
+    of each point's minimum (inf where no pair passes; ``fmin`` skips a
+    NaN).  Over a subset ``pairs`` it is a bound: a minimum over fewer
+    of the same values is no smaller, bit for bit."""
+    q = _pair_squares(a, b, x, y, z, t, pairs)
+    return np.sqrt(np.fmin.reduce(q, axis=0, initial=np.inf))
 
 
 #: The points c1 xbar - c2 worst a Nelder-Mead iteration evaluates, as
@@ -369,15 +413,22 @@ def _row_blocks(rows: int, *grids):
 
 
 def _refine(f, clamp, vals, grids, params) -> OptimizationReport:
-    """Refine the ``REFINE_TOP`` best grid seeds with lockstep
-    Nelder-Mead on ``-f`` (``f`` maps (m, N) arrays of raw coordinates to
-    m values), scan the starts in seed order and report the best point
-    found, clamped and mapped to its parameters by ``params``."""
+    """``_refine_seeds`` on the ``REFINE_TOP`` best points of the grid
+    ``vals``, whose coordinates are the ``grids``."""
     flat = vals.ravel()
     top = _best(flat, REFINE_TOP)
     seeds = np.stack([g[np.unravel_index(top, vals.shape)] for g in grids],
                      axis=1)
-    best_val = float(flat[top[0]])
+    return _refine_seeds(f, clamp, seeds, flat[top], params)
+
+
+def _refine_seeds(f, clamp, seeds, seed_vals, params) -> OptimizationReport:
+    """Refine the rows of ``seeds``, best first by their values
+    ``seed_vals``, with lockstep Nelder-Mead on ``-f`` (``f`` maps (m, N)
+    arrays of raw coordinates to m values), scan the starts in seed order
+    and report the best point found, clamped and mapped to its parameters
+    by ``params``."""
+    best_val = float(seed_vals[0])
     best = tuple(map(float, seeds[0]))
     xs, funs, success = _nelder_mead(lambda v: -f(v), seeds, NM_MAXITER,
                                      1e-10, 1e-12)
@@ -393,10 +444,53 @@ def _refine(f, clamp, vals, grids, params) -> OptimizationReport:
     return OptimizationReport(
         best_value=best_val,
         argmax=argmax,
-        starts=int(len(top)),
+        starts=int(len(seeds)),
         converged_starts=converged,
         constraint_residual=argmax.feasibility_residual(),
     )
+
+
+def _bound_pairs(phis, psis, t: float) -> np.ndarray:
+    """The vertex pairs (as ``_pair_squares`` indexes them) that attain
+    the minimum somewhere on the ``PAIR_SAMPLE`` sub-grid of the grid
+    ``phis`` x ``psis``, in increasing order."""
+    def sample(axis):  # every ceil(n / PAIR_SAMPLE)-th value
+        return axis[::-(-len(axis) // PAIR_SAMPLE)]
+
+    q = _pair_squares(*_angle_params(sample(phis)[:, None], sample(psis)), t)
+    return np.unique(np.argmin(q, axis=0))
+
+
+def _lemma1_seeds(phis, psis, t: float):
+    """The ``REFINE_TOP`` best points of the grid ``phis`` x ``psis``, as
+    rows (phi, psi), and their kernel values, in the order
+    ``np.argsort(-vals, kind="stable")`` gives over the values ``vals``
+    of the whole grid in row-major order, bit for bit.
+
+    Pass 1 bounds every point by the kernel over the ``_bound_pairs``:
+    U >= f.  Pass 2 takes the exact values f of the ``REFINE_TOP`` points
+    of largest U, whose worst, T, is at most the grid's ``REFINE_TOP``-th
+    best value, and then of every point with U >= T.  Any other point has
+    f <= U < T, so it is not among the best.  Pass 1 runs on blocks of
+    whole phi rows broadcast against the psi axis, pass 2 on blocks of
+    ``LEMMA1_BLOCK`` points, both through ``_map_halves``.
+    """
+    def kernel(pairs, blocks):
+        return np.concatenate(_map_halves(
+            lambda block: _lemma1_kernel(*_angle_params(*block), t,
+                                         pairs).ravel(), blocks))
+
+    def points(idx):  # the grid points of flat indices idx, as (phi, psi)
+        return phis[idx // len(psis)], psis[idx % len(psis)]
+
+    rows = _row_blocks(LEMMA1_BLOCK // len(psis), phis[:, None])
+    bound = kernel(_bound_pairs(phis, psis, t), [(r, psis) for r, in rows])
+    first = _best(bound, REFINE_TOP)
+    worst = kernel(None, _row_blocks(LEMMA1_BLOCK, *points(first))).min()
+    cand = np.flatnonzero(bound >= worst)
+    vals = kernel(None, _row_blocks(LEMMA1_BLOCK, *points(cand)))
+    order = np.argsort(-vals, kind="stable")[:REFINE_TOP]
+    return np.stack(points(cand[order]), axis=1), vals[order]
 
 
 def optimize_lemma1(budget: OptBudget = OptBudget()) -> OptimizationReport:
@@ -404,16 +498,15 @@ def optimize_lemma1(budget: OptBudget = OptBudget()) -> OptimizationReport:
 
     Seeds a grid over (phi, psi) — phi parameterizing (a, b) on the unit
     circle inside its inequality window, psi the feasible circle of
-    (x, y, z) — then refines the top seeds with Nelder-Mead.
+    (x, y, z) — then refines the top seeds with Nelder-Mead.  The seeds
+    are picked by bound and prune (``_lemma1_seeds``): the full kernel
+    runs only where a seed can be, and the seeds and their values are,
+    bit for bit, the best of the kernel over the whole grid.
     """
     lo, hi = PHI_MIN, PHI_MAX
     phis = np.linspace(lo, hi, budget.grid_phi)
     psis = np.linspace(0.0, 2.0 * np.pi, budget.grid_psi, endpoint=False)
-    P, S = np.meshgrid(phis, psis, indexing="ij")
     t = _squared_threshold(budget.pair_filter)
-    vals = np.concatenate(_map_halves(
-        lambda block: _lemma1_kernel(*_angle_params(*block), t),
-        _row_blocks(LEMMA1_BLOCK // len(psis), P, S)))
 
     def clamp(v):
         return np.minimum(np.maximum(v[..., 0], lo), hi), v[..., 1]
@@ -421,7 +514,8 @@ def optimize_lemma1(budget: OptBudget = OptBudget()) -> OptimizationReport:
     def f(v):
         return _lemma1_kernel(*_angle_params(*clamp(v)), t)
 
-    return _refine(f, clamp, vals, (P, S), Lemma1Params.from_angles)
+    return _refine_seeds(f, clamp, *_lemma1_seeds(phis, psis, t),
+                         Lemma1Params.from_angles)
 
 
 def lemma2_objective(p: Lemma2Params) -> float:
@@ -476,8 +570,9 @@ def optimize_lemma2(budget: OptBudget = OptBudget()) -> OptimizationReport:
 
     a, b = A[:, :, None], bs[:, None, None]
     c, s = np.cos(us), np.sin(us)  # u takes n values: n trig calls
-    vals = np.concatenate([_lemma2_value(ak, bk, ak * c, ak * s) for ak, bk
-                           in _row_blocks(LEMMA2_BLOCK // (n * n), a, b)])
+    vals = np.empty((n, n, n))  # in place: joining blocks held it twice
+    for ak, bk, out in _row_blocks(LEMMA2_BLOCK // (n * n), a, b, vals):
+        out[...] = _lemma2_value(ak, bk, ak * c, ak * s)
 
     def f(v):
         a, b, u = _lemma2_clamp(v)

@@ -253,12 +253,13 @@ def _cmd_shtogrin(args) -> List[str]:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reads a negative number with an exponent
-    ("-1e1") as a value; argparse's own pattern takes it for an option."""
+    ("-1e1"), or a negative multiple of R ("-2R"), as a value; argparse's
+    own pattern takes either for an option."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?R?$")
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import delone_local as dl
 from delone_local import antiprism_opt
@@ -16,8 +18,12 @@ from delone_local.antiprism_opt import (
     Lemma2Params,
     OptBudget,
     _angle_params,
+    _bound_pairs,
+    _lemma1_kernel,
+    _lemma1_seeds,
     _lemma1_values,
     _nelder_mead,
+    _squared_threshold,
     _vertex_pairs,
     lemma1_objective,
     lemma2_objective,
@@ -167,6 +173,20 @@ def lemma1_kernel(phi, psi, pair_filter=0.01):
     return float(_lemma1_values(*params, pair_filter)[0])
 
 
+def assert_oracle_seeds(seeds, vals, grid_phi, grid_psi, pf):
+    """``seeds`` (rows of phi, psi) and ``vals`` are the stable top
+    ``REFINE_TOP`` of the oracle over the whole lemma-1 grid, bit for
+    bit."""
+    phis = np.linspace(PHI_MIN, PHI_MAX, grid_phi)
+    psis = np.linspace(0.0, 2.0 * np.pi, grid_psi, endpoint=False)
+    P, S = np.meshgrid(phis, psis, indexing="ij")
+    want = lemma1_values_oracle(P, S, pf).ravel()
+    top = np.argsort(-want, kind="stable")[:antiprism_opt.REFINE_TOP]
+    assert np.array_equal(vals, want[top])
+    assert np.array_equal(seeds, np.stack([P.ravel()[top], S.ravel()[top]],
+                                          axis=1))
+
+
 class TestKernelsMatchOracle:
     """The array kernel, on grid rows and on single points, and the float
     objective reproduce the broadcasting kernel of
@@ -209,18 +229,58 @@ class TestKernelsMatchOracle:
         assert lemma1_kernel(PHI_MAX, 0.0, 0.01) == 0.9999999999999999
 
     @pytest.mark.parametrize("pf", [0.01, 0.3])
-    def test_optimizer_grid(self, pf, monkeypatch):
-        # the seed grid as _refine receives it, evaluated in blocks of
-        # whole phi rows, against the oracle on the whole grid; the
+    def test_optimizer_seeds(self, pf, monkeypatch):
+        # the seeds lemma 1 refines, and their values, are the stable top
+        # REFINE_TOP of the oracle over the whole grid, bit for bit; the
         # lemma-2 grid is checked in TestOptimizeLemma2
         seen = []
-        refine = antiprism_opt._refine
-        monkeypatch.setattr(antiprism_opt, "_refine",
+        refine = antiprism_opt._refine_seeds
+        monkeypatch.setattr(antiprism_opt, "_refine_seeds",
                             lambda *args: seen.append(args) or refine(*args))
         optimize_lemma1(OptBudget(pair_filter=pf))
-        (_, _, vals, (P, S), _), = seen
-        assert vals.shape == (200, 200)
-        assert np.array_equal(vals, lemma1_values_oracle(P, S, pf))
+        (_, _, seeds, vals, _), = seen
+        assert_oracle_seeds(seeds, vals, 200, 200, pf)
+
+    def test_default_budget_runs_the_kernel_on_few_points(self, monkeypatch):
+        # the points whose 64 pair distances the seeding computes: the
+        # pair sample, the points of largest bound and those the bound
+        # leaves in; the refinement is stopped before it starts
+        points = []
+        squares = antiprism_opt._pair_squares
+
+        def record(*args):
+            if len(args) == 6 or args[6] is None:
+                points.append(np.broadcast(*args[:5]).size)
+            return squares(*args)
+
+        def stop(*args):
+            raise StopIteration
+
+        monkeypatch.setattr(antiprism_opt, "_pair_squares", record)
+        monkeypatch.setattr(antiprism_opt, "_refine_seeds", stop)
+        with pytest.raises(StopIteration):
+            optimize_lemma1()
+        assert 0 < sum(points) < 0.05 * 200 * 200
+
+    @given(grid_phi=st.integers(1, 80), grid_psi=st.integers(1, 80),
+           pf=st.sampled_from([1e-300, 0.01, 0.3, 0.9, 0.999]))
+    @example(grid_phi=1, grid_psi=1, pf=0.01)
+    @example(grid_phi=4, grid_psi=5, pf=0.999)
+    @example(grid_phi=80, grid_psi=80, pf=0.9)
+    @settings(max_examples=40, deadline=None)
+    def test_seeds_by_bound_are_those_of_the_whole_grid(self, grid_phi,
+                                                        grid_psi, pf):
+        # the pair-subset bound is never below the kernel, and the seeds
+        # it lets through are the whole grid's, also where the grid holds
+        # fewer than REFINE_TOP points
+        phis = np.linspace(PHI_MIN, PHI_MAX, grid_phi)
+        psis = np.linspace(0.0, 2.0 * np.pi, grid_psi, endpoint=False)
+        t = _squared_threshold(pf)
+        assert_oracle_seeds(*_lemma1_seeds(phis, psis, t), grid_phi, grid_psi,
+                            pf)
+        params = _angle_params(*np.meshgrid(phis, psis, indexing="ij"))
+        bound = _lemma1_kernel(*params, t, _bound_pairs(phis, psis, t))
+        assert np.all(bound >= _lemma1_kernel(*params, t))
 
     def test_squared_filter_boundary(self):
         # the kernel filters squared distances against the smallest double
@@ -393,7 +453,7 @@ class TestThreadedGrid:
     """On two or more CPUs the second half of the lemma-1 grid's row
     blocks runs on one short-lived worker thread; nothing else changes."""
 
-    SMALL = OptBudget(grid_phi=60, grid_psi=60)  # 12 blocks of 5 rows
+    SMALL = OptBudget(grid_phi=60, grid_psi=60)  # 4 blocks of 16 rows
 
     @pytest.mark.parametrize("optimize", [optimize_lemma1, optimize_lemma2])
     def test_same_report_on_one_and_two_cpus(self, optimize, monkeypatch):
@@ -506,6 +566,24 @@ class TestBudget:
             OptBudget(eps=1e-6)
         assert antiprism_opt.LEMMA2_EPS == 1e-6
 
+
+    @pytest.mark.parametrize("kwargs, name, points", [
+        (dict(grid_phi=10 ** 4, grid_psi=1001), "grid_phi \\* grid_psi",
+         10_010_000),
+        (dict(grid_phi=10 ** 7 + 1, grid_psi=1), "grid_phi \\* grid_psi",
+         10 ** 7 + 1),
+        (dict(grid_lemma2=216), "grid_lemma2\\^3", 216 ** 3),
+    ])
+    def test_grid_point_count_is_capped(self, kwargs, name, points):
+        # counted at construction: no test builds a grid this large
+        assert antiprism_opt.MAX_GRID_POINTS == 10 ** 7
+        with pytest.raises(ValueError, match=f"budget needs {name} at most "
+                           f"10000000 grid points, got {points}"):
+            OptBudget(**kwargs)
+
+    def test_grids_at_the_cap_are_admitted(self):
+        OptBudget(grid_phi=10 ** 4, grid_psi=1000)
+        OptBudget(grid_phi=1, grid_psi=10 ** 7, grid_lemma2=215)
 
     @pytest.mark.parametrize("pair_filter", [np.inf, np.nan, 0.0, -1.0])
     def test_pair_filter_must_be_positive_and_finite(self, pair_filter):

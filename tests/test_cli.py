@@ -369,6 +369,33 @@ def test_negative_numbers_with_an_exponent(tmp_path, capsys):
     assert err == "error: covering radius must be non-negative\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    (["classes", "{c4v}", "--rho", "-2R"], "--rho must be non-negative, got -2.0"),
+    (["check-local", "{c4v}", "--rho0", "-.5R"],
+     "--rho0 must be non-negative, got -0.5"),
+    (["group", "{c4v}", "--center", "0", "0", "1", "--rho", "-1e0R"],
+     "--rho must be non-negative, got -1.0"),
+], ids=["classes", "check-local", "group"])
+def test_negative_multiple_of_R_as_its_own_argument(argv, message, c4v_file,
+                                                   capsys):
+    # argparse took "-2R" for an option: "argument --rho: expected one
+    # argument", exit 2; as "--rho=-2R" it already read as a radius
+    code, out, err = run(capsys, *[a.format(c4v=c4v_file) for a in argv])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("problem", ["lemma1", "lemma2"])
+def test_grid_past_the_point_cap_names_the_flag(problem, capsys):
+    # lemma1 --grid 100000 died in a numpy MemoryError traceback
+    # ("Unable to allocate 74.5 GiB"); the budget now refuses it before
+    # any array is built
+    code, out, err = run(capsys, "optimize", problem, "--grid", "100000")
+    assert (code, out) == (1, "")
+    assert err == ("error: --grid: budget needs grid_phi * grid_psi at most "
+                   "10000000 grid points, got 10000000000\n")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_check_local_rejects_non_finite_R(value, c4v_file, capsys):
     # --R nan read as "no center supports radius nan inside the trusted box"
