@@ -298,11 +298,9 @@ def _pair_squares(a, b, x, y, z, t: float, pairs=None) -> np.ndarray:
     pair's value does not depend on which others are taken."""
     px, py = _vertex_pairs(a, b, x, y, z)
     if pairs is None:
-        d = px[:, None] - py[None]  # (P_x vertex, P_y vertex, component, ...)
-        d = d.reshape(64, *d.shape[2:])
-    else:
-        d = py[pairs % 8]  # one copy, which takes the differences
-        np.subtract(px[pairs // 8], d, out=d)
+        pairs = np.arange(64)
+    d = py[pairs % 8]  # one copy, which takes the differences
+    np.subtract(px[pairs // 8], d, out=d)
     d *= d
     q = d[:, 0] + d[:, 2]
     q += d[:, 1]

@@ -24,12 +24,13 @@ neighbour within the window of their member-count group.  It sweeps the
 rest representative first: each class verifies all its candidate centers
 against one linear part at a time (the identity to begin with), so that
 the frame search of ``_maps`` runs only for the first center of each new
-orientation.  Representatives are built on first access.
+orientation.  The representatives are built all at once, on their
+first read.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -211,53 +212,26 @@ def cluster_isometry(a: Cluster, b: Cluster) -> Optional[Isometry]:
     return Isometry(qs[0], b.center - qs[0] @ a.center) if len(qs) else None
 
 
-class _Representatives(Sequence):
-    """The representatives of a :class:`ClusterClassDecomposition`: a
-    read-only sequence of clusters, each built on first access and kept,
-    so that ``reps[i] is reps[i]``.  ``build`` makes the clusters of a
-    list of indices at once; iterating builds all that are left in one
-    call."""
-
-    def __init__(self, build: Callable[[List[int]], List[Cluster]],
-                 built: List[Optional[Cluster]]):
-        self._build, self._built = build, built
-
-    def __len__(self) -> int:
-        return len(self._built)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[j] for j in range(len(self))[k]]
-        k = range(len(self))[k]  # IndexError out of range, as a list
-        if self._built[k] is None:
-            self._built[k], = self._build([k])
-        return self._built[k]
-
-    def __iter__(self):
-        left = [k for k, c in enumerate(self._built) if c is None]
-        if left:
-            for k, c in zip(left, self._build(left)):
-                self._built[k] = c
-        return iter(self._built)
-
-
 @dataclass(frozen=True)
 class ClusterClassDecomposition:
     """Partition of all usable-center rho-clusters into equivalence classes.
 
-    ``assignment`` maps each usable center (as a coordinate tuple) to its
-    class index; ``class_representatives[i]`` is the cluster at the
-    lexicographically smallest center of class i, built on first access.
+    ``N`` is the cluster-counting function N(rho), the number of classes,
+    and ``assignment`` maps each usable center (as a coordinate tuple) to
+    its class index; reading them builds nothing.
+    ``class_representatives[i]`` is the cluster at the lexicographically
+    smallest center of class i: the whole list is built on its first read.
     """
 
     rho: float
-    class_representatives: Sequence[Cluster]
+    N: int
     assignment: Dict[Tuple[float, float, float], int]
+    _build: Callable[[], List[Cluster]] = field(repr=False, compare=False)
 
-    @property
-    def N(self) -> int:
-        """The cluster-counting function N(rho) on this patch."""
-        return len(self.class_representatives)
+    @cached_property
+    def class_representatives(self) -> List[Cluster]:
+        """The class representatives, in class order."""
+        return self._build()
 
 
 def cluster_classes(patch: PointPatch, rho: float) -> ClusterClassDecomposition:
@@ -294,11 +268,10 @@ def cluster_classes(patch: PointPatch, rho: float) -> ClusterClassDecomposition:
     joins the first class that has a verified map to it, as in
     :func:`cluster_isometry` against each representative in turn.  The
     class ids are the ranks of the representatives' indices, and a
-    ``Cluster`` is built only for a representative or a frame search:
-    here only when a candidate is left to verify, otherwise on first
-    access to ``class_representatives``, which is also when a settled
-    center's ball is queried (all that are left in one query when the
-    representatives are iterated).
+    ``Cluster`` is built here only for a representative with a candidate
+    left to verify or for a frame search.  The first read of
+    ``class_representatives`` builds the rest, the settled centers'
+    balls in one query, and keeps the sweep's clusters as they are.
     """
     if rho < 0:
         raise ValueError("cluster radius must be non-negative")
@@ -353,14 +326,12 @@ def cluster_classes(patch: PointPatch, rho: float) -> ClusterClassDecomposition:
                         break
     reps = np.flatnonzero(rep == np.arange(len(centers)))
 
-    def build(ks):  # settled representatives' balls are queried here
-        extract(reps[ks])
-        return [make(i) for i in reps[ks]]
+    def build():  # settled representatives' balls are queried here
+        extract(reps)
+        return [built[i] if i in built else make(i) for i in reps.tolist()]
 
     return ClusterClassDecomposition(
-        rho=rho,
-        class_representatives=_Representatives(
-            build, [built.get(i) for i in reps.tolist()]),
+        rho=rho, N=len(reps),
         assignment=dict(zip(map(tuple, centers.tolist()),
                             np.searchsorted(reps, rep).tolist())),
-    )
+        _build=build)

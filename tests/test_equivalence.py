@@ -492,7 +492,7 @@ class TestClusterClasses:
     def test_generic_builds_no_cluster(self, rho, monkeypatch):
         # every jittered profile sum stands alone in its member-count
         # group, so no center is verified and no Cluster is built until
-        # a representative is read
+        # the representatives are read; the first read builds them all
         calls, built = [], []
         maps = equivalence._maps
         monkeypatch.setattr(equivalence, "_maps",
@@ -504,8 +504,9 @@ class TestClusterClasses:
         assert dec.N == len(dec.assignment) > 3
         assert calls == [] and built == []
         reps = dec.class_representatives
-        assert reps[0] is reps[0] and len(built) == 1
-        assert reps[-1] is reps[dec.N - 1] and len(built) == 2
+        assert len(built) == dec.N
+        assert dec.class_representatives is reps
+        assert reps[0] is reps[0] and reps[-1] is reps[dec.N - 1]
         assert np.array_equal(reps[0].center, patch.usable_centers(rho)[0])
         with pytest.raises(IndexError):
             reps[dec.N]
@@ -758,6 +759,32 @@ class TestSettledCenters:
         dec, batched = self.recorded(monkeypatch, patch, k * R)
         assert dec.N == 1
         assert batched == ([n] if n > 1 else [])
+
+    @pytest.mark.parametrize("patch, rho, at_build", [
+        pytest.param(lambda: jittered_cubic(5, 1), 2.9, 0, id="jittered-2R"),
+        pytest.param(lambda: jittered_cubic(5, 1), 5.8, 0, id="jittered-4R"),
+        pytest.param(lambda: dl.c4v_example([-6] * 3, [6] * 3),
+                     2 * np.sqrt(1.5), 1, id="c4v-2R")])
+    def test_representatives_read_in_one_ball_query(self, patch, rho,
+                                                    at_build, monkeypatch):
+        # N and the assignment query no ball; the settled representatives'
+        # balls are queried together on the first read, and the swept
+        # ones are not queried again
+        calls = []
+        members = equivalence._ball_members
+        monkeypatch.setattr(equivalence, "_ball_members",
+                            lambda *a: calls.append(1) or members(*a))
+        patch = patch()
+        dec = cluster_classes(patch, rho)
+        assert dec.N >= 1 and len(dec.assignment) >= dec.N
+        assert len(calls) == at_build
+        first, last = dec.class_representatives[0], dec.class_representatives[-1]
+        assert len(calls) == 1
+        assert first is dec.class_representatives[0]
+        assert last is dec.class_representatives[dec.N - 1]
+        for rep in dec.class_representatives:
+            want = dl.cluster(patch, rep.center, rho)
+            assert rep.members.tobytes() == want.members.tobytes()
 
     @pytest.mark.parametrize("name", ["z3", "hex", "c4v", "hex_bilattice",
                                       "jittered"])
